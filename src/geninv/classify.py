@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drazin import core_nilpotent, drazin, index
-from .factor import HSDecomp, hs_decompose, hs_derived, pinv
-from .inverses import cmp_inverse, dmp, mpd
+from .drazin import _analyse, drazin
+from .factor import HSDecomp, _core_blocks, pinv
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
@@ -71,34 +70,24 @@ class ClassReport:
     flags: tuple[str, ...] = field(default=())
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got {a.shape}")
-    return a
-
-
 def is_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a commutes with its Moore-Penrose inverse."""
-    a = _require_square(a)
-    x = pinv(a, tol)
-    return approx_eq(a @ x, x @ a, tol)
+    rec = _analyse(a, tol)
+    x = rec.pinv
+    return approx_eq(rec.a @ x, x @ rec.a, tol)
 
 
 def is_core_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^+ commutes with the core part of a."""
-    a = _require_square(a)
-    x = pinv(a, tol)
-    core = core_nilpotent(a, tol).core
+    rec = _analyse(a, tol)
+    x, core = rec.pinv, rec.core
     return approx_eq(x @ core, core @ x, tol)
 
 
 def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^k commutes with a^+, k = index(a)."""
-    a = _require_square(a)
-    k = index(a, tol)
-    ak = mat_pow(a, k)
-    x = pinv(a, tol)
+    rec = _analyse(a, tol)
+    ak, x = mat_pow(rec.a, rec.index), rec.pinv
     return approx_eq(ak @ x, x @ ak, tol)
 
 
@@ -117,12 +106,8 @@ def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
 
 def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassReport:
     """Evaluate every equivalent core-EP condition and flag disagreements."""
-    a = _require_square(a)
-    x = pinv(a, tol)
-    d = drazin(a, tol)
-    core = a @ d @ a
-    m = x @ d @ x
-    g = dmp(a, tol)
+    rec = _analyse(a, tol)
+    a, x, d, core, m, g = rec.a, rec.pinv, rec.drazin, rec.core, rec.mpdmp, rec.dmp
     d3 = d @ d @ d
     d4 = d3 @ d
 
@@ -150,20 +135,43 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
 
     block = {}
     if np.any(a != 0):
-        ca, cb, cc = core_ep_block_conditions(hs_decompose(a, tol), tol)
+        ca, cb, cc = core_ep_block_conditions(rec.hs, tol)
         block = {"a": ca, "b": cb, "c": cc}
         if (ca and cb and cc) != core_ep:
             flags.append("block conditions disagree with the defining core-EP test")
 
     return ClassReport(
-        is_ep=is_ep(a, tol),
+        is_ep=is_ep(rec, tol),
         is_core_ep=core_ep,
-        is_k_ep=is_k_ep(a, tol),
+        is_k_ep=is_k_ep(rec, tol),
         core_ep_conditions=conditions,
         block_conditions=block,
         residuals=residuals,
         flags=tuple(flags),
     )
+
+
+def _block_ep_test(h: HSDecomp, m: np.ndarray, tol: Tolerance):
+    """Q* delta Q = m^+ m and delta P = 0 for delta = m m^+; returns the
+    verdict, delta and m^+."""
+    m_pinv = pinv(m, tol)
+    delta = m @ m_pinv
+    holds = (approx_eq(conj_transpose(h.q) @ delta @ h.q, m_pinv @ m, tol)
+             and approx_eq(delta @ h.p, np.zeros_like(h.p), tol))
+    return holds, delta, m_pinv
+
+
+def _implied_pairs(h: HSDecomp, delta: np.ndarray, m: np.ndarray,
+                   m_pinv: np.ndarray):
+    """The pairs that a positive block criterion makes equal: PP* and QQ*
+    commute with delta = m m^+, and delta = Q m^+ m Q*."""
+    pp = h.p @ conj_transpose(h.p)
+    qq = h.q @ conj_transpose(h.q)
+    return [
+        (pp @ delta, delta @ pp),
+        (qq @ delta, delta @ qq),
+        (delta, h.q @ m_pinv @ m @ conj_transpose(h.q)),
+    ]
 
 
 def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -172,44 +180,23 @@ def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     A third block condition is implied by these two (delta is an
     orthogonal projector), so only the two are tested.
     """
-    der = hs_derived(h, tol)
-    qhat_pinv = pinv(der.qhat, tol)
-    lhs = conj_transpose(h.q) @ der.delta @ h.q
-    rhs = qhat_pinv @ der.qhat
-    zero_p = np.zeros_like(h.p)
-    return approx_eq(lhs, rhs, tol) and approx_eq(der.delta @ h.p, zero_p, tol)
+    return _block_ep_test(h, _core_blocks(h, tol)[0], tol)[0]
 
 
 def mpdmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """MPDMP matrix is EP iff Q* delta_hat Q = st^+ st and delta_hat P = 0."""
-    der = hs_derived(h, tol)
-    st_pinv = pinv(der.sigma_tilde, tol)
-    lhs = conj_transpose(h.q) @ der.delta_hat @ h.q
-    rhs = st_pinv @ der.sigma_tilde
-    zero_p = np.zeros_like(h.p)
-    return approx_eq(lhs, rhs, tol) and approx_eq(der.delta_hat @ h.p, zero_p, tol)
+    return _block_ep_test(h, _core_blocks(h, tol)[1], tol)[0]
 
 
 def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """CCE inverse is EP iff Q* delta_tilde Q = qtilde^+ qtilde and
     delta_tilde P = 0; a positive result also implies that delta_tilde
     commutes with PP* and QQ* and equals Q qtilde^+ qtilde Q*."""
-    der = hs_derived(h, tol)
-    qt_pinv = pinv(der.qtilde, tol)
-    lhs = conj_transpose(h.q) @ der.delta_tilde @ h.q
-    rhs = qt_pinv @ der.qtilde
-    zero_p = np.zeros_like(h.p)
-    holds = approx_eq(lhs, rhs, tol) and approx_eq(der.delta_tilde @ h.p, zero_p, tol)
+    qtilde = _core_blocks(h, tol)[2]
+    holds, dt, qt_pinv = _block_ep_test(h, qtilde, tol)
     if holds:
-        pp = h.p @ conj_transpose(h.p)
-        qq = h.q @ conj_transpose(h.q)
-        dt = der.delta_tilde
-        checks = [
-            approx_eq(pp @ dt, dt @ pp, tol),
-            approx_eq(qq @ dt, dt @ qq, tol),
-            approx_eq(dt, h.q @ qt_pinv @ der.qtilde @ conj_transpose(h.q), tol),
-        ]
-        if not all(checks):
+        pairs = _implied_pairs(h, dt, qtilde, qt_pinv)
+        if not all([approx_eq(lhs, rhs, tol) for lhs, rhs in pairs]):
             raise InternalCheckError(
                 "CCE EP-criterion consequences failed on a positive result"
             )
@@ -219,18 +206,11 @@ def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
 def mpdmp_ep_consequences(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residuals of [PP*, delta_hat], [QQ*, delta_hat] and
     delta_hat - Q st^+ st Q*; requires mpdmp_ep_criterion(h)."""
-    if not mpdmp_ep_criterion(h, tol):
+    st = _core_blocks(h, tol)[1]
+    holds, dh, st_pinv = _block_ep_test(h, st, tol)
+    if not holds:
         raise PreconditionError("MPDMP EP criterion does not hold")
-    der = hs_derived(h, tol)
-    st_pinv = pinv(der.sigma_tilde, tol)
-    pp = h.p @ conj_transpose(h.p)
-    qq = h.q @ conj_transpose(h.q)
-    dh = der.delta_hat
-    return (
-        diff_norm(pp @ dh, dh @ pp),
-        diff_norm(qq @ dh, dh @ qq),
-        diff_norm(dh, h.q @ st_pinv @ der.sigma_tilde @ conj_transpose(h.q)),
-    )
+    return tuple(diff_norm(lhs, rhs) for lhs, rhs in _implied_pairs(h, dh, st, st_pinv))
 
 
 def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -247,8 +227,8 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """CMP inverse is EP iff (MPD)(CMP)^+ = (CMP)^+(DMP)."""
-    a = _require_square(a)
-    if not np.any(a != 0):
+    rec = _analyse(a, tol)
+    if not np.any(rec.a != 0):
         raise PreconditionError("criterion requires a nonzero matrix")
-    c_pinv = pinv(cmp_inverse(a, tol), tol)
-    return approx_eq(mpd(a, tol) @ c_pinv, c_pinv @ dmp(a, tol), tol)
+    c_pinv = pinv(rec.cmp, tol)
+    return approx_eq(rec.mpd @ c_pinv, c_pinv @ rec.dmp, tol)

@@ -17,24 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .classify import core_ep_equiv_report
-from .drazin import (
-    IndexTooLargeError,
-    core_nilpotent,
-    drazin,
-    group_inverse,
-    index,
-)
+from .drazin import IndexTooLargeError, _analyse, drazin, group_inverse
 from .ensembles import EnsembleSpec, InvalidSpecError, KINDS
-from .factor import (
-    ZeroMatrixError,
-    hs_decompose,
-    hs_derived,
-    hs_reconstruct,
-    numerical_rank,
-    pinv,
-    pinv_scaled,
-    svd,
-)
+from .factor import ZeroMatrixError, hs_derived, hs_reconstruct, pinv
 from .inverses import cce_inverse, cmp_inverse, core_ep_inverse, dmp, mpd, mpdmp
 from .kernel import (
     DEFAULT_TOL,
@@ -127,11 +112,6 @@ def _tolerance(args) -> Tolerance:
     )
 
 
-def _require_square_input(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"square matrix required, got {a.shape}")
-
-
 def _penrose_residuals(a, x):
     return {
         "axa_eq_a": diff_norm(a @ x @ a, a),
@@ -150,12 +130,11 @@ def _drazin_residuals(a, x, k):
     }
 
 
-def _compute_residuals(which, a, x, tol):
+def _compute_residuals(which, rec, x):
+    a = rec.a
     if which == "mp":
         return _penrose_residuals(a, x)
-    p = pinv(a, tol)
-    d = drazin(a, tol)
-    k = index(a, tol)
+    p, d, k = rec.pinv, rec.drazin, rec.index
     if which in ("drazin", "group"):
         return _drazin_residuals(a, x, k)
     if which == "dmp":
@@ -173,7 +152,7 @@ def _compute_residuals(which, a, x, tol):
             "mp_power": diff_norm(x @ ak, p @ ak),
         }
     if which == "cmp":
-        core = core_nilpotent(a, tol).core
+        core = rec.core
         return {
             "xax_eq_x": diff_norm(x @ a @ x, x),
             "ax_eq_core_mp": diff_norm(a @ x, core @ p),
@@ -187,8 +166,7 @@ def _compute_residuals(which, a, x, tol):
         }
     if which == "core-ep":
         ak = mat_pow(a, k)
-        smax = svd(a).s[0] if a.size else 0.0
-        proj = ak @ pinv_scaled(ak, float(smax) ** k, tol)
+        proj = ak @ rec.power_pinv(k)
         xs = conj_transpose(x)
         return {
             "xax_eq_x": diff_norm(x @ a @ x, x),
@@ -216,16 +194,15 @@ _WHICH_FUNCS = {
 def cmd_compute(args) -> int:
     tol = _tolerance(args)
     a = load_matrix(args.input)
-    if args.which != "mp":
-        _require_square_input(a)
-    x = _WHICH_FUNCS[args.which](a, tol)
+    rec = _analyse(a, tol, square=args.which != "mp")
+    x = _WHICH_FUNCS[args.which](rec, tol)
     sidecar = {
         "which": args.which,
-        "residuals": _compute_residuals(args.which, a, x, tol),
+        "residuals": _compute_residuals(args.which, rec, x),
     }
     if a.shape[0] == a.shape[1]:
-        sidecar["index"] = index(a, tol)
-        sidecar["rank"] = numerical_rank(a, tol)
+        sidecar["index"] = rec.index
+        sidecar["rank"] = rec.rank
     if args.output:
         save_matrix(args.output, x)
         _dump(sidecar, args.pretty)
@@ -236,12 +213,11 @@ def cmd_compute(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    a = load_matrix(args.input)
-    _require_square_input(a)
-    rep = core_ep_equiv_report(a, tol)
+    rec = _analyse(load_matrix(args.input), tol)
+    rep = core_ep_equiv_report(rec, tol)
     _dump({
-        "rank": numerical_rank(a, tol),
-        "index": index(a, tol),
+        "rank": rec.rank,
+        "index": rec.index,
         "is_ep": rep.is_ep,
         "is_core_ep": rep.is_core_ep,
         "is_k_ep": rep.is_k_ep,
@@ -255,12 +231,12 @@ def cmd_classify(args) -> int:
 
 def cmd_order(args) -> int:
     tol = _tolerance(args)
-    a = load_matrix(args.a)
+    rec = _analyse(load_matrix(args.a), tol)
     b = load_matrix(args.b)
     kinds = list(OrderKind) if args.relation == "all" else [OrderKind(args.relation)]
     out = {}
     for kind in kinds:
-        rep = leq(a, b, kind, tol)
+        rep = leq(rec, b, kind, tol)
         out[kind.value] = {
             "holds": rep.holds,
             "left_residual": rep.left_residual,
@@ -302,9 +278,8 @@ def cmd_verify(args) -> int:
 
 def cmd_hs(args) -> int:
     tol = _tolerance(args)
-    a = load_matrix(args.input)
-    _require_square_input(a)
-    h = hs_decompose(a, tol)
+    rec = _analyse(load_matrix(args.input), tol)
+    h = rec.hs
     der = hs_derived(h, tol)
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -330,7 +305,7 @@ def cmd_hs(args) -> int:
         "rank": h.r,
         "files": files,
         "residuals": {
-            "reconstruction": diff_norm(hs_reconstruct(h), a),
+            "reconstruction": diff_norm(hs_reconstruct(h), rec.a),
             "qq_pp_identity": fro_norm(
                 h.q @ conj_transpose(h.q) + h.p @ conj_transpose(h.p) - eye_r),
         },

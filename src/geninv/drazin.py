@@ -10,12 +10,15 @@ zero, and a relative cutoff would mistake the noise for signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .factor import pinv, pinv_scaled, rank_scaled, svd
-from .kernel import DEFAULT_TOL, Tolerance, mat_pow
+from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from,
+                     _rank_from, svd)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError,
+                     Tolerance, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -42,74 +45,155 @@ class CoreNilpotent:
     index: int
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got {a.shape}")
-    return a
+@dataclass(frozen=True)
+class _Analysis:
+    """What the package derives from one matrix under one tolerance, each
+    part computed on first use and kept for the one public call the record
+    lives in. SVDs are kept by input (shape and bytes), so each distinct
+    matrix is decomposed once: A, the powers A^2 ... A^(k+1) of the index
+    search, A^(2k+1) for A^D, and A^0 = I when the index is 0."""
+
+    a: np.ndarray
+    tol: Tolerance
+    _svds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def _svd(self, m: np.ndarray) -> SVDResult:
+        key = (m.shape, m.tobytes())
+        if key not in self._svds:
+            self._svds[key] = svd(m)
+        return self._svds[key]
+
+    def power_rank(self, j: int) -> int:
+        """rank(A^j) with the cutoff referenced to sigma_max(A)**j."""
+        return _rank_from(self._svd(mat_pow(self.a, j)), self.smax ** j, self.tol)
+
+    def power_pinv(self, j: int) -> np.ndarray:
+        """(A^j)^+ with the cutoff referenced to sigma_max(A)**j."""
+        return _pinv_from(self._svd(mat_pow(self.a, j)), self.smax ** j, self.tol)
+
+    @cached_property
+    def factors(self) -> SVDResult:
+        return self._svd(self.a)
+
+    @cached_property
+    def smax(self) -> float:
+        s = self.factors.s
+        return float(s[0]) if len(s) else 0.0
+
+    @cached_property
+    def rank(self) -> int:
+        return _rank_from(self.factors, 0.0, self.tol)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return _pinv_from(self.factors, 0.0, self.tol)
+
+    @cached_property
+    def hs(self) -> HSDecomp:
+        res, r = self.factors, self.rank
+        if r == 0:
+            raise ZeroMatrixError("the factorization requires rank >= 1")
+        qp = conj_transpose(res.v) @ res.u
+        return HSDecomp(u=res.u, sigma=res.s[:r], q=qp[:r, :r], p=qp[:r, r:], r=r)
+
+    @cached_property
+    def index(self) -> int:
+        n = self.a.shape[0]
+        prev_rank = n
+        for k in range(n + 1):
+            r = self.power_rank(k + 1)
+            if r == prev_rank:
+                return k
+            prev_rank = r
+        return n
+
+    @cached_property
+    def drazin(self) -> np.ndarray:
+        k = self.index
+        if self.power_rank(k) == 0:
+            return np.zeros(self.a.shape, dtype=np.complex128)
+        ak = mat_pow(self.a, k)
+        return ak @ self.power_pinv(2 * k + 1) @ ak
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        return self.a @ self.drazin @ self.a
+
+    @cached_property
+    def dmp(self) -> np.ndarray:
+        return self.drazin @ self.a @ self.pinv
+
+    @cached_property
+    def mpd(self) -> np.ndarray:
+        return self.pinv @ self.a @ self.drazin
+
+    @cached_property
+    def cmp(self) -> np.ndarray:
+        return self.pinv @ self.core @ self.pinv
+
+    @cached_property
+    def mpdmp(self) -> np.ndarray:
+        return self.pinv @ self.drazin @ self.pinv
+
+    @cached_property
+    def core_ep(self) -> np.ndarray:
+        k = self.index
+        return self.drazin @ mat_pow(self.a, k) @ self.power_pinv(k)
+
+    @cached_property
+    def cce(self) -> np.ndarray:
+        return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
 
 
-def _two_norm(a: np.ndarray) -> float:
-    s = svd(a).s
-    return float(s[0]) if len(s) else 0.0
+def _analyse(a, tol: Tolerance, square: bool = True) -> _Analysis:
+    """The record of `a`, and the package's one input guard: a non-finite
+    entry raises PreconditionError and, when `square`, a non-square matrix
+    DimensionMismatchError. Public functions take a matrix or, from inside
+    the package, a record, which passes through so each call analyses each
+    matrix once."""
+    if isinstance(a, _Analysis):
+        rec = a
+    else:
+        a = np.asarray(a, dtype=np.complex128)
+        if not np.isfinite(a).all():
+            raise PreconditionError("matrix has a non-finite entry")
+        rec = _Analysis(a, tol)
+    if square and rec.a.shape[0] != rec.a.shape[1]:
+        raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
+    return rec
 
 
 def index(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1))."""
-    a = _require_square(a)
-    n = a.shape[0]
-    smax = _two_norm(a)
-    prev_rank = n
-    power = np.eye(n, dtype=np.complex128)
-    for k in range(n + 1):
-        power = power @ a
-        r = rank_scaled(power, smax ** (k + 1), tol)
-        if r == prev_rank:
-            return k
-        prev_rank = r
-    return n
-
-
-def _drazin_with_index(a: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
-    n = a.shape[0]
-    smax = _two_norm(a)
-    ak = mat_pow(a, k)
-    if rank_scaled(ak, smax ** k, tol) == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    x = pinv_scaled(mat_pow(a, 2 * k + 1), smax ** (2 * k + 1), tol)
-    return ak @ x @ ak
+    return _analyse(a, tol).index
 
 
 def drazin(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Drazin inverse a^k (a^(2k+1))^+ a^k with k = index(a)."""
-    a = _require_square(a)
-    return _drazin_with_index(a, index(a, tol), tol)
+    return _analyse(a, tol).drazin
 
 
 def group_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Drazin inverse restricted to index <= 1."""
-    a = _require_square(a)
-    k = index(a, tol)
-    if k > 1:
-        raise IndexTooLargeError(f"group inverse needs index <= 1, got {k}")
-    return _drazin_with_index(a, k, tol)
+    rec = _analyse(a, tol)
+    if rec.index > 1:
+        raise IndexTooLargeError(f"group inverse needs index <= 1, got {rec.index}")
+    return rec.drazin
 
 
 def core_nilpotent(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     """core = a a^D a; nilpotent = a - core."""
-    a = _require_square(a)
-    k = index(a, tol)
-    core = a @ _drazin_with_index(a, k, tol) @ a
-    return CoreNilpotent(core=core, nilpotent=a - core, index=k)
+    rec = _analyse(a, tol)
+    return CoreNilpotent(core=rec.core, nilpotent=rec.a - rec.core, index=rec.index)
 
 
 def projectors(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Orthogonal projectors (a a^+, a^+ a) onto the column spaces of a, a*."""
-    x = pinv(a, tol)
-    return a @ x, x @ a
+    rec = _analyse(a, tol, square=False)
+    return rec.a @ rec.pinv, rec.pinv @ rec.a
 
 
 def spectral_projector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a a^D: the oblique projector onto R(a^k) along N(a^k)."""
-    a = _require_square(a)
-    return a @ drazin(a, tol)
+    rec = _analyse(a, tol)
+    return rec.a @ rec.drazin

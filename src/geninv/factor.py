@@ -136,19 +136,36 @@ def svd(a: np.ndarray, max_sweeps: int = 60) -> SVDResult:
     return SVDResult(u=u, s=s_vals, v=v)
 
 
-def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with the singular-value cutoff referenced to max(sigma_max, scale).
+def _cutoff(res: SVDResult, scale: float, tol: Tolerance) -> float:
+    """The singular-value cutoff, referenced to max(sigma_max, scale).
 
     Matrix powers computed in floating point carry a noise floor set by the
     norm of the base matrix, so their rank must be measured against
     sigma_max(base)**k rather than the power's own largest singular value.
     """
-    s = svd(a).s
-    ref = max(float(s[0]) if len(s) else 0.0, float(scale))
-    if ref == 0.0:
-        return 0
-    cutoff = tol.rank_cutoff(*a.shape) * ref
-    return int(np.count_nonzero(s > cutoff))
+    ref = max(float(res.s[0]) if len(res.s) else 0.0, float(scale))
+    return tol.rank_cutoff(res.u.shape[0], res.v.shape[0]) * ref
+
+
+def _rank_from(res: SVDResult, scale: float, tol: Tolerance) -> int:
+    return int(np.count_nonzero(res.s > _cutoff(res, scale, tol)))
+
+
+def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
+    """v diag(1/s) u* over the singular values above the cutoff."""
+    m, n = res.u.shape[0], res.v.shape[0]
+    cutoff = _cutoff(res, scale, tol)
+    s_inv = np.array([1.0 / x if x > cutoff else 0.0 for x in res.s])
+    smat = np.zeros((n, m), dtype=np.complex128)
+    smat[: len(res.s), : len(res.s)] = np.diag(s_inv)
+    return res.v @ smat @ conj_transpose(res.u)
+
+
+def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank with the singular-value cutoff referenced to max(sigma_max, scale)."""
+    from .drazin import _analyse
+
+    return _rank_from(_analyse(a, tol, square=False).factors, scale, tol)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -160,16 +177,9 @@ def pinv_scaled(a: np.ndarray, scale: float,
                 tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with the cutoff referenced to
     max(sigma_max, scale); see rank_scaled for when that matters."""
-    a = np.asarray(a, dtype=np.complex128)
-    res = svd(a)
-    m, n = a.shape
-    s = res.s
-    ref = max(float(s[0]) if len(s) else 0.0, float(scale))
-    cutoff = tol.rank_cutoff(m, n) * ref
-    s_inv = np.array([1.0 / x if x > cutoff else 0.0 for x in s])
-    smat = np.zeros((n, m), dtype=np.complex128)
-    smat[: len(s), : len(s)] = np.diag(s_inv)
-    return res.v @ smat @ conj_transpose(res.u)
+    from .drazin import _analyse
+
+    return _pinv_from(_analyse(a, tol, square=False).factors, scale, tol)
 
 
 def pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -220,17 +230,9 @@ class HSDerived:
 
 def hs_decompose(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HSDecomp:
     """Factor a square nonzero matrix as U [[SQ, SP], [0, 0]] U*."""
-    a = np.asarray(a, dtype=np.complex128)
-    n, n2 = a.shape
-    if n != n2:
-        raise ValueError(f"square matrix required, got {a.shape}")
-    res = svd(a)
-    smax = res.s[0] if len(res.s) else 0.0
-    r = int(np.count_nonzero(res.s > tol.rank_cutoff(n, n) * smax))
-    if r == 0:
-        raise ZeroMatrixError("the factorization requires rank >= 1")
-    qp = conj_transpose(res.v) @ res.u
-    return HSDecomp(u=res.u, sigma=res.s[:r], q=qp[:r, :r], p=qp[:r, r:], r=r)
+    from .drazin import _analyse
+
+    return _analyse(a, tol).hs
 
 
 def hs_reconstruct(h: HSDecomp) -> np.ndarray:
@@ -242,16 +244,18 @@ def hs_reconstruct(h: HSDecomp) -> np.ndarray:
     return h.u @ block @ conj_transpose(h.u)
 
 
+def _core_blocks(h: HSDecomp, tol: Tolerance):
+    """(qhat, sigma_tilde, qtilde) from one analysis of the core SQ."""
+    from .drazin import _analyse
+
+    core = _analyse(h.core, tol)
+    qhat = h.q @ core.drazin
+    return qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
+
+
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
     """All six derived blocks of the factorization."""
-    from .drazin import drazin
-    from .inverses import core_ep_inverse
-
-    core = h.core
-    core_d = drazin(core, tol)
-    qhat = h.q @ core_d
-    sigma_tilde = qhat @ core_d @ core_d
-    qtilde = h.q @ core_ep_inverse(core, tol)
+    qhat, sigma_tilde, qtilde = _core_blocks(h, tol)
     return HSDerived(
         qhat=qhat,
         sigma_tilde=sigma_tilde,

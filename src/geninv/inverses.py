@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drazin import core_nilpotent, drazin, index
-from .factor import hs_decompose, hs_derived, numerical_rank, pinv, pinv_scaled, svd
+from .drazin import _analyse
+from .factor import _core_blocks, pinv
 from .kernel import DEFAULT_TOL, Tolerance, approx_eq, conj_transpose, mat_pow
 
 __all__ = [
@@ -52,52 +52,41 @@ class InverseReport:
 
 def dmp(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^D a a^+."""
-    return drazin(a, tol) @ a @ pinv(a, tol)
+    return _analyse(a, tol).dmp
 
 
 def mpd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^+ a a^D."""
-    return pinv(a, tol) @ a @ drazin(a, tol)
+    return _analyse(a, tol).mpd
 
 
 def cmp_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^+ core(a) a^+."""
-    p = pinv(a, tol)
-    return p @ core_nilpotent(a, tol).core @ p
+    return _analyse(a, tol).cmp
 
 
 def mpdmp(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^+ a^D a^+."""
-    p = pinv(a, tol)
-    return p @ drazin(a, tol) @ p
-
-
-def _two_norm(a: np.ndarray) -> float:
-    s = svd(a).s
-    return float(s[0]) if len(s) else 0.0
+    return _analyse(a, tol).mpdmp
 
 
 def core_ep_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^D a^k (a^k)^+ with k = index(a) exactly."""
-    a = np.asarray(a, dtype=np.complex128)
-    k = index(a, tol)
-    ak = mat_pow(a, k)
-    return drazin(a, tol) @ ak @ pinv_scaled(ak, _two_norm(a) ** k, tol)
+    return _analyse(a, tol).core_ep
 
 
 def cce_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """a^+ a (core-EP inverse) a a^+."""
-    p = pinv(a, tol)
-    return p @ a @ core_ep_inverse(a, tol) @ a @ p
+    return _analyse(a, tol).cce
 
 
 def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of the MPDMP matrix, cross-checked against the
     block closed form U [[st^+ Q, st^+ P], [0, 0]] U*."""
-    x = pinv(mpdmp(a, tol), tol)
-    h = hs_decompose(a, tol)
-    der = hs_derived(h, tol)
-    st_pinv = pinv(der.sigma_tilde, tol)
+    rec = _analyse(a, tol)
+    x = pinv(rec.mpdmp, tol)
+    h = rec.hs
+    st_pinv = pinv(_core_blocks(h, tol)[1], tol)
     n = h.u.shape[0]
     block = np.zeros((n, n), dtype=np.complex128)
     block[: h.r, :] = np.hstack([st_pinv @ h.q, st_pinv @ h.p])
@@ -112,26 +101,25 @@ def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def greville_forms(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """DMP and MPD from Moore-Penrose inverses of powers:
     (a^k (a^(2k+1))^+ a^(k+1) a^+,  a^+ a^(k+1) (a^(2k+1))^+ a^k)."""
-    a = np.asarray(a, dtype=np.complex128)
-    k = index(a, tol)
-    p = pinv(a, tol)
-    t = pinv_scaled(mat_pow(a, 2 * k + 1), _two_norm(a) ** (2 * k + 1), tol)
-    ak = mat_pow(a, k)
-    ak1 = mat_pow(a, k + 1)
+    rec = _analyse(a, tol)
+    k = rec.index
+    p, t = rec.pinv, rec.power_pinv(2 * k + 1)
+    ak, ak1 = mat_pow(rec.a, k), mat_pow(rec.a, k + 1)
     return ak @ t @ ak1 @ p, p @ ak1 @ t @ ak
 
 
 def inverse_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> InverseReport:
     """Compute every inverse of a square matrix in one pass."""
+    rec = _analyse(a, tol)
     return InverseReport(
-        mp=pinv(a, tol),
-        drazin=drazin(a, tol),
-        dmp=dmp(a, tol),
-        mpd=mpd(a, tol),
-        cmp=cmp_inverse(a, tol),
-        mpdmp=mpdmp(a, tol),
-        core_ep=core_ep_inverse(a, tol),
-        cce=cce_inverse(a, tol),
-        index=index(a, tol),
-        rank=numerical_rank(a, tol),
+        mp=rec.pinv,
+        drazin=rec.drazin,
+        dmp=rec.dmp,
+        mpd=rec.mpd,
+        cmp=rec.cmp,
+        mpdmp=rec.mpdmp,
+        core_ep=rec.core_ep,
+        cce=rec.cce,
+        index=rec.index,
+        rank=rec.rank,
     )

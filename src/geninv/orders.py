@@ -12,8 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drazin import core_nilpotent, drazin, index
-from .factor import pinv
+from .drazin import _analyse, drazin
 from .inverses import cmp_inverse, dmp, mpd
 from .kernel import (
     DEFAULT_TOL,
@@ -59,22 +58,21 @@ _INVERSE_FOR_KIND = {
 }
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.complex128)
+def _check_pair(a, b, tol: Tolerance):
+    rec = _analyse(a, tol)
     b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise DimensionMismatchError("both matrices must be square")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"size mismatch {a.shape} vs {b.shape}")
-    return a, b
+    if rec.a.shape != b.shape:
+        raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
+    return rec, b
 
 
 def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
         tol: Tolerance = DEFAULT_TOL) -> OrderReport:
     """Test a <= b under the chosen generalized inverse of a."""
-    a, b = _check_pair(a, b)
+    rec, b = _check_pair(a, b, tol)
+    a = rec.a
     kind = OrderKind(kind)
-    g = _INVERSE_FOR_KIND[kind](a, tol)
+    g = _INVERSE_FOR_KIND[kind](rec, tol)
     left = approx_eq(g @ a, g @ b, tol)
     right = approx_eq(a @ g, b @ g, tol)
     return OrderReport(
@@ -87,21 +85,17 @@ def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
 
 def core_upper_bound_check(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """a <= core(a) under all four relations; each report must hold."""
-    a = np.asarray(a, dtype=np.complex128)
-    core = core_nilpotent(a, tol).core
-    return tuple(leq(a, core, kind, tol) for kind in OrderKind)
+    rec = _analyse(a, tol)
+    return tuple(leq(rec, rec.core, kind, tol) for kind in OrderKind)
 
 
 def dmp_order_characterizations(a: np.ndarray, b: np.ndarray,
                                 tol: Tolerance = DEFAULT_TOL):
     """Three equivalent tests of a <= b under the DMP inverse:
     the definition, the a^D form, and the a^k form."""
-    a, b = _check_pair(a, b)
-    d = drazin(a, tol)
-    p = pinv(a, tol)
-    k = index(a, tol)
-    ak = mat_pow(a, k)
-    by_def = leq(a, b, OrderKind.DMP, tol).holds
+    rec, b = _check_pair(a, b, tol)
+    d, p, ak = rec.drazin, rec.pinv, mat_pow(rec.a, rec.index)
+    by_def = leq(rec, b, OrderKind.DMP, tol).holds
     by_drazin = (approx_eq(d, d @ p @ b, tol)
                  and approx_eq(d, b @ d @ d, tol))
     by_power = (approx_eq(ak, ak @ p @ b, tol)
@@ -113,12 +107,9 @@ def mpd_order_characterizations(a: np.ndarray, b: np.ndarray,
                                 tol: Tolerance = DEFAULT_TOL):
     """Three equivalent tests of a <= b under the MPD inverse:
     the definition, the a^D form, and the a^k form."""
-    a, b = _check_pair(a, b)
-    d = drazin(a, tol)
-    p = pinv(a, tol)
-    k = index(a, tol)
-    ak = mat_pow(a, k)
-    by_def = leq(a, b, OrderKind.MPD, tol).holds
+    rec, b = _check_pair(a, b, tol)
+    d, p, ak = rec.drazin, rec.pinv, mat_pow(rec.a, rec.index)
+    by_def = leq(rec, b, OrderKind.MPD, tol).holds
     by_drazin = (approx_eq(d, d @ d @ b, tol)
                  and approx_eq(d, b @ p @ d, tol))
     by_power = (approx_eq(ak, ak @ d @ b, tol)

@@ -20,16 +20,8 @@ from .classify import (
     is_core_ep,
     is_ep,
 )
-from .drazin import core_nilpotent, drazin, index
-from .factor import hs_decompose, pinv, pinv_scaled, svd
-from .inverses import (
-    cce_inverse,
-    cmp_inverse,
-    core_ep_inverse,
-    dmp,
-    mpd,
-    mpdmp,
-)
+from .drazin import _analyse
+from .factor import pinv
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
@@ -125,15 +117,9 @@ SYSTEM_IDS = (
 )
 
 
-def _two_norm(a: np.ndarray) -> float:
-    s = svd(a).s
-    return float(s[0]) if len(s) else 0.0
-
-
-def _system_equations(a: np.ndarray, system: str, tol: Tolerance):
+def _system_equations(rec, system: str, tol: Tolerance):
     """Designated solution and equations (label, lhs(X), rhs(X)) of a system."""
-    p = pinv(a, tol)
-    d = drazin(a, tol)
+    a, p, d = rec.a, rec.pinv, rec.drazin
     p_a = a @ p
     q_a = p @ a
 
@@ -179,10 +165,10 @@ def _system_equations(a: np.ndarray, system: str, tol: Tolerance):
         return x, eqs
 
     if system == "a101":
-        k = index(a, tol)
+        k = rec.index
         ak = mat_pow(a, k)
         ak1 = mat_pow(a, k + 1)
-        x = core_nilpotent(a, tol).core
+        x = rec.core
         eqs = [
             ("ak_x_eq_ak1", lambda x: ak @ x, lambda x: ak1),
             ("ax_eq_xa", lambda x: a @ x, lambda x: x @ a),
@@ -191,14 +177,14 @@ def _system_equations(a: np.ndarray, system: str, tol: Tolerance):
         return x, eqs
 
     if system == "kj43":
-        if not is_core_ep(a, tol):
+        if not is_core_ep(rec, tol):
             raise PreconditionError("system kj43 requires a core-EP matrix")
-        k = index(a, tol)
+        k = rec.index
         ak = mat_pow(a, k)
-        proj_range = ak @ pinv_scaled(ak, _two_norm(a) ** k, tol)
+        proj_range = ak @ rec.power_pinv(k)
         spectral = a @ d
         a3 = mat_pow(a, 3)
-        x = mpdmp(a, tol)
+        x = rec.mpdmp
         eqs = [
             ("a3_x_eq_spectral_projector", lambda x: a3 @ x, lambda x: spectral),
             ("range_inclusion", lambda x: proj_range @ x, lambda x: x),
@@ -215,8 +201,8 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     """Substitute the designated solution into the named system, then try
     random perturbations, each of which must break at least one equation
     by more than min_violation."""
-    a = np.asarray(a, dtype=np.complex128)
-    x, eqs = _system_equations(a, system, tol)
+    rec = _analyse(a, tol)
+    x, eqs = _system_equations(rec, system, tol)
     report = VerificationReport(suite=f"system:{system}")
 
     for label, lhs, rhs in eqs:
@@ -225,7 +211,7 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     report.samples = 1
 
     rng = np.random.default_rng(seed)
-    n = a.shape[0]
+    n = rec.a.shape[0]
     for _ in range(perturbations):
         e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         e /= np.linalg.norm(e)
@@ -251,16 +237,16 @@ def solution_family(a: np.ndarray, f: np.ndarray, which: str,
     f = np.asarray(f, dtype=np.complex128)
     if a.shape != f.shape or a.shape[0] != a.shape[1]:
         raise ValueError("a and f must be square and of equal size")
-    p = pinv(a, tol)
-    core = core_nilpotent(a, tol).core
+    rec = _analyse(a, tol)
+    p, core = rec.pinv, rec.core
     eye = np.eye(a.shape[0], dtype=np.complex128)
     if which == "q1":
-        x = mpd(a, tol) + f @ (eye - a @ p)
+        x = rec.mpd + f @ (eye - a @ p)
         if not approx_eq(x @ a, p @ core, tol):
             raise InternalCheckError("family member violates x a = a^+ core(a)")
         return x
     if which == "q2":
-        x = dmp(a, tol) + (eye - p @ a) @ f
+        x = rec.dmp + (eye - p @ a) @ f
         if not approx_eq(a @ x, core @ p, tol):
             raise InternalCheckError("family member violates core(a) a^+ = a x")
         return x
@@ -296,14 +282,11 @@ def _suite_core_ep_equiv(samples, report, tol):
 
 def _suite_core_ep_collapse(samples, report, tol):
     for a in samples:
-        if not is_core_ep(a, tol):
+        rec = _analyse(a, tol)
+        if not is_core_ep(rec, tol):
             report.note("not_core_ep_skipped")
             continue
-        d = drazin(a, tol)
-        g = dmp(a, tol)
-        h = mpd(a, tol)
-        c = cmp_inverse(a, tol)
-        m = mpdmp(a, tol)
+        d, g, h, c, m = rec.drazin, rec.dmp, rec.mpd, rec.cmp, rec.mpdmp
         report.record("dmp_eq_drazin", approx_eq(g, d, tol), diff_norm(g, d))
         report.record("mpd_eq_drazin", approx_eq(h, d, tol), diff_norm(h, d))
         report.record("cmp_eq_drazin", approx_eq(c, d, tol), diff_norm(c, d))
@@ -314,17 +297,13 @@ def _suite_core_ep_collapse(samples, report, tol):
 
 def _suite_six_part(samples, report, tol):
     for a in samples:
-        if not is_core_ep(a, tol):
+        rec = _analyse(a, tol)
+        if not is_core_ep(rec, tol):
             report.note("not_core_ep_skipped")
             continue
-        p = pinv(a, tol)
+        p, h, g, c, m = rec.pinv, rec.mpd, rec.dmp, rec.cmp, rec.mpdmp
+        d, core = rec.drazin, rec.core
         q_a = p @ a
-        h = mpd(a, tol)
-        g = dmp(a, tol)
-        c = cmp_inverse(a, tol)
-        m = mpdmp(a, tol)
-        d = drazin(a, tol)
-        core = core_nilpotent(a, tol).core
         a2 = a @ a
         pairs = [
             ("mpd_commutes_matrix", h @ a, a @ h),
@@ -343,12 +322,13 @@ def _suite_six_part(samples, report, tol):
 
 def _suite_ass(samples, report, tol):
     for a in samples:
-        k = index(a, tol)
+        rec = _analyse(a, tol)
+        k = rec.index
         ak = mat_pow(a, k)
         ak1 = mat_pow(a, k + 1)
         eye = np.eye(a.shape[0], dtype=np.complex128)
-        proj = ak @ pinv_scaled(ak, _two_norm(a) ** k, tol)
-        b_product = approx_eq(cmp_inverse(a, tol), mpd(a, tol) @ dmp(a, tol), tol)
+        proj = ak @ rec.power_pinv(k)
+        b_product = approx_eq(rec.cmp, rec.mpd @ rec.dmp, tol)
         b_power = approx_eq(ak1, ak, tol)
         b_range = approx_eq((eye - a) @ proj, np.zeros_like(a), tol)
         _agree(report, "product_iff_idempotent_power", b_product, b_power)
@@ -360,14 +340,10 @@ def _suite_five_way_mp(samples, report, tol):
         if not np.any(a != 0):
             report.note("zero_skipped")
             continue
-        h = hs_decompose(a, tol)
-        p = pinv(a, tol)
-        d = drazin(a, tol)
-        k = index(a, tol)
-        ak = mat_pow(a, k)
-        c = cmp_inverse(a, tol)
-        g = dmp(a, tol)
-        m = mpd(a, tol)
+        rec = _analyse(a, tol)
+        h = rec.hs
+        p, d, c, g, m = rec.pinv, rec.drazin, rec.cmp, rec.dmp, rec.mpd
+        ak = mat_pow(a, rec.index)
         gp = pinv(g, tol)
         ps = conj_transpose(p)
         _agree(report, "dmp_pinv_commutes",
@@ -387,12 +363,9 @@ def _suite_five_way_mp(samples, report, tol):
 
 def _suite_five_way_core(samples, report, tol):
     for a in samples:
-        p = pinv(a, tol)
-        d_inv = dmp(a, tol)
-        m_inv = mpd(a, tol)
-        c_inv = cmp_inverse(a, tol)
-        core = core_nilpotent(a, tol).core
-        k = index(a, tol)
+        rec = _analyse(a, tol)
+        p, d_inv, m_inv, c_inv, core = rec.pinv, rec.dmp, rec.mpd, rec.cmp, rec.core
+        k = rec.index
         ak = mat_pow(a, k)
         ak1 = mat_pow(a, k + 1)
         eye = np.eye(a.shape[0], dtype=np.complex128)
@@ -413,9 +386,10 @@ def _suite_five_way_core(samples, report, tol):
 
 def _suite_commute_lemma(samples, report, tol):
     for a in samples:
-        d = drazin(a, tol)
-        lhs = d @ mpd(a, tol)
-        rhs = dmp(a, tol) @ d
+        rec = _analyse(a, tol)
+        d = rec.drazin
+        lhs = d @ rec.mpd
+        rhs = rec.dmp @ d
         d2 = d @ d
         report.record("drazin_mpd_eq_dmp_drazin", approx_eq(lhs, rhs, tol),
                       diff_norm(lhs, rhs))
@@ -433,8 +407,9 @@ def _suite_ew2(samples, report, tol):
 
 
 def _suite_adf(samples, report, tol):
-    pairs = [(samples[2 * i], samples[2 * i + 1]) for i in range(len(samples) // 2)]
-    pairs += [(a, core_nilpotent(a, tol).core) for a in samples]
+    recs = [_analyse(a, tol) for a in samples]
+    pairs = [(recs[2 * i], samples[2 * i + 1]) for i in range(len(samples) // 2)]
+    pairs += [(rec, rec.core) for rec in recs]
     for a, b in pairs:
         t1 = dmp_order_characterizations(a, b, tol)
         t2 = mpd_order_characterizations(a, b, tol)
@@ -447,15 +422,15 @@ def _suite_cce_conditional(samples, report, tol):
         if not np.any(a != 0):
             report.note("zero_skipped")
             continue
-        h = hs_decompose(a, tol)
-        core = h.core
-        if not approx_eq(core_ep_inverse(core, tol), drazin(core, tol), tol):
+        rec = _analyse(a, tol)
+        core = _analyse(rec.hs.core, tol)
+        if not approx_eq(core.core_ep, core.drazin, tol):
             report.note("hypothesis_skipped")
             continue
         report.note("qualified")
-        c = cmp_inverse(a, tol)
-        cp = pinv(c, tol)
-        z = cce_inverse(a, tol)
+        c = _analyse(rec.cmp, tol)
+        cp = c.pinv
+        z = rec.cce
         _agree(report, "cmp_ep_iff_cce_commutes",
                is_ep(c, tol), approx_eq(z @ cp, cp @ z, tol))
 
@@ -499,7 +474,8 @@ def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
         kep_samples = [a for s in specs
                        for a in gen(replace(s, kind="k_ep"), tol)]
         for a, b in zip(kep_samples, samples):
-            holds = [leq(a, b, kind, tol).holds for kind in OrderKind]
+            rec = _analyse(a, tol)
+            holds = [leq(rec, b, kind, tol).holds for kind in OrderKind]
             report.record("four_relations_agree", len(set(holds)) == 1)
     report.samples = len(samples)
     return report
