@@ -51,7 +51,8 @@ class _Analysis:
     part computed on first use and kept for the one public call the record
     lives in. SVDs are kept by input (shape and bytes), so each distinct
     matrix is decomposed once: A, the powers A^2 ... A^(k+1) of the index
-    search, A^(2k+1) for A^D, and A^0 = I when the index is 0."""
+    search, and A^(2k+1) for A^D. A^0 = I, met when the index is 0, needs
+    no decomposition."""
 
     a: np.ndarray
     tol: Tolerance
@@ -63,13 +64,20 @@ class _Analysis:
             self._svds[key] = svd(m)
         return self._svds[key]
 
+    def _power_svd(self, j: int) -> SVDResult:
+        """SVD of A^j; A^0 = I is its own SVD, the one svd(I) returns."""
+        if j == 0:
+            eye = np.eye(self.a.shape[0], dtype=np.complex128)
+            return SVDResult(u=eye, s=np.ones(self.a.shape[0]), v=eye)
+        return self._svd(mat_pow(self.a, j))
+
     def power_rank(self, j: int) -> int:
         """rank(A^j) with the cutoff referenced to sigma_max(A)**j."""
-        return _rank_from(self._svd(mat_pow(self.a, j)), self.smax ** j, self.tol)
+        return _rank_from(self._power_svd(j), self.smax ** j, self.tol)
 
     def power_pinv(self, j: int) -> np.ndarray:
         """(A^j)^+ with the cutoff referenced to sigma_max(A)**j."""
-        return _pinv_from(self._svd(mat_pow(self.a, j)), self.smax ** j, self.tol)
+        return _pinv_from(self._power_svd(j), self.smax ** j, self.tol)
 
     @cached_property
     def factors(self) -> SVDResult:

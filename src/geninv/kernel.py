@@ -71,12 +71,15 @@ DEFAULT_TOL = Tolerance()
 
 
 def cmatrix(data) -> np.ndarray:
-    """Coerce `data` to a 2-D complex128 array with at least one entry."""
+    """Coerce `data` to a 2-D complex128 array with at least one entry, all
+    finite (PreconditionError otherwise)."""
     a = np.array(data, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise PreconditionError("matrix has a non-finite entry")
     return a
 
 

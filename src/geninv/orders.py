@@ -59,8 +59,9 @@ _INVERSE_FOR_KIND = {
 
 
 def _check_pair(a, b, tol: Tolerance):
+    """The record of `a` and `b` as an array, both through the input guard."""
     rec = _analyse(a, tol)
-    b = np.asarray(b, dtype=np.complex128)
+    b = _analyse(b, tol, square=False).a
     if rec.a.shape != b.shape:
         raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
     return rec, b

@@ -12,6 +12,8 @@ import pytest
 import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
 
+from conftest import random_complex
+
 SQUARE_ONLY = (gi.index, gi.drazin, gi.is_core_ep, gi.hs_decompose)
 
 
@@ -99,3 +101,9 @@ def test_cli_decomposes_each_svd_input_once(argv, a1, b3, tmp_path, svd_inputs):
     assert svd_inputs
     assert len(svd_inputs) == len(set(svd_inputs))
 
+
+@pytest.mark.parametrize("name", ("index", "drazin", "core_ep_inverse", "inverse_report"))
+def test_nonsingular_input_decomposes_only_itself(name, rng, svd_inputs):
+    a = random_complex(rng, 6, 6) + 3 * np.eye(6)
+    getattr(gi, name)(a)
+    assert len(svd_inputs) == 1

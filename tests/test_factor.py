@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geninv import (
+    SvdConvergenceError,
     Tolerance,
     ZeroMatrixError,
     approx_eq,
@@ -213,3 +216,82 @@ def test_svd_iteration_budget(rng):
     a = random_complex(rng, 4, 4)
     with pytest.raises(SvdConvergenceError):
         svd(a, max_sweeps=0)
+
+
+KERNEL_SIZES = (1, 2, 5, 12, 16, 17, 24, 33)
+
+
+def _kernel_inputs(rng, n):
+    """Square, tall and wide inputs of order n, one of rank n // 2 and
+    one with a zero column."""
+    r = n // 2
+    with_zero_column = random_complex(rng, n, n)
+    with_zero_column[:, r] = 0.0
+    return [random_complex(rng, n, n), random_complex(rng, n + 3, n),
+            random_complex(rng, n, n + 3),
+            random_complex(rng, n + 2, r) @ random_complex(rng, r, n),
+            with_zero_column]
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_svd_kernel_against_lapack(n, rng):
+    for a in _kernel_inputs(rng, n):
+        m, k = a.shape
+        res = svd(a)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(res.s - ref)) <= 1e-12 * ref[0]
+        assert fro_norm(conj_transpose(res.u) @ res.u - np.eye(m)) <= 1e-12
+        assert fro_norm(conj_transpose(res.v) @ res.v - np.eye(k)) <= 1e-12
+        assert diff_norm(res.reconstruct(), a) <= 1e-12 * (1 + fro_norm(a))
+        with pytest.raises(SvdConvergenceError):
+            svd(a, max_sweeps=0)
+
+
+def test_svd_kernel_rank_matches_lapack(rng):
+    compared = 0
+    for n in KERNEL_SIZES:
+        for a in _kernel_inputs(rng, n):
+            ref = np.linalg.svd(a, compute_uv=False)
+            cut = Tolerance().rank_cutoff(*a.shape) * ref[0]
+            if np.any((ref > cut / 10) & (ref < cut * 10)):
+                continue
+            assert numerical_rank(a) == np.count_nonzero(ref > cut)
+            compared += 1
+    assert compared >= 30
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-300, 300), st.integers(1, 7), st.integers(1, 7),
+       st.integers(0, 2**32 - 1))
+def test_svd_exact_under_power_of_two_scaling(e, m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, m, n)
+    base, scaled = svd(a), svd(a * 2.0 ** e)
+    assert np.array_equal(scaled.s, np.ldexp(base.s, e))
+    assert np.array_equal(scaled.u, base.u)
+    assert np.array_equal(scaled.v, base.v)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 6, 17, 24))
+def test_round_robin_schedule_covers_each_pair_once(n):
+    from geninv.factor import _rounds
+
+    pairs = []
+    for gram_at, _ in _rounds(n):
+        p, q = gram_at[0] // (n + 1), gram_at[1] // (n + 1)
+        assert np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a round
+        pairs += zip(p.tolist(), q.tolist())
+    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert len(_rounds(n)) == (0 if n == 1 else n if n % 2 else n - 1)
+
+
+@pytest.mark.parametrize("e", (-900, 900))
+def test_svd_exact_where_gram_entries_would_leave_the_float_range(e, rng):
+    # (2^900)^2 overflows and (2^-900)^2 underflows: only the power-of-two
+    # pre-scaling keeps the Gram entries in range
+    a = random_complex(rng, 6, 4)
+    base, scaled = svd(a), svd(a * 2.0 ** e)
+    assert np.array_equal(scaled.s, np.ldexp(base.s, e))
+    assert np.array_equal(scaled.u, base.u)
+    assert np.array_equal(scaled.v, base.v)

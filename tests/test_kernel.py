@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from geninv import (
     DimensionMismatchError,
+    PreconditionError,
     Tolerance,
     approx_eq,
     cmatrix,
@@ -31,6 +32,12 @@ def test_cmatrix_rejects_bad_shapes():
         cmatrix([1, 2, 3])
     with pytest.raises(ValueError):
         cmatrix([[]])
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(1, np.nan)))
+def test_cmatrix_rejects_non_finite_entries(bad):
+    with pytest.raises(PreconditionError):
+        cmatrix([[1, 2], [bad, 4]])
 
 
 def test_conj_transpose_examples():

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from geninv import (
     DimensionMismatchError,
     OrderKind,
+    PreconditionError,
     core_nilpotent,
     core_upper_bound_check,
     dmp_order_characterizations,
@@ -99,3 +102,14 @@ def test_k_ep_inputs_make_all_relations_agree(rng):
         outcomes = {leq(a, b, kind).holds for kind in OrderKind}
         assert len(outcomes) == 1
         assert all(rep.holds for rep in core_upper_bound_check(a))
+
+
+@pytest.mark.parametrize("func", (functools.partial(leq, kind=OrderKind.DMP),
+                                  dmp_order_characterizations,
+                                  mpd_order_characterizations),
+                         ids=("leq", "dmp_characterizations", "mpd_characterizations"))
+def test_non_finite_second_operand_rejected(func, a3, b3):
+    b = b3.copy()
+    b[0, 0] = np.nan
+    with pytest.raises(PreconditionError):
+        func(a3, b)
