@@ -19,6 +19,7 @@ from .kernel import (
     InternalCheckError,
     PreconditionError,
     Tolerance,
+    _check,
     approx_eq,
     conj_transpose,
     diff_norm,
@@ -40,14 +41,19 @@ __all__ = [
     "wqrt_criterion",
 ]
 
-CORE_EP_CONDITION_LABELS = (
-    "defining_commutation",
-    "mpdmp_is_drazin_cubed",
-    "mpdmp_dmp_is_drazin_fourth",
-    "mpdmp_commutes_with_matrix",
-    "mpdmp_commutes_with_core",
-    "mpdmp_commutes_with_drazin",
-    "mpdmp_drazin_is_dmp_fourth",
+# The seven equivalent core-EP conditions: (label, sides(rec, tol)), each
+# a pair of matrices that are equal exactly when the matrix is core-EP.
+# The first is the definition; the others are stated through the MPDMP
+# matrix.
+_CORE_EP_CONDITIONS = (
+    ("defining_commutation", lambda r, tol: (r.pinv @ r.core, r.core @ r.pinv)),
+    ("mpdmp_is_drazin_cubed", lambda r, tol: (r.mpdmp, r.drazin @ r.drazin @ r.drazin)),
+    ("mpdmp_dmp_is_drazin_fourth",
+     lambda r, tol: (r.mpdmp @ r.dmp, r.drazin @ r.drazin @ r.drazin @ r.drazin)),
+    ("mpdmp_commutes_with_matrix", lambda r, tol: (r.mpdmp @ r.a, r.a @ r.mpdmp)),
+    ("mpdmp_commutes_with_core", lambda r, tol: (r.mpdmp @ r.core, r.core @ r.mpdmp)),
+    ("mpdmp_commutes_with_drazin", lambda r, tol: (r.mpdmp @ r.drazin, r.drazin @ r.mpdmp)),
+    ("mpdmp_drazin_is_dmp_fourth", lambda r, tol: (r.mpdmp @ r.drazin, mat_pow(r.dmp, 4))),
 )
 
 
@@ -107,34 +113,19 @@ def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
 def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassReport:
     """Evaluate every equivalent core-EP condition and flag disagreements."""
     rec = _analyse(a, tol)
-    a, x, d, core, m, g = rec.a, rec.pinv, rec.drazin, rec.core, rec.mpdmp, rec.dmp
-    d3 = d @ d @ d
-    d4 = d3 @ d
-
-    pairs = {
-        "defining_commutation": (x @ core, core @ x),
-        "mpdmp_is_drazin_cubed": (m, d3),
-        "mpdmp_dmp_is_drazin_fourth": (m @ g, d4),
-        "mpdmp_commutes_with_matrix": (m @ a, a @ m),
-        "mpdmp_commutes_with_core": (m @ core, core @ m),
-        "mpdmp_commutes_with_drazin": (m @ d, d @ m),
-        "mpdmp_drazin_is_dmp_fourth": (m @ d, mat_pow(g, 4)),
-    }
-    conditions = {}
-    residuals = {}
-    for label, (lhs, rhs) in pairs.items():
-        conditions[label] = approx_eq(lhs, rhs, tol)
-        residuals[label] = diff_norm(lhs, rhs)
+    conditions, residuals = {}, {}
+    for label, sides in _CORE_EP_CONDITIONS:
+        conditions[label], residuals[label] = _check(sides(rec, tol), tol)
 
     core_ep = conditions["defining_commutation"]
     flags = [
         f"{label} disagrees with the defining core-EP test"
-        for label in CORE_EP_CONDITION_LABELS
-        if conditions[label] != core_ep
+        for label, holds in conditions.items()
+        if holds != core_ep
     ]
 
     block = {}
-    if np.any(a != 0):
+    if np.any(rec.a != 0):
         ca, cb, cc = core_ep_block_conditions(rec.hs, tol)
         block = {"a": ca, "b": cb, "c": cc}
         if (ca and cb and cc) != core_ep:

@@ -32,7 +32,7 @@ from .kernel import (
     mat_pow,
 )
 from .orders import OrderKind, leq
-from .verify import UnknownSuiteError, run_suite
+from .verify import _SYSTEMS, UnknownSuiteError, run_suite
 
 __all__ = ["MatrixFileError", "matrix_to_obj", "matrix_from_obj",
            "load_matrix", "save_matrix", "main"]
@@ -112,70 +112,50 @@ def _tolerance(args) -> Tolerance:
     )
 
 
-def _penrose_residuals(a, x):
-    return {
-        "axa_eq_a": diff_norm(a @ x @ a, a),
-        "xax_eq_x": diff_norm(x @ a @ x, x),
-        "ax_hermitian": fro_norm(conj_transpose(a @ x) - a @ x),
-        "xa_hermitian": fro_norm(conj_transpose(x @ a) - x @ a),
-    }
-
-
-def _drazin_residuals(a, x, k):
-    ak = mat_pow(a, k)
-    return {
-        "power_identity": diff_norm(mat_pow(a, k + 1) @ x, ak),
-        "xax_eq_x": diff_norm(x @ a @ x, x),
-        "commutes": diff_norm(a @ x, x @ a),
-    }
-
-
-def _compute_residuals(which, rec, x):
-    a = rec.a
-    if which == "mp":
-        return _penrose_residuals(a, x)
-    p, d, k = rec.pinv, rec.drazin, rec.index
-    if which in ("drazin", "group"):
-        return _drazin_residuals(a, x, k)
-    if which == "dmp":
-        ak = mat_pow(a, k)
-        return {
-            "xax_eq_x": diff_norm(x @ a @ x, x),
-            "xa_eq_drazin_a": diff_norm(x @ a, d @ a),
-            "power_mp": diff_norm(ak @ x, ak @ p),
-        }
-    if which == "mpd":
-        ak = mat_pow(a, k)
-        return {
-            "xax_eq_x": diff_norm(x @ a @ x, x),
-            "ax_eq_a_drazin": diff_norm(a @ x, a @ d),
-            "mp_power": diff_norm(x @ ak, p @ ak),
-        }
-    if which == "cmp":
-        core = rec.core
-        return {
-            "xax_eq_x": diff_norm(x @ a @ x, x),
-            "ax_eq_core_mp": diff_norm(a @ x, core @ p),
-            "xa_eq_mp_core": diff_norm(x @ a, p @ core),
-        }
-    if which == "mpdmp":
-        return {
-            "x_a3_x_eq_x": diff_norm(x @ mat_pow(a, 3) @ x, x),
-            "ax_eq_d_mp": diff_norm(a @ x, d @ p),
-            "xa_eq_mp_d": diff_norm(x @ a, p @ d),
-        }
-    if which == "core-ep":
-        ak = mat_pow(a, k)
-        proj = ak @ rec.power_pinv(k)
-        xs = conj_transpose(x)
-        return {
-            "xax_eq_x": diff_norm(x @ a @ x, x),
-            "range": diff_norm(proj @ x, x),
-            "range_star": diff_norm(proj @ xs, xs),
-        }
-    if which == "cce":
-        return {"xax_eq_x": diff_norm(x @ a @ x, x)}
-    raise ValueError(which)
+# Residuals reported by `compute`, per --which: (label, sides(rec, x)),
+# two matrices whose distance is the residual of the computed inverse x.
+_XAX_EQ_X = ("xax_eq_x", lambda r, x: (x @ r.a @ x, x))
+_DRAZIN_RESIDUALS = (
+    ("power_identity", lambda r, x: (mat_pow(r.a, r.index + 1) @ x, mat_pow(r.a, r.index))),
+    _XAX_EQ_X,
+    ("commutes", lambda r, x: (r.a @ x, x @ r.a)),
+)
+_RESIDUALS = {
+    "mp": (
+        ("axa_eq_a", lambda r, x: (r.a @ x @ r.a, r.a)),
+        _XAX_EQ_X,
+        ("ax_hermitian", lambda r, x: (conj_transpose(r.a @ x), r.a @ x)),
+        ("xa_hermitian", lambda r, x: (conj_transpose(x @ r.a), x @ r.a)),
+    ),
+    "group": _DRAZIN_RESIDUALS,
+    "drazin": _DRAZIN_RESIDUALS,
+    "dmp": (
+        _XAX_EQ_X,
+        ("xa_eq_drazin_a", lambda r, x: (x @ r.a, r.drazin @ r.a)),
+        ("power_mp", lambda r, x: (mat_pow(r.a, r.index) @ x,
+                                   mat_pow(r.a, r.index) @ r.pinv)),
+    ),
+    "mpd": (
+        _XAX_EQ_X,
+        ("ax_eq_a_drazin", lambda r, x: (r.a @ x, r.a @ r.drazin)),
+        ("mp_power", lambda r, x: (x @ mat_pow(r.a, r.index),
+                                   r.pinv @ mat_pow(r.a, r.index))),
+    ),
+    "cmp": (
+        _XAX_EQ_X,
+        ("ax_eq_core_mp", lambda r, x: (r.a @ x, r.core @ r.pinv)),
+        ("xa_eq_mp_core", lambda r, x: (x @ r.a, r.pinv @ r.core)),
+    ),
+    # the MPDMP inverse is the designated solution of system a1
+    "mpdmp": _SYSTEMS["a1"][1],
+    "core-ep": (
+        _XAX_EQ_X,
+        ("range", lambda r, x: (r.range_projector @ x, x)),
+        ("range_star", lambda r, x: (r.range_projector @ conj_transpose(x),
+                                     conj_transpose(x))),
+    ),
+    "cce": (_XAX_EQ_X,),
+}
 
 
 _WHICH_FUNCS = {
@@ -198,7 +178,8 @@ def cmd_compute(args) -> int:
     x = _WHICH_FUNCS[args.which](rec, tol)
     sidecar = {
         "which": args.which,
-        "residuals": _compute_residuals(args.which, rec, x),
+        "residuals": {label: diff_norm(*sides(rec, x))
+                      for label, sides in _RESIDUALS[args.which]},
     }
     if a.shape[0] == a.shape[1]:
         sidecar["index"] = rec.index

@@ -6,6 +6,10 @@ a^D = a^k (a^(2k+1))^+ a^k with k the index of a. Ranks and pseudoinverses
 of powers use cutoffs referenced to sigma_max(a)**power: a computed power
 of a numerically nilpotent matrix is noise at that level, never exactly
 zero, and a relative cutoff would mistake the noise for signal.
+
+Powers are formed from b = 2**-e a, with e the exponent the SVD scales by,
+so that neither b^j nor sigma_max(b)**j leaves the float range however a
+is scaled; the scale is undone where a power enters a result.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from,
-                     _rank_from, svd)
+from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _exponent, _ldexp,
+                     _pinv_from, _rank_from, svd)
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError,
                      Tolerance, conj_transpose, mat_pow)
 
@@ -50,9 +54,9 @@ class _Analysis:
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
     lives in. SVDs are kept by input (shape and bytes), so each distinct
-    matrix is decomposed once: A, the powers A^2 ... A^(k+1) of the index
-    search, and A^(2k+1) for A^D. A^0 = I, met when the index is 0, needs
-    no decomposition."""
+    matrix is decomposed once: A, the powers B^2 ... B^(k+1) of the index
+    search, and B^(2k+1) for A^D, where B = 2^-e A. B^0 = I, met when the
+    index is 0, and B^1 need no decomposition of their own."""
 
     a: np.ndarray
     tol: Tolerance
@@ -64,28 +68,42 @@ class _Analysis:
             self._svds[key] = svd(m)
         return self._svds[key]
 
+    @cached_property
+    def _exp(self) -> int:
+        return _exponent(self.a)
+
+    def scaled_power(self, j: int) -> np.ndarray:
+        """B^j for B = 2^-e A; A^j = 2^(e j) B^j."""
+        return mat_pow(_ldexp(self.a, -self._exp), j)
+
     def _power_svd(self, j: int) -> SVDResult:
-        """SVD of A^j; A^0 = I is its own SVD, the one svd(I) returns."""
+        """SVD of B^j. B^0 = I is its own SVD, the one svd(I) returns; B^1
+        is the SVD of A with s scaled by 2^-e, which is what svd(B) returns."""
         if j == 0:
             eye = np.eye(self.a.shape[0], dtype=np.complex128)
             return SVDResult(u=eye, s=np.ones(self.a.shape[0]), v=eye)
-        return self._svd(mat_pow(self.a, j))
+        if j == 1:
+            res = self.factors
+            return SVDResult(u=res.u, s=np.ldexp(res.s, -self._exp), v=res.v)
+        return self._svd(self.scaled_power(j))
 
     def power_rank(self, j: int) -> int:
         """rank(A^j) with the cutoff referenced to sigma_max(A)**j."""
-        return _rank_from(self._power_svd(j), self.smax ** j, self.tol)
+        return _rank_from(self._power_svd(j), self._smax ** j, self.tol)
 
     def power_pinv(self, j: int) -> np.ndarray:
-        """(A^j)^+ with the cutoff referenced to sigma_max(A)**j."""
-        return _pinv_from(self._power_svd(j), self.smax ** j, self.tol)
+        """(B^j)^+ = 2^(e j) (A^j)^+, with the cutoff referenced to
+        sigma_max(B)**j."""
+        return _pinv_from(self._power_svd(j), self._smax ** j, self.tol)
 
     @cached_property
     def factors(self) -> SVDResult:
         return self._svd(self.a)
 
     @cached_property
-    def smax(self) -> float:
-        s = self.factors.s
+    def _smax(self) -> float:
+        """sigma_max(B)."""
+        s = self._power_svd(1).s
         return float(s[0]) if len(s) else 0.0
 
     @cached_property
@@ -120,8 +138,8 @@ class _Analysis:
         k = self.index
         if self.power_rank(k) == 0:
             return np.zeros(self.a.shape, dtype=np.complex128)
-        ak = mat_pow(self.a, k)
-        return ak @ self.power_pinv(2 * k + 1) @ ak
+        bk = self.scaled_power(k)
+        return _ldexp(bk @ self.power_pinv(2 * k + 1) @ bk, -self._exp)
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -146,7 +164,13 @@ class _Analysis:
     @cached_property
     def core_ep(self) -> np.ndarray:
         k = self.index
-        return self.drazin @ mat_pow(self.a, k) @ self.power_pinv(k)
+        return self.drazin @ self.scaled_power(k) @ self.power_pinv(k)
+
+    @cached_property
+    def range_projector(self) -> np.ndarray:
+        """A^k (A^k)^+, the orthogonal projector onto R(A^k)."""
+        k = self.index
+        return self.scaled_power(k) @ self.power_pinv(k)
 
     @cached_property
     def cce(self) -> np.ndarray:

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classify import is_core_ep
+from .drazin import _analyse
 from .kernel import DEFAULT_TOL, InternalCheckError, Tolerance
 
 __all__ = [
@@ -107,8 +109,9 @@ def _jordan_nilpotent(k: int) -> np.ndarray:
     return np.eye(k, k, 1, dtype=np.complex128)
 
 
-def _sample(spec: EnsembleSpec, rng: np.random.Generator,
-            tol: Tolerance) -> np.ndarray:
+def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
+    """One sample: a matrix, or for core_ep the record its class check
+    analysed."""
     n = spec.size
     if spec.kind == "generic":
         return _cgauss(rng, n, n)
@@ -126,12 +129,10 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator,
         r = int(rng.integers(1, n)) if n > 1 else 1
         u = _haar_unitary(rng, n)
         block = _block_diag(_well_conditioned(rng, r), _strict_upper(rng, n - r))
-        a = u @ block @ u.conj().T
-        from .classify import is_core_ep
-
-        if not is_core_ep(a, tol):
+        rec = _analyse(u @ block @ u.conj().T, tol)
+        if not is_core_ep(rec, tol):
             raise InternalCheckError("constructed sample is not core-EP")
-        return a
+        return rec
     if spec.kind == "ep":
         r = int(rng.integers(1, n)) if n > 1 else 1
         u = _haar_unitary(rng, n)
@@ -149,9 +150,16 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator,
     raise InvalidSpecError(f"unknown class {spec.kind!r}")
 
 
+def _records(spec: EnsembleSpec, tol: Tolerance) -> list:
+    """The samples of `spec` as analysis records, so that a sample checked
+    here is not analysed a second time by its caller."""
+    return [_analyse(_sample(spec, _rng_for(spec.seed, i), tol), tol)
+            for i in range(spec.count)]
+
+
 def gen(spec: EnsembleSpec, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Generate spec.count samples, deterministic given spec.seed."""
-    return [_sample(spec, _rng_for(spec.seed, i), tol) for i in range(spec.count)]
+    return [rec.a for rec in _records(spec, tol)]
 
 
 def idempotent_core_samples(size: int, count: int, seed: int = 0) -> list[np.ndarray]:

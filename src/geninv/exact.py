@@ -34,8 +34,8 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     @classmethod
     def of(cls, x) -> "QC":

@@ -77,6 +77,20 @@ def _complete_basis(cols: np.ndarray, m: int) -> np.ndarray:
     return basis
 
 
+def _exponent(a: np.ndarray) -> int:
+    """The e for which 2**-e * a has its largest real or imaginary part in
+    [0.5, 1); 0 for an empty or zero matrix."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """2**e * a for a complex matrix, exact unless an entry leaves the
+    normal float range."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return np.ldexp(parts, e).view(np.complex128)
+
+
 @functools.lru_cache(maxsize=64)
 def _rounds(n: int) -> tuple:
     """Round-robin schedule of one Jacobi sweep over n columns (Brent & Luk
@@ -120,11 +134,10 @@ def svd(a: np.ndarray, max_sweeps: int = 60) -> SVDResult:
         flipped = svd(conj_transpose(a), max_sweeps)
         return SVDResult(u=flipped.v, s=flipped.s, v=flipped.u)
 
-    parts = a.view(np.float64)
-    exp = math.frexp(float(np.max(np.abs(parts))))[1] if a.size else 0
+    exp = _exponent(a)
     eye = np.eye(n, dtype=np.complex128)
     # w and v stacked, so one product rotates both
-    wv = np.vstack([np.ldexp(parts, -exp).view(np.complex128), eye])
+    wv = np.vstack([_ldexp(a, -exp), eye])
     rounds = _rounds(n)
     for _ in range(max_sweeps):
         off = 0.0

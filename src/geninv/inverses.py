@@ -13,7 +13,7 @@ import numpy as np
 
 from .drazin import _analyse
 from .factor import _core_blocks, pinv
-from .kernel import DEFAULT_TOL, Tolerance, approx_eq, conj_transpose, mat_pow
+from .kernel import DEFAULT_TOL, Tolerance, approx_eq, conj_transpose
 
 __all__ = [
     "ClosedFormMismatchError",
@@ -104,8 +104,9 @@ def greville_forms(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     rec = _analyse(a, tol)
     k = rec.index
     p, t = rec.pinv, rec.power_pinv(2 * k + 1)
-    ak, ak1 = mat_pow(rec.a, k), mat_pow(rec.a, k + 1)
-    return ak @ t @ ak1 @ p, p @ ak1 @ t @ ak
+    # t and the powers are those of 2**-e a; the scales cancel in each product
+    bk, bk1 = rec.scaled_power(k), rec.scaled_power(k + 1)
+    return bk @ t @ bk1 @ p, p @ bk1 @ t @ bk
 
 
 def inverse_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> InverseReport:

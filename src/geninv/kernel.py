@@ -123,4 +123,23 @@ def eq_scale(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> floa
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ||a - b||_F <= eq_abs + eq_rel * (1 + ||a||_F + ||b||_F)."""
-    return diff_norm(a, b) <= eq_scale(a, b, tol)
+    return _check((a, b), tol)[0]
+
+
+def _check(sides, tol: Tolerance) -> tuple[bool, float]:
+    """(holds, residual) of one identity, given what its sides returned.
+
+    Two matrices (L, R) must be equal; the residual is ||L - R||_F, formed
+    once. A list holds if each of its members does, with the largest
+    residual. Any other tuple lists statements, each a boolean or a matrix
+    pair, whose truth values must all agree (two make a biconditional);
+    its residual is 0.
+    """
+    if isinstance(sides, list):
+        checks = [_check(s, tol) for s in sides]
+        return all(ok for ok, _ in checks), max(r for _, r in checks)
+    if isinstance(sides[0], np.ndarray):
+        residual = diff_norm(*sides)
+        return residual <= eq_scale(*sides, tol), residual
+    truths = {_check(s, tol)[0] if isinstance(s, tuple) else s for s in sides}
+    return len(truths) == 1, 0.0

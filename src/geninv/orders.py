@@ -18,8 +18,8 @@ from .kernel import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
+    _check,
     approx_eq,
-    diff_norm,
     mat_pow,
 )
 
@@ -67,20 +67,24 @@ def _check_pair(a, b, tol: Tolerance):
     return rec, b
 
 
+def _order_sides(rec, b: np.ndarray, kind: OrderKind, tol: Tolerance) -> list:
+    """a <= b under inverse g of a, as sides: [(g a, g b), (a g, b g)]."""
+    g = _INVERSE_FOR_KIND[kind](rec, tol)
+    return [(g @ rec.a, g @ b), (rec.a @ g, b @ g)]
+
+
 def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
         tol: Tolerance = DEFAULT_TOL) -> OrderReport:
     """Test a <= b under the chosen generalized inverse of a."""
     rec, b = _check_pair(a, b, tol)
-    a = rec.a
     kind = OrderKind(kind)
-    g = _INVERSE_FOR_KIND[kind](rec, tol)
-    left = approx_eq(g @ a, g @ b, tol)
-    right = approx_eq(a @ g, b @ g, tol)
+    (left, left_residual), (right, right_residual) = (
+        _check(sides, tol) for sides in _order_sides(rec, b, kind, tol))
     return OrderReport(
         kind=kind,
         holds=left and right,
-        left_residual=diff_norm(g @ a, g @ b),
-        right_residual=diff_norm(a @ g, b @ g),
+        left_residual=left_residual,
+        right_residual=right_residual,
     )
 
 

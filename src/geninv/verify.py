@@ -5,17 +5,19 @@ Uniqueness systems are checked two ways: the designated solution must
 satisfy every equation, and random perturbations of it must break at least
 one equation each. Suites test biconditionals in both directions (boolean
 agreement per sample); one-directional results are tested one way only.
+Both are tables, `_SYSTEMS` and `_SUITES`, of (label, sides) identities,
+each evaluated by `kernel._check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .classify import (
-    core_ep_equiv_report,
+    _CORE_EP_CONDITIONS,
     dmp_pinv_commute_criterion,
     is_core_ep,
     is_ep,
@@ -27,6 +29,7 @@ from .kernel import (
     InternalCheckError,
     PreconditionError,
     Tolerance,
+    _check,
     approx_eq,
     conj_transpose,
     diff_norm,
@@ -34,12 +37,12 @@ from .kernel import (
 )
 from .orders import (
     OrderKind,
-    core_upper_bound_check,
+    _order_sides,
     dmp_order_characterizations,
     leq,
     mpd_order_characterizations,
 )
-from .ensembles import EnsembleSpec, gen, idempotent_core_samples
+from .ensembles import EnsembleSpec, _records, idempotent_core_samples
 
 __all__ = [
     "UnknownSystemError",
@@ -84,10 +87,7 @@ class VerificationReport:
         self.worst_residual = max(self.worst_residual, residual)
 
     def note(self, check: str) -> None:
-        entry = self.breakdown.setdefault(
-            check, {"samples": 0, "failures": 0, "worst_residual": 0.0}
-        )
-        entry["samples"] += 1
+        self.record(check, True)
 
     @property
     def passed(self) -> bool:
@@ -104,94 +104,58 @@ class VerificationReport:
         }
 
 
-SYSTEM_IDS = (
-    "a2",
-    "a1",
-    "remark_i",
-    "remark_ii",
-    "remark_iii",
-    "remark_iv",
-    "remark_v",
-    "a101",
-    "kj43",
-)
+# Uniqueness systems: system -> (solution(rec, tol), equations). Each
+# equation is (label, sides(rec, x)), two matrices that are equal at the
+# designated solution x and that a perturbation of x must pull apart.
+_AX_EQ_D_MP = ("ax_eq_d_mp", lambda r, x: (r.a @ x, r.drazin @ r.pinv))
+_XA_EQ_MP_D = ("xa_eq_mp_d", lambda r, x: (x @ r.a, r.pinv @ r.drazin))
+_X_PA_EQ_X = ("x_pa_eq_x", lambda r, x: (x @ (r.a @ r.pinv), x))
+_QA_X_PA_EQ_X = ("qa_x_pa_eq_x", lambda r, x: (r.pinv @ r.a @ x @ (r.a @ r.pinv), x))
 
 
-def _system_equations(rec, system: str, tol: Tolerance):
-    """Designated solution and equations (label, lhs(X), rhs(X)) of a system."""
-    a, p, d = rec.a, rec.pinv, rec.drazin
-    p_a = a @ p
-    q_a = p @ a
+def _mpdmp(rec, tol):
+    return rec.mpdmp
 
-    if system == "a2":
-        x = d @ p
-        eqs = [
-            ("x_pa_eq_x", lambda x: x @ p_a, lambda x: x),
-            ("xa_eq_drazin", lambda x: x @ a, lambda x: d),
-        ]
-        return x, eqs
 
-    if system in ("a1", "remark_i", "remark_ii", "remark_iii",
-                  "remark_iv", "remark_v"):
-        x = p @ d @ p
-        a3 = mat_pow(a, 3)
-        eqs = {
-            "a1": [
-                ("x_a3_x_eq_x", lambda x: x @ a3 @ x, lambda x: x),
-                ("ax_eq_d_mp", lambda x: a @ x, lambda x: d @ p),
-                ("xa_eq_mp_d", lambda x: x @ a, lambda x: p @ d),
-            ],
-            "remark_i": [
-                ("qa_x_pa_eq_x", lambda x: q_a @ x @ p_a, lambda x: x),
-                ("ax_eq_d_mp", lambda x: a @ x, lambda x: d @ p),
-            ],
-            "remark_ii": [
-                ("qa_x_pa_eq_x", lambda x: q_a @ x @ p_a, lambda x: x),
-                ("axa_eq_drazin", lambda x: a @ x @ a, lambda x: d),
-            ],
-            "remark_iii": [
-                ("qa_x_pa_eq_x", lambda x: q_a @ x @ p_a, lambda x: x),
-                ("xa_eq_mp_d", lambda x: x @ a, lambda x: p @ d),
-            ],
-            "remark_iv": [
-                ("x_pa_eq_x", lambda x: x @ p_a, lambda x: x),
-                ("xa_eq_mp_d", lambda x: x @ a, lambda x: p @ d),
-            ],
-            "remark_v": [
-                ("qa_x_eq_x", lambda x: q_a @ x, lambda x: x),
-                ("ax_eq_d_mp", lambda x: a @ x, lambda x: d @ p),
-            ],
-        }[system]
-        return x, eqs
+def _core_ep_mpdmp(rec, tol):
+    if not is_core_ep(rec, tol):
+        raise PreconditionError("system kj43 requires a core-EP matrix")
+    return rec.mpdmp
 
-    if system == "a101":
-        k = rec.index
-        ak = mat_pow(a, k)
-        ak1 = mat_pow(a, k + 1)
-        x = rec.core
-        eqs = [
-            ("ak_x_eq_ak1", lambda x: ak @ x, lambda x: ak1),
-            ("ax_eq_xa", lambda x: a @ x, lambda x: x @ a),
-            ("x_d_x_eq_x", lambda x: x @ d @ x, lambda x: x),
-        ]
-        return x, eqs
 
-    if system == "kj43":
-        if not is_core_ep(rec, tol):
-            raise PreconditionError("system kj43 requires a core-EP matrix")
-        k = rec.index
-        ak = mat_pow(a, k)
-        proj_range = ak @ rec.power_pinv(k)
-        spectral = a @ d
-        a3 = mat_pow(a, 3)
-        x = rec.mpdmp
-        eqs = [
-            ("a3_x_eq_spectral_projector", lambda x: a3 @ x, lambda x: spectral),
-            ("range_inclusion", lambda x: proj_range @ x, lambda x: x),
-        ]
-        return x, eqs
+_SYSTEMS = {
+    "a2": (lambda r, tol: r.drazin @ r.pinv, (
+        _X_PA_EQ_X,
+        ("xa_eq_drazin", lambda r, x: (x @ r.a, r.drazin)),
+    )),
+    "a1": (_mpdmp, (
+        ("x_a3_x_eq_x", lambda r, x: (x @ mat_pow(r.a, 3) @ x, x)),
+        _AX_EQ_D_MP,
+        _XA_EQ_MP_D,
+    )),
+    "remark_i": (_mpdmp, (_QA_X_PA_EQ_X, _AX_EQ_D_MP)),
+    "remark_ii": (_mpdmp, (
+        _QA_X_PA_EQ_X,
+        ("axa_eq_drazin", lambda r, x: (r.a @ x @ r.a, r.drazin)),
+    )),
+    "remark_iii": (_mpdmp, (_QA_X_PA_EQ_X, _XA_EQ_MP_D)),
+    "remark_iv": (_mpdmp, (_X_PA_EQ_X, _XA_EQ_MP_D)),
+    "remark_v": (_mpdmp, (
+        ("qa_x_eq_x", lambda r, x: (r.pinv @ r.a @ x, x)),
+        _AX_EQ_D_MP,
+    )),
+    "a101": (lambda r, tol: r.core, (
+        ("ak_x_eq_ak1", lambda r, x: (mat_pow(r.a, r.index) @ x, mat_pow(r.a, r.index + 1))),
+        ("ax_eq_xa", lambda r, x: (r.a @ x, x @ r.a)),
+        ("x_d_x_eq_x", lambda r, x: (x @ r.drazin @ x, x)),
+    )),
+    "kj43": (_core_ep_mpdmp, (
+        ("a3_x_eq_spectral_projector", lambda r, x: (mat_pow(r.a, 3) @ x, r.a @ r.drazin)),
+        ("range_inclusion", lambda r, x: (r.range_projector @ x, x)),
+    )),
+}
 
-    raise UnknownSystemError(f"unknown system {system!r}")
+SYSTEM_IDS = tuple(_SYSTEMS)
 
 
 def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
@@ -202,12 +166,13 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     random perturbations, each of which must break at least one equation
     by more than min_violation."""
     rec = _analyse(a, tol)
-    x, eqs = _system_equations(rec, system, tol)
+    if system not in _SYSTEMS:
+        raise UnknownSystemError(f"unknown system {system!r}")
+    solution, eqs = _SYSTEMS[system]
+    x = solution(rec, tol)
     report = VerificationReport(suite=f"system:{system}")
-
-    for label, lhs, rhs in eqs:
-        left, right = lhs(x), rhs(x)
-        report.record(label, approx_eq(left, right, tol), diff_norm(left, right))
+    for label, sides in eqs:
+        report.record(label, *_check(sides(rec, x), tol))
     report.samples = 1
 
     rng = np.random.default_rng(seed)
@@ -216,7 +181,7 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
         e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         e /= np.linalg.norm(e)
         xp = x + step * e
-        violation = max(diff_norm(lhs(xp), rhs(xp)) for _, lhs, rhs in eqs)
+        violation = max(diff_norm(*sides(rec, xp)) for _, sides in eqs)
         entry = report.breakdown.setdefault(
             "perturbation_refutation",
             {"samples": 0, "failures": 0, "worst_residual": np.inf},
@@ -253,199 +218,168 @@ def solution_family(a: np.ndarray, f: np.ndarray, which: str,
     raise ValueError(f"unknown family {which!r}; use 'q1' or 'q2'")
 
 
-SUITE_IDS = (
-    "core_ep_equiv",
-    "core_ep_collapse",
-    "six_part",
-    "ass",
-    "five_way_mp",
-    "five_way_core",
-    "commute_lemma",
-    "ew2",
-    "adf",
-    "orders_kep",
-    "cce_conditional",
-)
+def _drawn(specs, tol):
+    """The ensembles' samples as records, each a subject of the identities."""
+    recs = [rec for spec in specs for rec in _records(spec, tol)]
+    return recs, recs
 
 
-def _agree(report, label, b_left, b_right, residual=0.0):
-    report.record(label, b_left == b_right, residual)
+def _with_witnesses(specs, tol):
+    """The samples plus as many idempotent-core witnesses, seeded from the
+    first spec."""
+    recs, _ = _drawn(specs, tol)
+    first = specs[0]
+    recs += [_analyse(w, tol) for w in
+             idempotent_core_samples(first.size, len(recs), first.seed)]
+    return recs, recs
 
 
-def _suite_core_ep_equiv(samples, report, tol):
-    for a in samples:
-        rep = core_ep_equiv_report(a, tol)
-        for label, value in rep.core_ep_conditions.items():
-            residual = rep.residuals[label] if rep.is_core_ep else 0.0
-            _agree(report, label, value, rep.is_core_ep, residual)
+def _adf_pairs(specs, tol):
+    """The samples taken pairwise, then each with its core part."""
+    recs, _ = _drawn(specs, tol)
+    pairs = [(recs[2 * i], recs[2 * i + 1]) for i in range(len(recs) // 2)]
+    return recs, pairs + [(rec, rec.core) for rec in recs]
 
 
-def _suite_core_ep_collapse(samples, report, tol):
-    for a in samples:
-        rec = _analyse(a, tol)
-        if not is_core_ep(rec, tol):
-            report.note("not_core_ep_skipped")
-            continue
-        d, g, h, c, m = rec.drazin, rec.dmp, rec.mpd, rec.cmp, rec.mpdmp
-        report.record("dmp_eq_drazin", approx_eq(g, d, tol), diff_norm(g, d))
-        report.record("mpd_eq_drazin", approx_eq(h, d, tol), diff_norm(h, d))
-        report.record("cmp_eq_drazin", approx_eq(c, d, tol), diff_norm(c, d))
-        report.record("dmp_eq_mpd", approx_eq(g, h, tol), diff_norm(g, h))
-        _agree(report, "mpdmp_dmp_iff_mpdmp_mpd",
-               approx_eq(m, g, tol), approx_eq(m, h, tol))
+def _kep_pairs(specs, tol):
+    """Left operands from the specs with the class forced to k_ep, right
+    operands from the specs as given."""
+    recs, _ = _drawn(specs, tol)
+    keps, _ = _drawn([replace(s, kind="k_ep") for s in specs], tol)
+    return recs, list(zip(keps, recs))
 
 
-def _suite_six_part(samples, report, tol):
-    for a in samples:
-        rec = _analyse(a, tol)
-        if not is_core_ep(rec, tol):
-            report.note("not_core_ep_skipped")
-            continue
-        p, h, g, c, m = rec.pinv, rec.mpd, rec.dmp, rec.cmp, rec.mpdmp
-        d, core = rec.drazin, rec.core
-        q_a = p @ a
-        a2 = a @ a
-        pairs = [
-            ("mpd_commutes_matrix", h @ a, a @ h),
-            ("mpd_commutes_drazin", h @ d, d @ h),
-            ("mpd_commutes_core", h @ core, core @ h),
-            ("mpdmp_commutes_mpd", m @ h, h @ m),
-            ("core_eq_cmp_a2", core, c @ a2),
-            ("core_eq_mpd_a2", core, h @ a2),
-            ("core_eq_dmp_a2", core, g @ a2),
-            ("qa_core_eq_core", q_a @ core, core),
-            ("core_qa_eq_core", core @ q_a, core),
-        ]
-        for label, lhs, rhs in pairs:
-            report.record(label, approx_eq(lhs, rhs, tol), diff_norm(lhs, rhs))
+class _Suite(NamedTuple):
+    """An identity suite: its identities (label, sides(subject, tol)), the
+    skip rules (note, applies(subject, tol)) tried in order before them, and
+    the source (specs, tol) -> (samples, subjects)."""
+
+    identities: tuple
+    skips: tuple = ()
+    source: Callable = _drawn
 
 
-def _suite_ass(samples, report, tol):
-    for a in samples:
-        rec = _analyse(a, tol)
-        k = rec.index
-        ak = mat_pow(a, k)
-        ak1 = mat_pow(a, k + 1)
-        eye = np.eye(a.shape[0], dtype=np.complex128)
-        proj = ak @ rec.power_pinv(k)
-        b_product = approx_eq(rec.cmp, rec.mpd @ rec.dmp, tol)
-        b_power = approx_eq(ak1, ak, tol)
-        b_range = approx_eq((eye - a) @ proj, np.zeros_like(a), tol)
-        _agree(report, "product_iff_idempotent_power", b_product, b_power)
-        _agree(report, "idempotent_power_iff_range", b_power, b_range)
+def _ak(r):
+    return mat_pow(r.a, r.index)
 
 
-def _suite_five_way_mp(samples, report, tol):
-    for a in samples:
-        if not np.any(a != 0):
-            report.note("zero_skipped")
-            continue
-        rec = _analyse(a, tol)
-        h = rec.hs
-        p, d, c, g, m = rec.pinv, rec.drazin, rec.cmp, rec.dmp, rec.mpd
-        ak = mat_pow(a, rec.index)
-        gp = pinv(g, tol)
-        ps = conj_transpose(p)
-        _agree(report, "dmp_pinv_commutes",
-               dmp_pinv_commute_criterion(h, tol),
-               approx_eq(gp @ d, d @ gp, tol))
-        _agree(report, "cmp_eq_mpd_a",
-               approx_eq(c, m @ a, tol), approx_eq(ak @ p, ak, tol))
-        _agree(report, "cmp_eq_a_dmp",
-               approx_eq(c, a @ g, tol), approx_eq(p @ ak, ak, tol))
-        _agree(report, "cmp_eq_mpd_astar",
-               approx_eq(c, m @ conj_transpose(a), tol),
-               approx_eq(ak @ ps, ak, tol))
-        _agree(report, "cmp_eq_astar_dmp",
-               approx_eq(c, conj_transpose(a) @ g, tol),
-               approx_eq(ps @ ak, ak, tol))
+def _ak1(r):
+    return mat_pow(r.a, r.index + 1)
 
 
-def _suite_five_way_core(samples, report, tol):
-    for a in samples:
-        rec = _analyse(a, tol)
-        p, d_inv, m_inv, c_inv, core = rec.pinv, rec.dmp, rec.mpd, rec.cmp, rec.core
-        k = rec.index
-        ak = mat_pow(a, k)
-        ak1 = mat_pow(a, k + 1)
-        eye = np.eye(a.shape[0], dtype=np.complex128)
-        zero = np.zeros_like(a)
-        _agree(report, "dmp_core_commute_iff_null",
-               approx_eq(d_inv @ core, core @ d_inv, tol),
-               approx_eq(ak @ (eye - a @ p), zero, tol))
-        _agree(report, "mpd_core_commute_iff_range",
-               approx_eq(m_inv @ core, core @ m_inv, tol),
-               approx_eq((eye - p @ a) @ ak, zero, tol))
-        _agree(report, "core_fixed_by_dmp_iff_idempotent_power",
-               approx_eq(core, d_inv @ core, tol), approx_eq(ak, ak1, tol))
-        _agree(report, "core_fixed_by_mpd_iff_mp_fixes_power",
-               approx_eq(core, m_inv @ core, tol), approx_eq(p @ ak, ak, tol))
-        _agree(report, "core_fixed_by_cmp_iff_mp_fixes_power",
-               approx_eq(core, c_inv @ core, tol), approx_eq(p @ ak, ak, tol))
+def _eye(r):
+    return np.eye(r.a.shape[0], dtype=np.complex128)
 
 
-def _suite_commute_lemma(samples, report, tol):
-    for a in samples:
-        rec = _analyse(a, tol)
-        d = rec.drazin
-        lhs = d @ rec.mpd
-        rhs = rec.dmp @ d
-        d2 = d @ d
-        report.record("drazin_mpd_eq_dmp_drazin", approx_eq(lhs, rhs, tol),
-                      diff_norm(lhs, rhs))
-        report.record("drazin_mpd_eq_drazin_sq", approx_eq(lhs, d2, tol),
-                      diff_norm(lhs, d2))
-        report.record("dmp_drazin_eq_drazin_sq", approx_eq(rhs, d2, tol),
-                      diff_norm(rhs, d2))
+def _iff_core_ep(sides):
+    """A core-EP condition as a suite identity: on a core-EP subject it must
+    hold, and its residual is recorded; on any other it must fail."""
+    return lambda r, tol: (sides(r, tol) if is_core_ep(r, tol)
+                           else (sides(r, tol), False))
 
 
-def _suite_ew2(samples, report, tol):
-    for a in samples:
-        for rep in core_upper_bound_check(a, tol):
-            report.record(f"core_upper_bound_{rep.kind.value}", rep.holds,
-                          max(rep.left_residual, rep.right_residual))
+def _dmp_pinv_commutes(r, tol):
+    gp = pinv(r.dmp, tol)
+    return dmp_pinv_commute_criterion(r.hs, tol), (gp @ r.drazin, r.drazin @ gp)
 
 
-def _suite_adf(samples, report, tol):
-    recs = [_analyse(a, tol) for a in samples]
-    pairs = [(recs[2 * i], samples[2 * i + 1]) for i in range(len(samples) // 2)]
-    pairs += [(rec, rec.core) for rec in recs]
-    for a, b in pairs:
-        t1 = dmp_order_characterizations(a, b, tol)
-        t2 = mpd_order_characterizations(a, b, tol)
-        report.record("dmp_characterizations_agree", len(set(t1)) == 1)
-        report.record("mpd_characterizations_agree", len(set(t2)) == 1)
+def _cce_hypothesis_fails(r, tol):
+    """The core-EP and Drazin inverses of the core block SQ differ."""
+    core = _analyse(r.hs.core, tol)
+    return not approx_eq(core.core_ep, core.drazin, tol)
 
 
-def _suite_cce_conditional(samples, report, tol):
-    for a in samples:
-        if not np.any(a != 0):
-            report.note("zero_skipped")
-            continue
-        rec = _analyse(a, tol)
-        core = _analyse(rec.hs.core, tol)
-        if not approx_eq(core.core_ep, core.drazin, tol):
-            report.note("hypothesis_skipped")
-            continue
-        report.note("qualified")
-        c = _analyse(rec.cmp, tol)
-        cp = c.pinv
-        z = rec.cce
-        _agree(report, "cmp_ep_iff_cce_commutes",
-               is_ep(c, tol), approx_eq(z @ cp, cp @ z, tol))
+def _cmp_ep_iff_cce_commutes(r, tol):
+    c = _analyse(r.cmp, tol)
+    z, cp = r.cce, c.pinv
+    return is_ep(c, tol), (z @ cp, cp @ z)
 
 
-_PLAIN_SUITES = {
-    "core_ep_equiv": _suite_core_ep_equiv,
-    "core_ep_collapse": _suite_core_ep_collapse,
-    "six_part": _suite_six_part,
-    "five_way_mp": _suite_five_way_mp,
-    "five_way_core": _suite_five_way_core,
-    "commute_lemma": _suite_commute_lemma,
-    "ew2": _suite_ew2,
-    "adf": _suite_adf,
-    "cce_conditional": _suite_cce_conditional,
+_NOT_CORE_EP = ("not_core_ep_skipped", lambda r, tol: not is_core_ep(r, tol))
+_ZERO = ("zero_skipped", lambda r, tol: not np.any(r.a != 0))
+
+_SUITES = {
+    "core_ep_equiv": _Suite(tuple(
+        (label, _iff_core_ep(sides)) for label, sides in _CORE_EP_CONDITIONS)),
+    "core_ep_collapse": _Suite(skips=(_NOT_CORE_EP,), identities=(
+        ("dmp_eq_drazin", lambda r, tol: (r.dmp, r.drazin)),
+        ("mpd_eq_drazin", lambda r, tol: (r.mpd, r.drazin)),
+        ("cmp_eq_drazin", lambda r, tol: (r.cmp, r.drazin)),
+        ("dmp_eq_mpd", lambda r, tol: (r.dmp, r.mpd)),
+        ("mpdmp_dmp_iff_mpdmp_mpd",
+         lambda r, tol: ((r.mpdmp, r.dmp), (r.mpdmp, r.mpd))),
+    )),
+    "six_part": _Suite(skips=(_NOT_CORE_EP,), identities=(
+        ("mpd_commutes_matrix", lambda r, tol: (r.mpd @ r.a, r.a @ r.mpd)),
+        ("mpd_commutes_drazin", lambda r, tol: (r.mpd @ r.drazin, r.drazin @ r.mpd)),
+        ("mpd_commutes_core", lambda r, tol: (r.mpd @ r.core, r.core @ r.mpd)),
+        ("mpdmp_commutes_mpd", lambda r, tol: (r.mpdmp @ r.mpd, r.mpd @ r.mpdmp)),
+        ("core_eq_cmp_a2", lambda r, tol: (r.core, r.cmp @ (r.a @ r.a))),
+        ("core_eq_mpd_a2", lambda r, tol: (r.core, r.mpd @ (r.a @ r.a))),
+        ("core_eq_dmp_a2", lambda r, tol: (r.core, r.dmp @ (r.a @ r.a))),
+        ("qa_core_eq_core", lambda r, tol: (r.pinv @ r.a @ r.core, r.core)),
+        ("core_qa_eq_core", lambda r, tol: (r.core @ (r.pinv @ r.a), r.core)),
+    )),
+    "ass": _Suite(source=_with_witnesses, identities=(
+        ("product_iff_idempotent_power",
+         lambda r, tol: ((r.cmp, r.mpd @ r.dmp), (_ak1(r), _ak(r)))),
+        ("idempotent_power_iff_range",
+         lambda r, tol: ((_ak1(r), _ak(r)), ((_eye(r) - r.a) @ r.range_projector,
+                                             np.zeros_like(r.a)))),
+    )),
+    "five_way_mp": _Suite(skips=(_ZERO,), identities=(
+        ("dmp_pinv_commutes", _dmp_pinv_commutes),
+        ("cmp_eq_mpd_a", lambda r, tol: ((r.cmp, r.mpd @ r.a), (_ak(r) @ r.pinv, _ak(r)))),
+        ("cmp_eq_a_dmp", lambda r, tol: ((r.cmp, r.a @ r.dmp), (r.pinv @ _ak(r), _ak(r)))),
+        ("cmp_eq_mpd_astar", lambda r, tol: ((r.cmp, r.mpd @ conj_transpose(r.a)),
+                                             (_ak(r) @ conj_transpose(r.pinv), _ak(r)))),
+        ("cmp_eq_astar_dmp", lambda r, tol: ((r.cmp, conj_transpose(r.a) @ r.dmp),
+                                             (conj_transpose(r.pinv) @ _ak(r), _ak(r)))),
+    )),
+    "five_way_core": _Suite((
+        ("dmp_core_commute_iff_null",
+         lambda r, tol: ((r.dmp @ r.core, r.core @ r.dmp),
+                         (_ak(r) @ (_eye(r) - r.a @ r.pinv), np.zeros_like(r.a)))),
+        ("mpd_core_commute_iff_range",
+         lambda r, tol: ((r.mpd @ r.core, r.core @ r.mpd),
+                         ((_eye(r) - r.pinv @ r.a) @ _ak(r), np.zeros_like(r.a)))),
+        ("core_fixed_by_dmp_iff_idempotent_power",
+         lambda r, tol: ((r.core, r.dmp @ r.core), (_ak(r), _ak1(r)))),
+        ("core_fixed_by_mpd_iff_mp_fixes_power",
+         lambda r, tol: ((r.core, r.mpd @ r.core), (r.pinv @ _ak(r), _ak(r)))),
+        ("core_fixed_by_cmp_iff_mp_fixes_power",
+         lambda r, tol: ((r.core, r.cmp @ r.core), (r.pinv @ _ak(r), _ak(r)))),
+    )),
+    "commute_lemma": _Suite((
+        ("drazin_mpd_eq_dmp_drazin", lambda r, tol: (r.drazin @ r.mpd, r.dmp @ r.drazin)),
+        ("drazin_mpd_eq_drazin_sq", lambda r, tol: (r.drazin @ r.mpd, r.drazin @ r.drazin)),
+        ("dmp_drazin_eq_drazin_sq", lambda r, tol: (r.dmp @ r.drazin, r.drazin @ r.drazin)),
+    )),
+    "ew2": _Suite(tuple(
+        (f"core_upper_bound_{kind.value}",
+         lambda r, tol, kind=kind: _order_sides(r, r.core, kind, tol))
+        for kind in OrderKind)),
+    "adf": _Suite(source=_adf_pairs, identities=(
+        ("dmp_characterizations_agree",
+         lambda pair, tol: dmp_order_characterizations(*pair, tol)),
+        ("mpd_characterizations_agree",
+         lambda pair, tol: mpd_order_characterizations(*pair, tol)),
+    )),
+    "orders_kep": _Suite(source=_kep_pairs, identities=(
+        ("four_relations_agree",
+         lambda pair, tol: tuple(leq(*pair, kind, tol).holds for kind in OrderKind)),
+    )),
+    "cce_conditional": _Suite(
+        skips=(_ZERO, ("hypothesis_skipped", _cce_hypothesis_fails)),
+        identities=(
+            # one statement always agrees with itself: counts the subjects
+            # that meet the hypothesis
+            ("qualified", lambda r, tol: (True,)),
+            ("cmp_ep_iff_cce_commutes", _cmp_ep_iff_cce_commutes),
+        )),
 }
+
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
@@ -458,24 +392,17 @@ def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
     "adf" consumes the ensemble pairwise and adds (a, core(a)) pairs.
     """
     specs = [spec] if isinstance(spec, EnsembleSpec) else list(spec)
-    if suite not in SUITE_IDS:
+    if suite not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}")
-    samples = [a for s in specs for a in gen(s, tol)]
+    row = _SUITES[suite]
+    samples, subjects = row.source(specs, tol)
     report = VerificationReport(suite=suite)
-
-    if suite in _PLAIN_SUITES:
-        _PLAIN_SUITES[suite](samples, report, tol)
-    elif suite == "ass":
-        first = specs[0]
-        witnesses = idempotent_core_samples(first.size, len(samples), first.seed)
-        _suite_ass(samples + witnesses, report, tol)
-        samples = samples + witnesses
-    elif suite == "orders_kep":
-        kep_samples = [a for s in specs
-                       for a in gen(replace(s, kind="k_ep"), tol)]
-        for a, b in zip(kep_samples, samples):
-            rec = _analyse(a, tol)
-            holds = [leq(rec, b, kind, tol).holds for kind in OrderKind]
-            report.record("four_relations_agree", len(set(holds)) == 1)
+    for subject in subjects:
+        skip = next((note for note, applies in row.skips if applies(subject, tol)), None)
+        if skip is not None:
+            report.note(skip)
+            continue
+        for label, sides in row.identities:
+            report.record(label, *_check(sides(subject, tol), tol))
     report.samples = len(samples)
     return report

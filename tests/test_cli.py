@@ -96,6 +96,26 @@ def test_compute_all_inverses_run(files, capsys):
         assert max(obj["residuals"].values()) <= 1e-8
 
 
+@pytest.mark.parametrize("e", (297, -294))
+@pytest.mark.parametrize("which", ("core-ep", "drazin", "cce"))
+def test_compute_index_three_at_extreme_scales(tmp_path, capsys, which, e):
+    # diag(1.5) + J3 has index 3; a^4 and sigma_max^7 leave the float range
+    # at 2^297, and sigma_max^4 falls below it at 2^-294
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 0] = 1.5
+    a[1, 2] = a[2, 3] = 1.0
+    path = str(tmp_path / "scaled.json")
+    save_matrix(path, a * 2.0 ** e)
+    code, obj = run_cli(capsys, "compute", "-i", path, "--which", which)
+    assert code == 0
+    assert obj["index"] == 3
+    assert obj["rank"] == 3
+    x = matrix_from_obj(obj["matrix"])
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[0, 0] = 2.0 ** -e / 1.5
+    assert np.array_equal(x, expected)
+
+
 def test_compute_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

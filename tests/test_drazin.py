@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geninv import (
     IndexTooLargeError,
     approx_eq,
+    core_ep_inverse,
     core_nilpotent,
     diff_norm,
     drazin,
@@ -75,6 +78,25 @@ def test_drazin_stable_when_exponent_is_raised(rng):
                   @ pinv_scaled(mat_pow(a, 2 * k + 1), smax ** (2 * k + 1))
                   @ mat_pow(a, k))
         assert approx_eq(drazin(a), higher)
+
+
+@st.composite
+def fixed_index_samples(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(3, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return gen(EnsembleSpec(size=n, count=1, seed=seed, kind="fixed_index", index=k))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_index_samples(), st.integers(-300, 300))
+def test_index_and_inverses_exact_under_power_of_two_scaling(a, e):
+    # powers are formed from 2^-e a, so the index search and the
+    # sigma_max^j cutoffs see the same numbers at every scale
+    scaled = a * 2.0 ** e
+    assert index(scaled) == index(a)
+    assert np.array_equal(drazin(scaled), drazin(a) * 2.0 ** -e)
+    assert np.array_equal(core_ep_inverse(scaled), core_ep_inverse(a) * 2.0 ** -e)
 
 
 def test_group_inverse(a1):

@@ -114,6 +114,45 @@ def test_suites_pass_on_their_ensembles(suite):
     assert rep.samples > 0
 
 
+SUITE_BREAKDOWNS = {
+    "core_ep_equiv": [("defining_commutation", 16), ("mpdmp_is_drazin_cubed", 16),
+                      ("mpdmp_dmp_is_drazin_fourth", 16),
+                      ("mpdmp_commutes_with_matrix", 16),
+                      ("mpdmp_commutes_with_core", 16),
+                      ("mpdmp_commutes_with_drazin", 16),
+                      ("mpdmp_drazin_is_dmp_fourth", 16)],
+    "core_ep_collapse": [("dmp_eq_drazin", 10), ("mpd_eq_drazin", 10),
+                         ("cmp_eq_drazin", 10), ("dmp_eq_mpd", 10),
+                         ("mpdmp_dmp_iff_mpdmp_mpd", 10)],
+    "six_part": [("mpd_commutes_matrix", 8), ("mpd_commutes_drazin", 8),
+                 ("mpd_commutes_core", 8), ("mpdmp_commutes_mpd", 8),
+                 ("core_eq_cmp_a2", 8), ("core_eq_mpd_a2", 8), ("core_eq_dmp_a2", 8),
+                 ("qa_core_eq_core", 8), ("core_qa_eq_core", 8)],
+    "ass": [("product_iff_idempotent_power", 24), ("idempotent_power_iff_range", 24)],
+    "five_way_mp": [("dmp_pinv_commutes", 18), ("cmp_eq_mpd_a", 18), ("cmp_eq_a_dmp", 18),
+                    ("cmp_eq_mpd_astar", 18), ("cmp_eq_astar_dmp", 18)],
+    "five_way_core": [("dmp_core_commute_iff_null", 12),
+                      ("mpd_core_commute_iff_range", 12),
+                      ("core_fixed_by_dmp_iff_idempotent_power", 12),
+                      ("core_fixed_by_mpd_iff_mp_fixes_power", 12),
+                      ("core_fixed_by_cmp_iff_mp_fixes_power", 12)],
+    "commute_lemma": [("drazin_mpd_eq_dmp_drazin", 10), ("drazin_mpd_eq_drazin_sq", 10),
+                      ("dmp_drazin_eq_drazin_sq", 10)],
+    "ew2": [("core_upper_bound_dmp", 10), ("core_upper_bound_mpd", 10),
+            ("core_upper_bound_cmp", 10), ("core_upper_bound_drazin", 10)],
+    "adf": [("dmp_characterizations_agree", 15), ("mpd_characterizations_agree", 15)],
+    "orders_kep": [("four_relations_agree", 8)],
+    "cce_conditional": [("qualified", 12), ("cmp_ep_iff_cce_commutes", 12)],
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_suite_breakdown_labels_pinned(suite):
+    rep = run_suite(suite, SUITE_SPECS[suite])
+    got = [(label, entry["samples"]) for label, entry in rep.breakdown.items()]
+    assert got == SUITE_BREAKDOWNS[suite]
+
+
 def test_suite_report_shape():
     rep = run_suite("ew2", EnsembleSpec(size=3, count=4, seed=1))
     d = rep.to_dict()
