@@ -23,6 +23,7 @@ from .kernel import (
     approx_eq,
     conj_transpose,
     diff_norm,
+    fro_norm,
     mat_pow,
 )
 
@@ -97,22 +98,36 @@ def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return approx_eq(ak @ x, x @ ak, tol)
 
 
+def _vanishes(x: np.ndarray, f: np.ndarray, tol: Tolerance) -> bool:
+    """True iff x, the product of f and a block of the unitary
+    factorization, is zero: approx_eq(x, 0) with x measured in units of
+    ||f||, the factor that carries the matrix's scale, so that the test
+    does not change when the matrix is scaled."""
+    scale = fro_norm(f)
+    return scale == 0.0 or approx_eq(x / scale, np.zeros_like(x), tol)
+
+
 def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residual tests of (a) Q* qhat = (SQ)^D, (b) P* qhat = 0,
     (c) (SQ)^D S P = 0; their conjunction characterizes core-EP."""
     core_d = drazin(h.core, tol)
     qhat = h.q @ core_d
-    zero_rp = np.zeros((h.p.shape[1], h.r), dtype=np.complex128)
-    zero_rp2 = np.zeros((h.r, h.p.shape[1]), dtype=np.complex128)
     cond_a = approx_eq(conj_transpose(h.q) @ qhat, core_d, tol)
-    cond_b = approx_eq(conj_transpose(h.p) @ qhat, zero_rp, tol)
-    cond_c = approx_eq(core_d @ h.sigma_mat @ h.p, zero_rp2, tol)
+    core_ds = core_d @ h.sigma_mat
+    cond_b = _vanishes(conj_transpose(h.p) @ qhat, qhat, tol)
+    cond_c = _vanishes(core_ds @ h.p, core_ds, tol)
     return cond_a, cond_b, cond_c
 
 
 def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassReport:
-    """Evaluate every equivalent core-EP condition and flag disagreements."""
-    rec = _analyse(a, tol)
+    """Evaluate every equivalent core-EP condition and flag disagreements.
+
+    Every condition is homogeneous in the matrix, so all of them are
+    evaluated on B = 2^-e a, whose largest real or imaginary part lies in
+    [0.5, 1) (e as in `svd`): the report, residuals included, is the same
+    for every power-of-two multiple of a. The residuals are B's.
+    """
+    rec = _analyse(a, tol).unit
     conditions, residuals = {}, {}
     for label, sides in _CORE_EP_CONDITIONS:
         conditions[label], residuals[label] = _check(sides(rec, tol), tol)
@@ -148,7 +163,7 @@ def _block_ep_test(h: HSDecomp, m: np.ndarray, tol: Tolerance):
     m_pinv = pinv(m, tol)
     delta = m @ m_pinv
     holds = (approx_eq(conj_transpose(h.q) @ delta @ h.q, m_pinv @ m, tol)
-             and approx_eq(delta @ h.p, np.zeros_like(h.p), tol))
+             and _vanishes(delta @ h.p, delta, tol))
     return holds, delta, m_pinv
 
 
@@ -212,8 +227,8 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     weaker and is the one that matches the direct commutation test.
     """
     core_d = drazin(h.core, tol)
-    zero_p = np.zeros_like(h.p)
-    return is_ep(core_d, tol) and approx_eq(core_d @ h.sigma_mat @ h.p, zero_p, tol)
+    core_ds = core_d @ h.sigma_mat
+    return is_ep(core_d, tol) and _vanishes(core_ds @ h.p, core_ds, tol)
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -76,6 +76,15 @@ class _Analysis:
         """B^j for B = 2^-e A; A^j = 2^(e j) B^j."""
         return mat_pow(_ldexp(self.a, -self._exp), j)
 
+    def power_product(self, j: int, left=None, right=None) -> np.ndarray:
+        """left A^j right (a missing factor is left out), formed as
+        2^(e j) (left B^j right), so that no power of A is formed on the
+        way where it would leave the float range."""
+        m = self.scaled_power(j)
+        m = m if left is None else left @ m
+        m = m if right is None else m @ right
+        return _ldexp(m, self._exp * j)
+
     def _power_svd(self, j: int) -> SVDResult:
         """SVD of B^j. B^0 = I is its own SVD, the one svd(I) returns; B^1
         is the SVD of A with s scaled by 2^-e, which is what svd(B) returns."""
@@ -95,6 +104,18 @@ class _Analysis:
         """(B^j)^+ = 2^(e j) (A^j)^+, with the cutoff referenced to
         sigma_max(B)**j."""
         return _pinv_from(self._power_svd(j), self._smax ** j, self.tol)
+
+    @cached_property
+    def unit(self) -> "_Analysis":
+        """The record of B = 2^-e A, whose largest real or imaginary part
+        lies in [0.5, 1) whatever the scale of A. It shares this record's
+        SVDs: B's powers are the ones formed here, and the SVD of B is A's
+        with s scaled, which is what svd(B) returns."""
+        if self._exp == 0:
+            return self
+        b = _Analysis(_ldexp(self.a, -self._exp), self.tol, self._svds)
+        self._svds[(b.a.shape, b.a.tobytes())] = self._power_svd(1)
+        return b
 
     @cached_property
     def factors(self) -> SVDResult:

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from geninv import cmatrix
+# BLAS runs on one thread, as in the benchmark: the SVD's block products
+# otherwise start threads above a size, which on a small host compete with
+# each other and with the test process. Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from geninv import cmatrix  # noqa: E402
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geninv import (
     PreconditionError,
@@ -195,3 +197,36 @@ def test_six_identities_on_core_ep_samples():
         q_a = p @ a
         assert approx_eq(q_a @ core, core)
         assert approx_eq(core @ q_a, core)
+
+
+@st.composite
+def class_samples(draw):
+    """One sample of a class with core-EP and non-core-EP members, n <= 6."""
+    kind = draw(st.sampled_from(["core_ep", "generic", "fixed_index", "k_ep", "nilpotent"]))
+    n = draw(st.integers(2, 6))
+    index = draw(st.integers(0, min(3, n))) if kind == "fixed_index" else None
+    seed = draw(st.integers(0, 2**32 - 1))
+    return gen(EnsembleSpec(size=n, count=1, seed=seed, kind=kind, index=index))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_samples(), st.integers(-300, 300))
+def test_equiv_report_unchanged_under_power_of_two_scaling(a, e):
+    # the conditions are evaluated on 2^-e' a, the same matrix at every
+    # scale, and the block tests against zero are measured in units of the
+    # factor that carries the scale
+    rep, scaled = core_ep_equiv_report(a), core_ep_equiv_report(a * 2.0 ** e)
+    assert (scaled.is_ep, scaled.is_core_ep, scaled.is_k_ep) == (rep.is_ep, rep.is_core_ep,
+                                                                 rep.is_k_ep)
+    assert scaled.core_ep_conditions == rep.core_ep_conditions
+    assert scaled.block_conditions == rep.block_conditions
+    assert scaled.flags == rep.flags
+    assert scaled.residuals == rep.residuals
+
+
+def test_block_conditions_of_core_ep_samples_at_extreme_scales():
+    # at 2^-155 the product P* qhat is 2^155 times its rounding noise,
+    # which an absolute floor would read as nonzero
+    for a in gen(EnsembleSpec(size=4, count=4, seed=1, kind="core_ep")):
+        for e in (0, -155, -250, 155, 250):
+            assert core_ep_block_conditions(hs_decompose(a * 2.0 ** e)) == (True, True, True)

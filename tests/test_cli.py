@@ -96,11 +96,14 @@ def test_compute_all_inverses_run(files, capsys):
         assert max(obj["residuals"].values()) <= 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("e", (297, -294))
-@pytest.mark.parametrize("which", ("core-ep", "drazin", "cce"))
+@pytest.mark.parametrize("which", ("core-ep", "drazin", "cce", "dmp", "mpd"))
 def test_compute_index_three_at_extreme_scales(tmp_path, capsys, which, e):
     # diag(1.5) + J3 has index 3; a^4 and sigma_max^7 leave the float range
-    # at 2^297, and sigma_max^4 falls below it at 2^-294
+    # at 2^297, and sigma_max^4 falls below it at 2^-294. The residuals
+    # form their powers of a from 2^-e a too, so each is finite, and no
+    # overflow warning is raised on the way.
     a = np.zeros((4, 4), dtype=complex)
     a[0, 0] = 1.5
     a[1, 2] = a[2, 3] = 1.0
@@ -110,6 +113,7 @@ def test_compute_index_three_at_extreme_scales(tmp_path, capsys, which, e):
     assert code == 0
     assert obj["index"] == 3
     assert obj["rank"] == 3
+    assert all(np.isfinite(r) for r in obj["residuals"].values())
     x = matrix_from_obj(obj["matrix"])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 2.0 ** -e / 1.5
