@@ -4,6 +4,8 @@ through conditions on the unitary block factorization.
 
 Every boolean is a residual comparison under the shared Tolerance, and the
 raw residual is reported next to it so near-threshold calls can be audited.
+The class predicates are tested on B = 2^-e a (e as in `svd`), so they give
+the same answer for every power-of-two multiple of a.
 """
 
 from __future__ import annotations
@@ -79,22 +81,22 @@ class ClassReport:
 
 def is_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a commutes with its Moore-Penrose inverse."""
-    rec = _analyse(a, tol)
+    rec = _analyse(a, tol).unit
     x = rec.pinv
     return approx_eq(rec.a @ x, x @ rec.a, tol)
 
 
 def is_core_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^+ commutes with the core part of a."""
-    rec = _analyse(a, tol)
+    rec = _analyse(a, tol).unit
     x, core = rec.pinv, rec.core
     return approx_eq(x @ core, core @ x, tol)
 
 
 def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^k commutes with a^+, k = index(a)."""
-    rec = _analyse(a, tol)
-    ak, x = mat_pow(rec.a, rec.index), rec.pinv
+    rec = _analyse(a, tol).unit
+    ak, x = rec.scaled_power(rec.index), rec.pinv
     return approx_eq(ak @ x, x @ ak, tol)
 
 

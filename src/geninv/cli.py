@@ -2,7 +2,7 @@
 relation testing, and suite running, with JSON reports on stdout.
 
 Exit codes: 0 ok, 2 malformed input, 3 precondition failure, 4 shape
-mismatch, 5 unknown identifier.
+mismatch, 5 unknown identifier, 6 internal failure (a self-check or the SVD).
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import numpy as np
 from .classify import core_ep_equiv_report
 from .drazin import IndexTooLargeError, _analyse, drazin, group_inverse
 from .ensembles import EnsembleSpec, InvalidSpecError, KINDS
-from .factor import ZeroMatrixError, hs_derived, hs_reconstruct, pinv
+from .factor import SvdConvergenceError, ZeroMatrixError, hs_derived, hs_reconstruct, pinv
 from .inverses import cce_inverse, cmp_inverse, core_ep_inverse, dmp, mpd, mpdmp
 from .kernel import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    InternalCheckError,
     PreconditionError,
     Tolerance,
     conj_transpose,
@@ -41,6 +42,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SHAPE = 4
 EXIT_UNKNOWN_ID = 5
+EXIT_INTERNAL = 6
 
 
 class MatrixFileError(ValueError):
@@ -150,8 +152,8 @@ _RESIDUALS = {
     "mpdmp": _SYSTEMS["a1"][1],
     "core-ep": (
         _XAX_EQ_X,
-        ("range", lambda r, x: (r.range_projector @ x, x)),
-        ("range_star", lambda r, x: (r.range_projector @ conj_transpose(x),
+        ("range", lambda r, x: (r.a @ r.core_ep @ x, x)),
+        ("range_star", lambda r, x: (r.a @ r.core_ep @ conj_transpose(x),
                                      conj_transpose(x))),
     ),
     "cce": (_XAX_EQ_X,),
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except (UnknownSuiteError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_ID
+    except (InternalCheckError, SvdConvergenceError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Index, Drazin and group inverses, the core-nilpotent split, and the
 canonical projectors.
 
-The Drazin inverse is computed from Moore-Penrose inverses of powers:
-a^D = a^k (a^(2k+1))^+ a^k with k the index of a. Ranks and pseudoinverses
-of powers use cutoffs referenced to sigma_max(a)**power: a computed power
-of a numerically nilpotent matrix is noise at that level, never exactly
-zero, and a relative cutoff would mistake the noise for signal.
+The core-EP and Drazin inverses come from the two powers the index search
+ends on: c = a^k (a^(k+1))^+ is the core-EP inverse and a^D = c^(k+1) a^k,
+with k the index of a. Ranks and pseudoinverses of powers use cutoffs
+referenced to sigma_max(a)**power: a computed power of a numerically
+nilpotent matrix is noise at that level, never exactly zero, and a
+relative cutoff would mistake the noise for signal.
 
 Powers are formed from b = 2**-e a, with e the exponent the SVD scales by,
 so that neither b^j nor sigma_max(b)**j leaves the float range however a
@@ -19,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _exponent, _ldexp,
-                     _pinv_from, _rank_from, svd)
+from .factor import HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from, svd
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError,
-                     Tolerance, conj_transpose, mat_pow)
+                     Tolerance, _exponent, _ldexp, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -54,9 +54,8 @@ class _Analysis:
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
     lives in. SVDs are kept by input (shape and bytes), so each distinct
-    matrix is decomposed once: A, the powers B^2 ... B^(k+1) of the index
-    search, and B^(2k+1) for A^D, where B = 2^-e A. B^0 = I, met when the
-    index is 0, and B^1 need no decomposition of their own."""
+    matrix is decomposed once: A and the powers B^2 ... B^(k+1) of the
+    index search, where B = 2^-e A. B^1 needs no decomposition of its own."""
 
     a: np.ndarray
     tol: Tolerance
@@ -86,11 +85,7 @@ class _Analysis:
         return _ldexp(m, self._exp * j)
 
     def _power_svd(self, j: int) -> SVDResult:
-        """SVD of B^j. B^0 = I is its own SVD, the one svd(I) returns; B^1
-        is the SVD of A with s scaled by 2^-e, which is what svd(B) returns."""
-        if j == 0:
-            eye = np.eye(self.a.shape[0], dtype=np.complex128)
-            return SVDResult(u=eye, s=np.ones(self.a.shape[0]), v=eye)
+        """SVD of B^j, j >= 1; svd(B) is the SVD of A with s scaled by 2^-e."""
         if j == 1:
             res = self.factors
             return SVDResult(u=res.u, s=np.ldexp(res.s, -self._exp), v=res.v)
@@ -156,11 +151,9 @@ class _Analysis:
 
     @cached_property
     def drazin(self) -> np.ndarray:
+        """2^-e C^(k+1) B^k, C the core-EP inverse of B: powers on B's scale."""
         k = self.index
-        if self.power_rank(k) == 0:
-            return np.zeros(self.a.shape, dtype=np.complex128)
-        bk = self.scaled_power(k)
-        return _ldexp(bk @ self.power_pinv(2 * k + 1) @ bk, -self._exp)
+        return _ldexp(mat_pow(self.unit.core_ep, k + 1) @ self.scaled_power(k), -self._exp)
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -184,14 +177,9 @@ class _Analysis:
 
     @cached_property
     def core_ep(self) -> np.ndarray:
+        """2^-e B^k (B^(k+1))^+."""
         k = self.index
-        return self.drazin @ self.scaled_power(k) @ self.power_pinv(k)
-
-    @cached_property
-    def range_projector(self) -> np.ndarray:
-        """A^k (A^k)^+, the orthogonal projector onto R(A^k)."""
-        k = self.index
-        return self.scaled_power(k) @ self.power_pinv(k)
+        return _ldexp(self.scaled_power(k) @ self.power_pinv(k + 1), -self._exp)
 
     @cached_property
     def cce(self) -> np.ndarray:
@@ -222,7 +210,7 @@ def index(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def drazin(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Drazin inverse a^k (a^(2k+1))^+ a^k with k = index(a)."""
+    """Drazin inverse (a^k (a^(k+1))^+)^(k+1) a^k with k = index(a)."""
     return _analyse(a, tol).drazin
 
 

@@ -5,12 +5,11 @@ factorization A = U [[SQ, SP], [0, 0]] U* with QQ* + PP* = I_r.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Tolerance, conj_transpose
+from .kernel import DEFAULT_TOL, Tolerance, _exponent, _ldexp, conj_transpose
 
 __all__ = [
     "SvdConvergenceError",
@@ -75,20 +74,6 @@ def _complete_basis(cols: np.ndarray, m: int) -> np.ndarray:
         w = w - basis @ (conj_transpose(basis) @ w)
         basis = np.column_stack([basis, w / np.linalg.norm(w)])
     return basis
-
-
-def _exponent(a: np.ndarray) -> int:
-    """The e for which 2**-e * a has its largest real or imaginary part in
-    [0.5, 1); 0 for an empty or zero matrix."""
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
-
-
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """2**e * a for a complex matrix, exact unless an entry leaves the
-    normal float range."""
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return np.ldexp(parts, e).view(np.complex128)
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,7 +141,8 @@ def svd(a: np.ndarray, max_sweeps: int = 60) -> SVDResult:
                 rot_at = rot_at[:, live]
             off = max(off, float(np.maximum.reduce(g / denom)))
             # phase making the column coupling real, then a real rotation
-            phase = np.conj(apq) / g
+            # (part by part: conj(apq) / g overflows when apq is subnormal)
+            phase = apq.real / g - 1j * (apq.imag / g)
             tau = (aqq - app) / (2.0 * g)
             t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau)
             c = 1.0 / np.hypot(1.0, t)

@@ -71,7 +71,7 @@ def mpdmp(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def core_ep_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """a^D a^k (a^k)^+ with k = index(a) exactly."""
+    """a^k (a^(k+1))^+ with k = index(a)."""
     return _analyse(a, tol).core_ep
 
 

@@ -7,6 +7,7 @@ fresh arrays, so everything is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +105,31 @@ def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(a, k)
 
 
+def _exponent(a: np.ndarray) -> int:
+    """The e for which 2**-e * a has its largest real or imaginary part in
+    [0.5, 1); 0 for an empty or zero matrix."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """2**e * a for a complex matrix, exact unless an entry leaves the
+    normal float range."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return np.ldexp(parts, e).view(np.complex128)
+
+
 def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, as 2**e ||2**-e a|| so that no square overflows."""
+    e = _exponent(a)
+    return float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e))
 
 
 def diff_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of a - b."""
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return fro_norm(a - b)
 
 
 def eq_scale(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:

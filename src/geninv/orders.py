@@ -14,14 +14,7 @@ import numpy as np
 
 from .drazin import _analyse, drazin
 from .inverses import cmp_inverse, dmp, mpd
-from .kernel import (
-    DEFAULT_TOL,
-    DimensionMismatchError,
-    Tolerance,
-    _check,
-    approx_eq,
-    mat_pow,
-)
+from .kernel import DEFAULT_TOL, DimensionMismatchError, Tolerance, _check
 
 __all__ = [
     "OrderKind",
@@ -94,29 +87,38 @@ def core_upper_bound_check(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     return tuple(leq(rec, rec.core, kind, tol) for kind in OrderKind)
 
 
+# The three equivalent tests of a <= b under the DMP and the MPD inverse:
+# (label, sides(rec, b, A^k)), each a list of pairs that must all be equal.
+_DMP_FORMS = (
+    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.DMP, r.tol)),
+    ("drazin", lambda r, b, ak: [(r.drazin, r.drazin @ r.pinv @ b),
+                                 (r.drazin, b @ r.drazin @ r.drazin)]),
+    ("power", lambda r, b, ak: [(ak, ak @ r.pinv @ b), (ak, b @ r.drazin @ ak)]),
+)
+_MPD_FORMS = (
+    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.MPD, r.tol)),
+    ("drazin", lambda r, b, ak: [(r.drazin, r.drazin @ r.drazin @ b),
+                                 (r.drazin, b @ r.pinv @ r.drazin)]),
+    ("power", lambda r, b, ak: [(ak, ak @ r.drazin @ b), (ak, b @ r.pinv @ ak)]),
+)
+
+
+def _forms(rows, a, b, tol: Tolerance) -> tuple[bool, ...]:
+    """Whether each row's pairs are equal for a and b."""
+    rec, b = _check_pair(a, b, tol)
+    ak = rec.power_product(rec.index)
+    return tuple(_check(sides(rec, b, ak), tol)[0] for _, sides in rows)
+
+
 def dmp_order_characterizations(a: np.ndarray, b: np.ndarray,
                                 tol: Tolerance = DEFAULT_TOL):
     """Three equivalent tests of a <= b under the DMP inverse:
     the definition, the a^D form, and the a^k form."""
-    rec, b = _check_pair(a, b, tol)
-    d, p, ak = rec.drazin, rec.pinv, mat_pow(rec.a, rec.index)
-    by_def = leq(rec, b, OrderKind.DMP, tol).holds
-    by_drazin = (approx_eq(d, d @ p @ b, tol)
-                 and approx_eq(d, b @ d @ d, tol))
-    by_power = (approx_eq(ak, ak @ p @ b, tol)
-                and approx_eq(ak, b @ d @ ak, tol))
-    return by_def, by_drazin, by_power
+    return _forms(_DMP_FORMS, a, b, tol)
 
 
 def mpd_order_characterizations(a: np.ndarray, b: np.ndarray,
                                 tol: Tolerance = DEFAULT_TOL):
     """Three equivalent tests of a <= b under the MPD inverse:
     the definition, the a^D form, and the a^k form."""
-    rec, b = _check_pair(a, b, tol)
-    d, p, ak = rec.drazin, rec.pinv, mat_pow(rec.a, rec.index)
-    by_def = leq(rec, b, OrderKind.MPD, tol).holds
-    by_drazin = (approx_eq(d, d @ d @ b, tol)
-                 and approx_eq(d, b @ p @ d, tol))
-    by_power = (approx_eq(ak, ak @ d @ b, tol)
-                and approx_eq(ak, b @ p @ ak, tol))
-    return by_def, by_drazin, by_power
+    return _forms(_MPD_FORMS, a, b, tol)

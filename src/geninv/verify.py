@@ -151,7 +151,7 @@ _SYSTEMS = {
     )),
     "kj43": (_core_ep_mpdmp, (
         ("a3_x_eq_spectral_projector", lambda r, x: (mat_pow(r.a, 3) @ x, r.a @ r.drazin)),
-        ("range_inclusion", lambda r, x: (r.range_projector @ x, x)),
+        ("range_inclusion", lambda r, x: (r.a @ r.core_ep @ x, x)),
     )),
 }
 
@@ -324,7 +324,7 @@ _SUITES = {
         ("product_iff_idempotent_power",
          lambda r, tol: ((r.cmp, r.mpd @ r.dmp), (_ak1(r), _ak(r)))),
         ("idempotent_power_iff_range",
-         lambda r, tol: ((_ak1(r), _ak(r)), ((_eye(r) - r.a) @ r.range_projector,
+         lambda r, tol: ((_ak1(r), _ak(r)), ((_eye(r) - r.a) @ r.a @ r.core_ep,
                                              np.zeros_like(r.a)))),
     )),
     "five_way_mp": _Suite(skips=(_ZERO,), identities=(

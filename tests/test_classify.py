@@ -218,6 +218,9 @@ def test_equiv_report_unchanged_under_power_of_two_scaling(a, e):
     rep, scaled = core_ep_equiv_report(a), core_ep_equiv_report(a * 2.0 ** e)
     assert (scaled.is_ep, scaled.is_core_ep, scaled.is_k_ep) == (rep.is_ep, rep.is_core_ep,
                                                                  rep.is_k_ep)
+    # the public predicates are evaluated on the same 2^-e' a
+    predicates = (is_ep, is_core_ep, is_k_ep)
+    assert [p(a * 2.0 ** e) for p in predicates] == [p(a) for p in predicates]
     assert scaled.core_ep_conditions == rep.core_ep_conditions
     assert scaled.block_conditions == rep.block_conditions
     assert scaled.flags == rep.flags
@@ -230,3 +233,12 @@ def test_block_conditions_of_core_ep_samples_at_extreme_scales():
     for a in gen(EnsembleSpec(size=4, count=4, seed=1, kind="core_ep")):
         for e in (0, -155, -250, 155, 250):
             assert core_ep_block_conditions(hs_decompose(a * 2.0 ** e)) == (True, True, True)
+
+
+def test_is_k_ep_at_extreme_scales():
+    # A^k of 2^300 A would overflow, and of 2^-300 A underflow, if formed
+    # unscaled
+    for a in gen(EnsembleSpec(size=5, count=8, seed=3, kind="k_ep")):
+        assert is_k_ep(a)
+        for e in (-300, -150, 150, 300):
+            assert is_k_ep(a * 2.0 ** e)

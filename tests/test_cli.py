@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +232,24 @@ def test_verify_failures_exit_one(capsys):
                         "--tol-abs", "1e-300", "--tol-rel", "1e-300")
     assert code == 1
     assert rep["failures"] > 0
+
+
+def test_internal_failure_exits_six(capsys):
+    # at n = 14, seed 7, a constructed core_ep sample fails its own
+    # core-EP self-check
+    code, rep = run_cli(capsys, "verify", "--suite", "core_ep_equiv", "--class", "core_ep",
+                        "--size", "14", "--count", "13", "--seed", "7")
+    assert (code, rep) == (6, None)
+    assert "not core-EP" in run_cli.err
+
+
+def test_svd_convergence_failure_exits_six(files, capsys, monkeypatch):
+    drazin_mod = sys.modules["geninv.drazin"]
+    svd = drazin_mod.svd
+    monkeypatch.setattr(drazin_mod, "svd", lambda a: svd(a, max_sweeps=0))
+    code, rep = run_cli(capsys, "compute", "--which", "drazin", "-i", files["a1"])
+    assert (code, rep) == (6, None)
+    assert "no convergence" in run_cli.err
 
 
 def test_hs_outputs(files, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geninv as gi
 from geninv.exact import (
     QC,
     RMatrix,
@@ -225,3 +226,66 @@ def test_exact_values_are_pinned(name):
     for a in PINNED_MATRICES:
         h.update(repr(f(a).rows).encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
+
+
+# ---- float against exact on integer matrices of prescribed index
+
+def _prescribed_index_matrices():
+    """A = P (C + J_k) P^-1 with C a nonsingular integer matrix (entries in
+    [-3, 3]), J_k the nilpotent Jordan block of order k = 2..5, n = max(5,
+    k + 1)..8, and P = L U for unit-triangular integer L, U (entries in
+    [-2, 2]); of 300 draws, those with max|a| <= 200, each with its true
+    index k."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(max(5, k + 1), 9))
+        c = rng.integers(-3, 4, (n - k, n - k))
+        while exact_rank(rm(c.tolist())) < n - k:
+            c = rng.integers(-3, 4, (n - k, n - k))
+        lower = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n, dtype=np.int64)
+        p = lower @ upper
+        p_inv = np.rint(np.linalg.inv(p)).astype(np.int64)
+        assert np.array_equal(p @ p_inv, np.eye(n, dtype=np.int64))
+        block = np.zeros((n, n), dtype=np.int64)
+        block[:n - k, :n - k] = c
+        block[n - k:, n - k:] = np.eye(k, k, 1, dtype=np.int64)
+        a = p @ block @ p_inv
+        if np.abs(a).max() <= 200:
+            out.append((a, k))
+    return out
+
+
+ORACLE_PAIRS = (("mp", exact_pinv), ("drazin", exact_drazin), ("dmp", exact_dmp),
+                ("mpd", exact_mpd), ("cmp", exact_cmp), ("mpdmp", exact_mpdmp),
+                ("core_ep", exact_core_ep), ("cce", exact_cce))
+
+
+def test_float_inverses_match_the_oracle_at_prescribed_index():
+    # A^(2k+1) has a condition number of about cond(C)^(2k+1): A^D formed
+    # through it misses on most of these matrices, A^D formed from A^k and
+    # A^(k+1) alone on one
+    matrices = _prescribed_index_matrices()
+    wrong_index, errors = 0, []
+    for a, k in matrices:
+        rep = gi.inverse_report(a.astype(complex))
+        if rep.index != k:
+            wrong_index += 1
+            continue
+        exact = rm(a.tolist())
+        assert exact_index(exact) == k
+        for name, oracle in ORACLE_PAIRS:
+            want = oracle(exact).to_complex()
+            x = getattr(rep, name)
+            errors.append(np.linalg.norm(x - want) / np.linalg.norm(want))
+    assert len(matrices) == 52
+    # both read index 4 as 5: the singular values of their A^5 nearest the
+    # rank cutoff lie within half a decade of it
+    assert wrong_index == 2
+    assert np.all(np.isfinite(errors))
+    # the one miss is a 7 x 7 matrix of index 2: its Drazin inverse, and the
+    # DMP, MPD and CMP inverses built from it, are off by about 1e-7
+    assert sum(e > 1e-8 for e in errors) == 4
+    assert np.median(errors) < 1e-13

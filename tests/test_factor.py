@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geninv import (
@@ -295,3 +295,35 @@ def test_svd_exact_where_gram_entries_would_leave_the_float_range(e, rng):
     assert np.array_equal(scaled.s, np.ldexp(base.s, e))
     assert np.array_equal(scaled.u, base.u)
     assert np.array_equal(scaled.v, base.v)
+
+
+def _subnormal_coupling():
+    # the Gram entries of the trailing 2 x 2 block are subnormal; conj(apq) / g
+    # overflowed there and the SVD returned NaN singular values
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 0], a[1, 1], a[1, 2] = 1.0, 1e-160, (2 + 1j) * 1e-160
+    a[2, 1], a[2, 2] = 0.5e-160, 1e-160j
+    return a
+
+
+@st.composite
+def finite_matrices(draw):
+    """1-5 x 1-5 complex matrices whose parts range over every float of
+    magnitude up to 2^1000 (zeros and subnormals included), so that the
+    singular values stay in the float range."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    parts = st.floats(min_value=-2.0 ** 1000, max_value=2.0 ** 1000)
+    re, im = (np.array(draw(st.lists(parts, min_size=m * n, max_size=m * n)))
+              for _ in range(2))
+    return (re + 1j * im).reshape(m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_matrices())
+@example(_subnormal_coupling())
+def test_svd_of_finite_input_is_finite_or_raises(a):
+    try:
+        res = svd(a)
+    except SvdConvergenceError:
+        return
+    assert all(np.isfinite(x).all() for x in (res.u, res.s, res.v))

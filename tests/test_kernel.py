@@ -110,3 +110,19 @@ def test_tolerance_validation():
     assert t.rank_cutoff(3, 5) == 1e-12
     auto = Tolerance().rank_cutoff(3, 5)
     assert auto == pytest.approx(np.finfo(float).eps * 5 * 64)
+
+
+def test_approx_eq_where_squares_of_entries_overflow():
+    # (2^520)^2 overflows: an unscaled norm reads both sides as inf
+    eye = np.eye(2, dtype=complex)
+    assert not approx_eq(2.0 ** 520 * eye, 2.0 ** 521 * eye)
+    assert approx_eq(2.0 ** 520 * eye, 2.0 ** 520 * eye)
+    assert fro_norm(2.0 ** 600 * eye) == 2.0 ** 600 * np.sqrt(2.0)
+    assert diff_norm(2.0 ** -600 * eye, 0 * eye) == 2.0 ** -600 * np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("e", (-100, 0, 100))
+def test_fro_norm_unchanged_at_ordinary_scales(e, rng):
+    for n in (1, 3, 8):
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 2.0 ** e
+        assert fro_norm(a) == np.linalg.norm(a)
