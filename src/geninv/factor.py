@@ -4,7 +4,6 @@ factorization A = U [[SQ, SP], [0, 0]] U* with QQ* + PP* = I_r.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,9 @@ __all__ = [
     "hs_derived",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 
 class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted the iteration budget."""
+    """LAPACK's SVD did not converge."""
 
 
 class ZeroMatrixError(ValueError):
@@ -58,118 +55,26 @@ class SVDResult:
         return self.u @ smat @ conj_transpose(self.v)
 
 
-def _complete_basis(cols: np.ndarray, m: int) -> np.ndarray:
-    """Extend orthonormal columns to an m x m unitary matrix.
-
-    Greedy Gram-Schmidt over the standard basis, always taking the
-    candidate with the largest residual (its norm is >= 1/sqrt(m)). One
-    product projects every candidate at once; the chosen one is projected
-    a second time for orthogonality at machine level.
-    """
-    basis = cols
-    eye = np.eye(m, dtype=np.complex128)
-    while basis.shape[1] < m:
-        resid = eye - basis @ conj_transpose(basis)
-        w = resid[:, int(np.argmax(np.linalg.norm(resid, axis=0)))]
-        w = w - basis @ (conj_transpose(basis) @ w)
-        basis = np.column_stack([basis, w / np.linalg.norm(w)])
-    return basis
-
-
-@functools.lru_cache(maxsize=64)
-def _rounds(n: int) -> tuple:
-    """Round-robin schedule of one Jacobi sweep over n columns (Brent & Luk
-    1985): every pair (p, q), p < q, once, in rounds of disjoint pairs;
-    n - 1 rounds for even n, and n for odd n, each leaving one column idle.
-    A round is given by flat indices into n x n matrices: of the Gram
-    entries (p, p), (q, q), (p, q), and of the rotation entries (p, p),
-    (q, p), (p, q), (q, q). The schedule depends on n alone, so it is kept
-    per n, read-only; it holds no matrix data."""
-    slots = n + n % 2
-    seats = list(range(slots))
-    rounds = []
-    for _ in range(slots - 1):
-        pairs = [(min(i, j), max(i, j)) for i, j in
-                 zip(seats[: slots // 2], reversed(seats[slots // 2:])) if max(i, j) < n]
-        if pairs:
-            p, q = np.array(pairs, dtype=np.intp).T
-            gram_at = np.array([p * (n + 1), q * (n + 1), p * n + q])
-            rot_at = np.array([p * (n + 1), q * n + p, p * n + q, q * (n + 1)])
-            gram_at.setflags(write=False)
-            rot_at.setflags(write=False)
-            rounds.append((gram_at, rot_at))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return tuple(rounds)
-
-
-def svd(a: np.ndarray, max_sweeps: int = 60) -> SVDResult:
-    """Full SVD by one-sided Jacobi rotations on the columns.
+def svd(a: np.ndarray) -> SVDResult:
+    """Full SVD by LAPACK (through numpy), with exact power-of-two scaling.
 
     The input is first scaled by the power of two that brings its largest
-    real or imaginary part into [0.5, 1), so that no Gram entry overflows
-    and none underflows because of the input's overall scale; the scaling
-    is undone on s. svd(2**e * a) is therefore exactly 2**e times svd(a),
-    with the same u and v. Each sweep rotates the pairs of `_rounds(n)`;
-    the disjoint pairs of one round are rotated together by one product
-    with an n x n block rotation.
+    real or imaginary part into [0.5, 1), and the scaling is undone on s, so
+    svd(2**e * a) is exactly 2**e times svd(a), with the same u and v. The
+    rows are sorted by decreasing norm before the Householder reduction,
+    which keeps it row-wise stable on rows of widely different size (Cox &
+    Higham 1998); u is unpermuted afterwards.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    m, n = a.shape
-    if m < n:
-        flipped = svd(conj_transpose(a), max_sweeps)
-        return SVDResult(u=flipped.v, s=flipped.s, v=flipped.u)
-
     exp = _exponent(a)
-    eye = np.eye(n, dtype=np.complex128)
-    # w and v stacked, so one product rotates both
-    wv = np.vstack([_ldexp(a, -exp), eye])
-    rounds = _rounds(n)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for gram_at, rot_at in rounds:
-            work = wv[:m]
-            app, aqq, apq = (conj_transpose(work) @ work).ravel()[gram_at]
-            app, aqq = app.real, aqq.real
-            denom = np.sqrt(app) * np.sqrt(aqq)
-            g = np.abs(apq)
-            live = (g > 0.5 * _EPS * denom) & (denom > 0.0)
-            n_live = np.count_nonzero(live)
-            if n_live < len(live):
-                if not n_live:
-                    continue
-                app, aqq, apq, g, denom = (x[live] for x in (app, aqq, apq, g, denom))
-                rot_at = rot_at[:, live]
-            off = max(off, float(np.maximum.reduce(g / denom)))
-            # phase making the column coupling real, then a real rotation
-            # (part by part: conj(apq) / g overflows when apq is subnormal)
-            phase = apq.real / g - 1j * (apq.imag / g)
-            tau = (aqq - app) / (2.0 * g)
-            t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau)
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            rot = eye.copy()
-            rot.ravel()[rot_at.ravel()] = np.concatenate((c, -s * phase, s, c * phase))
-            wv = wv @ rot
-        if off <= 1e-14:
-            break
-    else:
-        raise SvdConvergenceError(f"no convergence after {max_sweeps} sweeps")
-
-    work, v = wv[:m], wv[m:]
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    s_vals = norms[order].astype(np.float64)
-    work = work[:, order]
-    v = v[:, order]
-
-    # columns at or below noise level get basis-completion directions;
-    # they perturb the reconstruction by at most their singular value
-    smax = s_vals[0] if len(s_vals) else 0.0
-    zero_cut = smax * _EPS * max(m, n)
-    r = int(np.count_nonzero(s_vals > zero_cut))
-    u_part = work[:, :r] / s_vals[:r]
-    u = _complete_basis(u_part, m)
-    return SVDResult(u=u, s=np.ldexp(s_vals, exp), v=v)
+    b = _ldexp(a, -exp)
+    order = np.argsort(-np.linalg.norm(b, axis=1), kind="stable")
+    try:
+        u_sorted, s, vh = np.linalg.svd(b[order])
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+    u = np.empty_like(u_sorted)
+    u[order] = u_sorted
+    return SVDResult(u=u, s=np.ldexp(s, exp), v=conj_transpose(vh))
 
 
 def _cutoff(res: SVDResult, scale: float, tol: Tolerance) -> float:

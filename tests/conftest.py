@@ -1,8 +1,9 @@
 import os
 
-# BLAS runs on one thread, as in the benchmark: the SVD's block products
-# otherwise start threads above a size, which on a small host compete with
-# each other and with the test process. Set before numpy is first imported.
+# BLAS runs on one thread, as in the benchmark: LAPACK's SVD and the matrix
+# products otherwise start threads above a size, which on a small host
+# compete with each other and with the test process. Set before numpy is
+# first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -230,13 +230,13 @@ def test_exact_values_are_pinned(name):
 
 # ---- float against exact on integer matrices of prescribed index
 
-def _prescribed_index_matrices():
+def _prescribed_index_matrices(seed=5):
     """A = P (C + J_k) P^-1 with C a nonsingular integer matrix (entries in
     [-3, 3]), J_k the nilpotent Jordan block of order k = 2..5, n = max(5,
     k + 1)..8, and P = L U for unit-triangular integer L, U (entries in
     [-2, 2]); of 300 draws, those with max|a| <= 200, each with its true
     index k."""
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     out = []
     for _ in range(300):
         k = int(rng.integers(2, 6))
@@ -289,3 +289,21 @@ def test_float_inverses_match_the_oracle_at_prescribed_index():
     # DMP, MPD and CMP inverses built from it, are off by about 1e-7
     assert sum(e > 1e-8 for e in errors) == 4
     assert np.median(errors) < 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="the sigma_max(B)^j cutoff drops a nonzero "
+                   "singular value of A^4 and A^5, so the core part is read as "
+                   "rank 2 instead of 3")
+def test_float_inverses_match_the_oracle_where_a_power_sits_below_the_cutoff():
+    # 7 x 7, true index 4: the third singular value of A^4 (rank 3) lies 1.8
+    # decades below the cutoff; A^5 loses the same one, so the index is
+    # still read right, but every inverse built on A^k is about 100% off
+    a, k = _prescribed_index_matrices(seed=6)[4]
+    exact = rm(a.tolist())
+    assert (a.shape, k, exact_index(exact)) == ((7, 7), 4, 4)
+    rep = gi.inverse_report(a.astype(complex))
+    assert rep.index == k
+    for name, oracle in ORACLE_PAIRS:
+        want = oracle(exact).to_complex()
+        x = getattr(rep, name)
+        assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want), name
