@@ -4,17 +4,18 @@ through conditions on the unitary block factorization.
 
 Every boolean is a residual comparison under the shared Tolerance, and the
 raw residual is reported next to it so near-threshold calls can be audited.
-The class predicates are tested on B = 2^-e a (e as in `svd`), so they give
-the same answer for every power-of-two multiple of a.
+The class predicates are tested on B = 2^-e a (e as in `svd`), and the block
+tests on the factors with Sigma scaled into [0.5, 1), so they give the same
+answer for every power-of-two multiple of a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drazin import _analyse, drazin
+from .drazin import _analyse
 from .factor import HSDecomp, _core_blocks, pinv
 from .kernel import (
     DEFAULT_TOL,
@@ -22,10 +23,10 @@ from .kernel import (
     PreconditionError,
     Tolerance,
     _check,
+    _exponent,
     approx_eq,
     conj_transpose,
     diff_norm,
-    fro_norm,
     mat_pow,
 )
 
@@ -100,25 +101,23 @@ def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return approx_eq(ak @ x, x @ ak, tol)
 
 
-def _vanishes(x: np.ndarray, f: np.ndarray, tol: Tolerance) -> bool:
-    """True iff x, the product of f and a block of the unitary
-    factorization, is zero: approx_eq(x, 0) with x measured in units of
-    ||f||, the factor that carries the matrix's scale, so that the test
-    does not change when the matrix is scaled."""
-    scale = fro_norm(f)
-    return scale == 0.0 or approx_eq(x / scale, np.zeros_like(x), tol)
+def _unit(h: HSDecomp) -> HSDecomp:
+    """h with Sigma scaled by the power of two that brings its largest
+    entry into [0.5, 1). Sigma carries all of the matrix's scale and U, Q
+    and P none, so the block tests, zero tests included, then give the
+    same answer for every power-of-two multiple of the matrix."""
+    return replace(h, sigma=np.ldexp(h.sigma, -_exponent(h.sigma)))
 
 
 def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residual tests of (a) Q* qhat = (SQ)^D, (b) P* qhat = 0,
     (c) (SQ)^D S P = 0; their conjunction characterizes core-EP."""
-    core_d = drazin(h.core, tol)
-    qhat = h.q @ core_d
-    cond_a = approx_eq(conj_transpose(h.q) @ qhat, core_d, tol)
-    core_ds = core_d @ h.sigma_mat
-    cond_b = _vanishes(conj_transpose(h.p) @ qhat, qhat, tol)
-    cond_c = _vanishes(core_ds @ h.p, core_ds, tol)
-    return cond_a, cond_b, cond_c
+    h = _unit(h)
+    core, qhat, _, _ = _core_blocks(h, tol)
+    p_qhat, core_dsp = conj_transpose(h.p) @ qhat, core.drazin @ h.sigma_mat @ h.p
+    return (approx_eq(conj_transpose(h.q) @ qhat, core.drazin, tol),
+            approx_eq(p_qhat, np.zeros_like(p_qhat), tol),
+            approx_eq(core_dsp, np.zeros_like(core_dsp), tol))
 
 
 def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassReport:
@@ -159,27 +158,20 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
     )
 
 
-def _block_ep_test(h: HSDecomp, m: np.ndarray, tol: Tolerance):
-    """Q* delta Q = m^+ m and delta P = 0 for delta = m m^+; returns the
-    verdict, delta and m^+."""
+def _block_ep(h: HSDecomp, block: int, tol: Tolerance):
+    """For m the chosen block of `_core_blocks` and delta = m m^+: whether
+    Q* delta Q = m^+ m and delta P = 0, and the pairs that a positive
+    verdict makes equal: PP* and QQ* commute with delta, and
+    delta = Q m^+ m Q*."""
+    h = _unit(h)
+    m = _core_blocks(h, tol)[block]
     m_pinv = pinv(m, tol)
     delta = m @ m_pinv
+    qq, pp = h.q @ conj_transpose(h.q), h.p @ conj_transpose(h.p)
     holds = (approx_eq(conj_transpose(h.q) @ delta @ h.q, m_pinv @ m, tol)
-             and _vanishes(delta @ h.p, delta, tol))
-    return holds, delta, m_pinv
-
-
-def _implied_pairs(h: HSDecomp, delta: np.ndarray, m: np.ndarray,
-                   m_pinv: np.ndarray):
-    """The pairs that a positive block criterion makes equal: PP* and QQ*
-    commute with delta = m m^+, and delta = Q m^+ m Q*."""
-    pp = h.p @ conj_transpose(h.p)
-    qq = h.q @ conj_transpose(h.q)
-    return [
-        (pp @ delta, delta @ pp),
-        (qq @ delta, delta @ qq),
-        (delta, h.q @ m_pinv @ m @ conj_transpose(h.q)),
-    ]
+             and approx_eq(delta @ h.p, np.zeros_like(h.p), tol))
+    return holds, [(pp @ delta, delta @ pp), (qq @ delta, delta @ qq),
+                   (delta, h.q @ m_pinv @ m @ conj_transpose(h.q))]
 
 
 def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -188,37 +180,33 @@ def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     A third block condition is implied by these two (delta is an
     orthogonal projector), so only the two are tested.
     """
-    return _block_ep_test(h, _core_blocks(h, tol)[0], tol)[0]
+    return _block_ep(h, 1, tol)[0]
 
 
 def mpdmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """MPDMP matrix is EP iff Q* delta_hat Q = st^+ st and delta_hat P = 0."""
-    return _block_ep_test(h, _core_blocks(h, tol)[1], tol)[0]
+    return _block_ep(h, 2, tol)[0]
 
 
 def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """CCE inverse is EP iff Q* delta_tilde Q = qtilde^+ qtilde and
     delta_tilde P = 0; a positive result also implies that delta_tilde
     commutes with PP* and QQ* and equals Q qtilde^+ qtilde Q*."""
-    qtilde = _core_blocks(h, tol)[2]
-    holds, dt, qt_pinv = _block_ep_test(h, qtilde, tol)
-    if holds:
-        pairs = _implied_pairs(h, dt, qtilde, qt_pinv)
-        if not all([approx_eq(lhs, rhs, tol) for lhs, rhs in pairs]):
-            raise InternalCheckError(
-                "CCE EP-criterion consequences failed on a positive result"
-            )
+    holds, pairs = _block_ep(h, 3, tol)
+    if holds and not _check(pairs, tol)[0]:
+        raise InternalCheckError(
+            "CCE EP-criterion consequences failed on a positive result"
+        )
     return holds
 
 
 def mpdmp_ep_consequences(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residuals of [PP*, delta_hat], [QQ*, delta_hat] and
     delta_hat - Q st^+ st Q*; requires mpdmp_ep_criterion(h)."""
-    st = _core_blocks(h, tol)[1]
-    holds, dh, st_pinv = _block_ep_test(h, st, tol)
+    holds, pairs = _block_ep(h, 2, tol)
     if not holds:
         raise PreconditionError("MPDMP EP criterion does not hold")
-    return tuple(diff_norm(lhs, rhs) for lhs, rhs in _implied_pairs(h, dh, st, st_pinv))
+    return tuple(diff_norm(lhs, rhs) for lhs, rhs in pairs)
 
 
 def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -228,9 +216,10 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     index at most 1 but SQ itself need not, so (SQ)^D S P = 0 is strictly
     weaker and is the one that matches the direct commutation test.
     """
-    core_d = drazin(h.core, tol)
-    core_ds = core_d @ h.sigma_mat
-    return is_ep(core_d, tol) and _vanishes(core_ds @ h.p, core_ds, tol)
+    h = _unit(h)
+    core_d = _core_blocks(h, tol)[0].drazin
+    return is_ep(core_d, tol) and approx_eq(core_d @ h.sigma_mat @ h.p,
+                                            np.zeros_like(h.p), tol)
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -176,27 +176,32 @@ def hs_decompose(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HSDecomp:
     return _analyse(a, tol).hs
 
 
-def hs_reconstruct(h: HSDecomp) -> np.ndarray:
-    """Rebuild the matrix from its factors."""
+def _block_form(h: HSDecomp, top: np.ndarray) -> np.ndarray:
+    """U [[top], [0]] U* for the r x n block row top."""
     n = h.u.shape[0]
-    top = np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p])
     block = np.zeros((n, n), dtype=np.complex128)
     block[: h.r, :] = top
     return h.u @ block @ conj_transpose(h.u)
 
 
+def hs_reconstruct(h: HSDecomp) -> np.ndarray:
+    """Rebuild the matrix from its factors."""
+    return _block_form(h, np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p]))
+
+
 def _core_blocks(h: HSDecomp, tol: Tolerance):
-    """(qhat, sigma_tilde, qtilde) from one analysis of the core SQ."""
+    """(record of the core SQ, qhat, sigma_tilde, qtilde), from that one
+    record."""
     from .drazin import _analyse
 
     core = _analyse(h.core, tol)
     qhat = h.q @ core.drazin
-    return qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
+    return core, qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
 
 
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
     """All six derived blocks of the factorization."""
-    qhat, sigma_tilde, qtilde = _core_blocks(h, tol)
+    _, qhat, sigma_tilde, qtilde = _core_blocks(h, tol)
     return HSDerived(
         qhat=qhat,
         sigma_tilde=sigma_tilde,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drazin import _analyse
-from .factor import _core_blocks, pinv
-from .kernel import DEFAULT_TOL, Tolerance, approx_eq, conj_transpose
+from .factor import _block_form, _core_blocks, pinv
+from .kernel import DEFAULT_TOL, Tolerance, approx_eq
 
 __all__ = [
     "ClosedFormMismatchError",
@@ -86,11 +86,8 @@ def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rec = _analyse(a, tol)
     x = pinv(rec.mpdmp, tol)
     h = rec.hs
-    st_pinv = pinv(_core_blocks(h, tol)[1], tol)
-    n = h.u.shape[0]
-    block = np.zeros((n, n), dtype=np.complex128)
-    block[: h.r, :] = np.hstack([st_pinv @ h.q, st_pinv @ h.p])
-    closed = h.u @ block @ conj_transpose(h.u)
+    st_pinv = pinv(_core_blocks(h, tol)[2], tol)
+    closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))
     if not approx_eq(x, closed, tol):
         raise ClosedFormMismatchError(
             "MPDMP pseudoinverse disagrees with its block closed form"

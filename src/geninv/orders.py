@@ -2,7 +2,8 @@
 and their equivalent characterizations.
 
 A <= B under inverse g of A means g A = g B and A g = B g. The relations
-are evaluated exactly as defined; no order axioms are assumed.
+are evaluated exactly as defined, on the pair (2^-e A, 2^-e B) with e as
+in `svd` of A; no order axioms are assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .drazin import _analyse, drazin
 from .inverses import cmp_inverse, dmp, mpd
-from .kernel import DEFAULT_TOL, DimensionMismatchError, Tolerance, _check
+from .kernel import DEFAULT_TOL, DimensionMismatchError, Tolerance, _check, _ldexp
 
 __all__ = [
     "OrderKind",
@@ -52,12 +53,15 @@ _INVERSE_FOR_KIND = {
 
 
 def _check_pair(a, b, tol: Tolerance):
-    """The record of `a` and `b` as an array, both through the input guard."""
+    """The record of 2^-e a and 2^-e b as an array, e as in `svd` of a,
+    both through the input guard. Every relation here is homogeneous in
+    (a, b) together, so it is decided on the pair scaled that way, whose
+    answer is the same for every power-of-two multiple of the pair."""
     rec = _analyse(a, tol)
     b = _analyse(b, tol, square=False).a
     if rec.a.shape != b.shape:
         raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
-    return rec, b
+    return rec.unit, _ldexp(b, -rec._exp)
 
 
 def _order_sides(rec, b: np.ndarray, kind: OrderKind, tol: Tolerance) -> list:
@@ -106,7 +110,7 @@ _MPD_FORMS = (
 def _forms(rows, a, b, tol: Tolerance) -> tuple[bool, ...]:
     """Whether each row's pairs are equal for a and b."""
     rec, b = _check_pair(a, b, tol)
-    ak = rec.power_product(rec.index)
+    ak = rec.scaled_power(rec.index)
     return tuple(_check(sides(rec, b, ak), tol)[0] for _, sides in rows)
 
 

@@ -23,7 +23,7 @@ from .classify import (
     is_ep,
 )
 from .drazin import _analyse
-from .factor import pinv
+from .factor import _core_blocks, pinv
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
@@ -285,7 +285,7 @@ def _dmp_pinv_commutes(r, tol):
 
 def _cce_hypothesis_fails(r, tol):
     """The core-EP and Drazin inverses of the core block SQ differ."""
-    core = _analyse(r.hs.core, tol)
+    core = _core_blocks(r.hs, tol)[0]
     return not approx_eq(core.core_ep, core.drazin, tol)
 
 

@@ -213,8 +213,8 @@ def class_samples(draw):
 @given(class_samples(), st.integers(-300, 300))
 def test_equiv_report_unchanged_under_power_of_two_scaling(a, e):
     # the conditions are evaluated on 2^-e' a, the same matrix at every
-    # scale, and the block tests against zero are measured in units of the
-    # factor that carries the scale
+    # scale, and the block tests on factors whose Sigma is scaled into
+    # [0.5, 1)
     rep, scaled = core_ep_equiv_report(a), core_ep_equiv_report(a * 2.0 ** e)
     assert (scaled.is_ep, scaled.is_core_ep, scaled.is_k_ep) == (rep.is_ep, rep.is_core_ep,
                                                                  rep.is_k_ep)
@@ -228,8 +228,9 @@ def test_equiv_report_unchanged_under_power_of_two_scaling(a, e):
 
 
 def test_block_conditions_of_core_ep_samples_at_extreme_scales():
-    # at 2^-155 the product P* qhat is 2^155 times its rounding noise,
-    # which an absolute floor would read as nonzero
+    # at 2^-155 the product P* qhat would be 2^155 times its rounding
+    # noise, which an absolute floor reads as nonzero, if Sigma were not
+    # scaled into [0.5, 1) first
     for a in gen(EnsembleSpec(size=4, count=4, seed=1, kind="core_ep")):
         for e in (0, -155, -250, 155, 250):
             assert core_ep_block_conditions(hs_decompose(a * 2.0 ** e)) == (True, True, True)

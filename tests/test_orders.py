@@ -2,14 +2,19 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geninv import (
     DimensionMismatchError,
     OrderKind,
     PreconditionError,
+    core_ep_block_conditions,
+    core_ep_equiv_report,
     core_nilpotent,
     core_upper_bound_check,
     dmp_order_characterizations,
+    hs_decompose,
     leq,
     mpd_order_characterizations,
 )
@@ -113,3 +118,42 @@ def test_non_finite_second_operand_rejected(func, a3, b3):
     b[0, 0] = np.nan
     with pytest.raises(PreconditionError):
         func(a3, b)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(a, b, e): a fixed_index or core_ep sample with n <= 6, b its core
+    part or a second sample of the same class and size, and e in [-300, 300]."""
+    kind = draw(st.sampled_from(["fixed_index", "core_ep"]))
+    n = draw(st.integers(2, 6))
+    index = draw(st.integers(0, min(3, n))) if kind == "fixed_index" else None
+    seed = draw(st.integers(0, 2**32 - 1))
+    a, other = gen(EnsembleSpec(size=n, count=2, seed=seed, kind=kind, index=index))
+    b = core_nilpotent(a).core if draw(st.booleans()) else other
+    return a, b, draw(st.integers(-300, 300))
+
+
+def _scale_dependent_answers(a, b):
+    return (core_ep_block_conditions(hs_decompose(a)),
+            dmp_order_characterizations(a, b),
+            mpd_order_characterizations(a, b),
+            tuple(leq(a, b, kind).holds for kind in OrderKind))
+
+
+# index 4: A^4 of 2^300 a overflows where the power form is taken unscaled
+_CORE_EP_INDEX_4 = gen(EnsembleSpec(5, 3, 4, "core_ep"))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@example((_CORE_EP_INDEX_4, core_nilpotent(_CORE_EP_INDEX_4).core, 300))
+@given(scaled_pairs())
+def test_block_and_order_decisions_unchanged_under_power_of_two_scaling(pair):
+    # the block tests run with Sigma scaled into [0.5, 1), the orders on
+    # (2^-e' a, 2^-e' b): both see the same matrices at every scale
+    a, b, e = pair
+    scaled_a, scaled_b = a * 2.0 ** e, b * 2.0 ** e
+    assert _scale_dependent_answers(scaled_a, scaled_b) == _scale_dependent_answers(a, b)
+    for x in (a, scaled_a):
+        if np.any(x != 0):
+            assert (tuple(core_ep_equiv_report(x).block_conditions.values())
+                    == core_ep_block_conditions(hs_decompose(x)))
