@@ -97,7 +97,7 @@ def is_core_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^k commutes with a^+, k = index(a)."""
     rec = _analyse(a, tol).unit
-    ak, x = rec.scaled_power(rec.index), rec.pinv
+    ak, x = rec.power(rec.index), rec.pinv
     return approx_eq(ak @ x, x @ ak, tol)
 
 

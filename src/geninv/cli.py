@@ -117,8 +117,7 @@ def _tolerance(args) -> Tolerance:
 # two matrices whose distance is the residual of the computed inverse x.
 _XAX_EQ_X = ("xax_eq_x", lambda r, x: (x @ r.a @ x, x))
 _DRAZIN_RESIDUALS = (
-    ("power_identity", lambda r, x: (r.power_product(r.index + 1, right=x),
-                                     r.power_product(r.index))),
+    ("power_identity", lambda r, x: (r.power(r.index + 1, right=x), r.power(r.index))),
     _XAX_EQ_X,
     ("commutes", lambda r, x: (r.a @ x, x @ r.a)),
 )
@@ -134,14 +133,14 @@ _RESIDUALS = {
     "dmp": (
         _XAX_EQ_X,
         ("xa_eq_drazin_a", lambda r, x: (x @ r.a, r.drazin @ r.a)),
-        ("power_mp", lambda r, x: (r.power_product(r.index, right=x),
-                                   r.power_product(r.index, right=r.pinv))),
+        ("power_mp", lambda r, x: (r.power(r.index, right=x),
+                                   r.power(r.index, right=r.pinv))),
     ),
     "mpd": (
         _XAX_EQ_X,
         ("ax_eq_a_drazin", lambda r, x: (r.a @ x, r.a @ r.drazin)),
-        ("mp_power", lambda r, x: (r.power_product(r.index, left=x),
-                                   r.power_product(r.index, left=r.pinv))),
+        ("mp_power", lambda r, x: (r.power(r.index, left=x),
+                                   r.power(r.index, left=r.pinv))),
     ),
     "cmp": (
         _XAX_EQ_X,

@@ -53,13 +53,15 @@ class CoreNilpotent:
 class _Analysis:
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
-    lives in. SVDs are kept by input (shape and bytes), so each distinct
-    matrix is decomposed once: A and the powers B^2 ... B^(k+1) of the
-    index search, where B = 2^-e A. B^1 needs no decomposition of its own."""
+    lives in. Powers and SVDs are formed once: B^j (B = 2^-e A) is kept by
+    j, SVDs by input (shape and bytes), and the record of B shares both.
+    The index search decomposes B and B^2 ... B^(k+1); svd(A) is read from
+    svd(B)."""
 
     a: np.ndarray
     tol: Tolerance
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
+    _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _svd(self, m: np.ndarray) -> SVDResult:
         key = (m.shape, m.tobytes())
@@ -71,55 +73,49 @@ class _Analysis:
     def _exp(self) -> int:
         return _exponent(self.a)
 
-    def scaled_power(self, j: int) -> np.ndarray:
-        """B^j for B = 2^-e A; A^j = 2^(e j) B^j."""
-        return mat_pow(_ldexp(self.a, -self._exp), j)
+    @cached_property
+    def _b(self) -> np.ndarray:
+        """B = 2^-e A."""
+        return _ldexp(self.a, -self._exp)
 
-    def power_product(self, j: int, left=None, right=None) -> np.ndarray:
+    def power(self, j: int, left=None, right=None) -> np.ndarray:
         """left A^j right (a missing factor is left out), formed as
         2^(e j) (left B^j right), so that no power of A is formed on the
-        way where it would leave the float range."""
-        m = self.scaled_power(j)
+        way where it would leave the float range. On `unit` it is B^j."""
+        if j not in self._powers:
+            self._powers[j] = mat_pow(self._b, j)
+        m = self._powers[j]
         m = m if left is None else left @ m
         m = m if right is None else m @ right
         return _ldexp(m, self._exp * j)
 
-    def _power_svd(self, j: int) -> SVDResult:
-        """SVD of B^j, j >= 1; svd(B) is the SVD of A with s scaled by 2^-e."""
-        if j == 1:
-            res = self.factors
-            return SVDResult(u=res.u, s=np.ldexp(res.s, -self._exp), v=res.v)
-        return self._svd(self.scaled_power(j))
-
-    def power_rank(self, j: int) -> int:
-        """rank(A^j) with the cutoff referenced to sigma_max(A)**j."""
-        return _rank_from(self._power_svd(j), self._smax ** j, self.tol)
-
     def power_pinv(self, j: int) -> np.ndarray:
         """(B^j)^+ = 2^(e j) (A^j)^+, with the cutoff referenced to
         sigma_max(B)**j."""
-        return _pinv_from(self._power_svd(j), self._smax ** j, self.tol)
+        return _pinv_from(self._svd(self.unit.power(j)), self._smax ** j, self.tol)
 
-    @cached_property
+    @property
     def unit(self) -> "_Analysis":
         """The record of B = 2^-e A, whose largest real or imaginary part
-        lies in [0.5, 1) whatever the scale of A. It shares this record's
-        SVDs: B's powers are the ones formed here, and the SVD of B is A's
-        with s scaled, which is what svd(B) returns."""
-        if self._exp == 0:
-            return self
-        b = _Analysis(_ldexp(self.a, -self._exp), self.tol, self._svds)
-        self._svds[(b.a.shape, b.a.tobytes())] = self._power_svd(1)
-        return b
+        lies in [0.5, 1) whatever the scale of A: this record itself when
+        e = 0, which is not stored, so that no record refers to itself."""
+        return self if self._exp == 0 else self._unit
+
+    @cached_property
+    def _unit(self) -> "_Analysis":
+        return _Analysis(self._b, self.tol, self._svds, self._powers)
 
     @cached_property
     def factors(self) -> SVDResult:
-        return self._svd(self.a)
+        """svd(A), read from svd(B): `svd` scales its input by 2^-e first,
+        so the two differ only in s, by 2^e."""
+        res = self._svd(self._b)
+        return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
     @cached_property
     def _smax(self) -> float:
         """sigma_max(B)."""
-        s = self._power_svd(1).s
+        s = self._svd(self._b).s
         return float(s[0]) if len(s) else 0.0
 
     @cached_property
@@ -140,10 +136,12 @@ class _Analysis:
 
     @cached_property
     def index(self) -> int:
+        """The least k with rank(A^k) = rank(A^(k+1)); rank(A^j) is read from
+        svd(B^j), with the cutoff referenced to sigma_max(B)**j."""
         n = self.a.shape[0]
         prev_rank = n
         for k in range(n + 1):
-            r = self.power_rank(k + 1)
+            r = _rank_from(self._svd(self.unit.power(k + 1)), self._smax ** (k + 1), self.tol)
             if r == prev_rank:
                 return k
             prev_rank = r
@@ -153,7 +151,7 @@ class _Analysis:
     def drazin(self) -> np.ndarray:
         """2^-e C^(k+1) B^k, C the core-EP inverse of B: powers on B's scale."""
         k = self.index
-        return _ldexp(mat_pow(self.unit.core_ep, k + 1) @ self.scaled_power(k), -self._exp)
+        return _ldexp(mat_pow(self.unit.core_ep, k + 1) @ self.unit.power(k), -self._exp)
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -179,7 +177,7 @@ class _Analysis:
     def core_ep(self) -> np.ndarray:
         """2^-e B^k (B^(k+1))^+."""
         k = self.index
-        return _ldexp(self.scaled_power(k) @ self.power_pinv(k + 1), -self._exp)
+        return _ldexp(self.unit.power(k) @ self.power_pinv(k + 1), -self._exp)
 
     @cached_property
     def cce(self) -> np.ndarray:
@@ -187,15 +185,17 @@ class _Analysis:
 
 
 def _analyse(a, tol: Tolerance, square: bool = True) -> _Analysis:
-    """The record of `a`, and the package's one input guard: a non-finite
-    entry raises PreconditionError and, when `square`, a non-square matrix
-    DimensionMismatchError. Public functions take a matrix or, from inside
-    the package, a record, which passes through so each call analyses each
-    matrix once."""
+    """The record of `a`, and the package's one input guard: an input that
+    is not 2-D, or when `square` not square, raises DimensionMismatchError,
+    and a non-finite entry PreconditionError. Public functions take a
+    matrix or, from inside the package, a record, which passes through so
+    each call analyses each matrix once."""
     if isinstance(a, _Analysis):
         rec = a
     else:
         a = np.asarray(a, dtype=np.complex128)
+        if a.ndim != 2:
+            raise DimensionMismatchError(f"2-D matrix required, got ndim={a.ndim}")
         if not np.isfinite(a).all():
             raise PreconditionError("matrix has a non-finite entry")
         rec = _Analysis(a, tol)

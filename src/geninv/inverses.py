@@ -102,7 +102,7 @@ def greville_forms(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     k = rec.index
     p, t = rec.pinv, rec.power_pinv(2 * k + 1)
     # t and the powers are those of 2**-e a; the scales cancel in each product
-    bk, bk1 = rec.scaled_power(k), rec.scaled_power(k + 1)
+    bk, bk1 = rec.unit.power(k), rec.unit.power(k + 1)
     return bk @ t @ bk1 @ p, p @ bk1 @ t @ bk
 
 

@@ -110,7 +110,7 @@ _MPD_FORMS = (
 def _forms(rows, a, b, tol: Tolerance) -> tuple[bool, ...]:
     """Whether each row's pairs are equal for a and b."""
     rec, b = _check_pair(a, b, tol)
-    ak = rec.scaled_power(rec.index)
+    ak = rec.power(rec.index)
     return tuple(_check(sides(rec, b, ak), tol)[0] for _, sides in rows)
 
 

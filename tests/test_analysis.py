@@ -1,6 +1,8 @@
-"""One analysis per matrix: the input guard, and SVD calls counted against
-distinct SVD inputs."""
+"""One analysis per matrix: the input guard, SVD calls counted against
+distinct SVD inputs and powers against distinct (base, exponent) pairs, and
+no record left behind for the cyclic garbage collector."""
 
+import gc
 import io
 import json
 import sys
@@ -11,6 +13,9 @@ import pytest
 
 import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
+from geninv.drazin import _analyse, _Analysis
+from geninv.ensembles import EnsembleSpec
+from geninv.verify import SUITE_IDS, run_suite, verify_system
 
 from conftest import random_complex
 
@@ -36,22 +41,49 @@ def test_pinv_takes_rectangular():
     assert gi.pinv(np.ones((2, 3), dtype=complex)).shape == (3, 2)
 
 
-@pytest.fixture
-def svd_inputs(monkeypatch):
-    """Every SVD input, as shape plus bytes, from every geninv module.
+@pytest.mark.parametrize("func", (gi.pinv, gi.numerical_rank, gi.drazin, gi.index))
+@pytest.mark.parametrize("shape", ((), (3,), (2, 2, 2)))
+def test_non_matrix_rejected(func, shape):
+    with pytest.raises(DimensionMismatchError):
+        func(np.ones(shape))
+
+
+def test_empty_matrix_accepted():
+    # the block factorization writes P as r x 0 for a nonsingular matrix
+    assert gi.pinv(np.zeros((2, 0), dtype=complex)).shape == (0, 2)
+
+
+def _key(a):
+    return repr(a.shape).encode() + a.tobytes()
+
+
+def _recorded(monkeypatch, module, name, key):
+    """Calls of `name` from every geninv module, each recorded as key(args).
 
     The modules come from sys.modules: geninv.drazin is the function."""
-    real = sys.modules["geninv.factor"].svd
-    inputs = []
+    real = getattr(sys.modules[module], name)
+    calls = []
 
-    def counting(a, *args, **kwargs):
-        inputs.append(repr(a.shape).encode() + a.tobytes())
-        return real(a, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append(key(*args))
+        return real(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("geninv.") and getattr(mod, "svd", None) is real:
-            monkeypatch.setattr(mod, "svd", counting)
-    return inputs
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("geninv.") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """Every SVD input, as shape plus bytes."""
+    return _recorded(monkeypatch, "geninv.factor", "svd", lambda a, *_: _key(a))
+
+
+@pytest.fixture
+def power_inputs(monkeypatch):
+    """Every matrix power formed, as (base shape plus bytes, exponent)."""
+    return _recorded(monkeypatch, "geninv.kernel", "mat_pow", lambda a, k: (_key(a), k))
 
 
 SINGLE_MATRIX = (
@@ -83,8 +115,7 @@ CLI_RUNS = [["compute", "--which", w] for w in
 CLI_RUNS += [["classify"], ["order", "--relation", "all"], ["hs"]]
 
 
-@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv))
-def test_cli_decomposes_each_svd_input_once(argv, a1, b3, tmp_path, svd_inputs):
+def _run_cli(argv, a1, b3, tmp_path):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     cli.save_matrix(str(a_path), a1)
     cli.save_matrix(str(b_path), b3)
@@ -100,8 +131,60 @@ def test_cli_decomposes_each_svd_input_once(argv, a1, b3, tmp_path, svd_inputs):
     assert code == (3 if "group" in argv else 0)
     if code == 0:
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv))
+def test_cli_decomposes_each_svd_input_once(argv, a1, b3, tmp_path, svd_inputs):
+    _run_cli(argv, a1, b3, tmp_path)
     assert svd_inputs
     assert len(svd_inputs) == len(set(svd_inputs))
+
+
+POWER_CALLS = {
+    "inverse_report": gi.inverse_report,
+    "core_ep_equiv_report": gi.core_ep_equiv_report,
+    "verify_system_a101": lambda a: verify_system(a, "a101"),
+}
+
+
+@pytest.mark.parametrize("name", POWER_CALLS)
+def test_each_power_formed_once(name, a1, power_inputs):
+    POWER_CALLS[name](a1)
+    assert power_inputs
+    assert len(power_inputs) == len(set(power_inputs))
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv))
+def test_cli_forms_each_power_once(argv, a1, b3, tmp_path, power_inputs):
+    _run_cli(argv, a1, b3, tmp_path)
+    assert len(power_inputs) == len(set(power_inputs))
+
+
+def test_record_of_b_shares_powers_and_svds(a1):
+    rec = _analyse(a1, gi.DEFAULT_TOL)
+    assert rec.unit is not rec and rec.unit.unit is rec.unit
+    assert rec.unit._powers is rec._powers and rec.unit._svds is rec._svds
+    assert np.array_equal(rec.power(2), 16 * rec.unit.power(2))
+    assert rec.factors.u is rec.unit.factors.u
+    assert np.array_equal(rec.factors.s, 4 * rec.unit.factors.s)
+
+
+def test_no_record_outlives_its_call(a1):
+    # a record that refers to itself stays alive, with its SVDs, powers
+    # and inverses, until the cyclic collector runs; a1 / 4 is its own B
+    gc.collect()
+    gc.disable()
+    try:
+        for suite in SUITE_IDS:
+            run_suite(suite, EnsembleSpec(4, 2, 0, "fixed_index", index=2))
+        for a in (a1, a1 / 4):
+            gi.drazin(a)
+            gi.inverse_report(a)
+            gi.core_ep_equiv_report(a)
+        alive = sum(isinstance(o, _Analysis) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 @pytest.mark.parametrize("name", ("index", "drazin", "core_ep_inverse", "inverse_report"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geninv import (
+    DimensionMismatchError,
     PreconditionError,
     UnknownSuiteError,
     UnknownSystemError,
@@ -78,6 +79,29 @@ def test_solution_family_random_members(a1, a3, rng):
 def test_solution_family_rejects_unknown_kind(a1):
     with pytest.raises(ValueError):
         solution_family(a1, np.zeros((3, 3), dtype=complex), "q9")
+
+
+@pytest.mark.parametrize("which", ("q1", "q2"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_solution_family_rejects_non_finite_f(a1, which, bad):
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, 1] = bad
+    with pytest.raises(PreconditionError):
+        solution_family(a1, f, which)
+
+
+def test_solution_family_rejects_size_mismatch(a1):
+    with pytest.raises(DimensionMismatchError):
+        solution_family(a1, np.zeros((2, 2), dtype=complex), "q1")
+
+
+def test_system_report_does_not_depend_on_scale():
+    # A^k formed from 2^300 A itself overflows; the system is evaluated on
+    # B = 2^-e A, which is the same at both scales
+    a = gen(EnsembleSpec(5, 6, 11, "core_ep"))[2]
+    rep = verify_system(a, "a101", seed=17)
+    assert rep.passed
+    assert verify_system(2.0**300 * a, "a101", seed=17).to_dict() == rep.to_dict()
 
 
 def test_unknown_suite():
