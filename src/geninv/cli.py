@@ -8,10 +8,12 @@ mismatch, 5 unknown identifier, 6 internal failure (a self-check or the SVD).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,7 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [[[float(x.real), float(x.imag)] for x in row] for row in a],
+        "data": np.stack([a.real, a.imag], -1).tolist(),
     }
 
 
@@ -70,19 +72,45 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise MatrixFileError(f"bad dimensions rows={rows!r} cols={cols!r}")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFileError("data does not match declared row count")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    try:
+        parts = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    # numpy reads rows of no pairs as shape (rows, 0)
+    if (parts is None or parts.shape != ((rows, cols, 2) if cols else (rows, 0))
+            or not _number_pairs(data) or not np.isfinite(parts).all()):
+        raise _first_fault(data, cols)
+    return parts.reshape(rows, cols, 2).view(np.complex128).reshape(rows, cols)
+
+
+def _number_pairs(data: list) -> bool:
+    """Every row and pair a list and every entry an int or a float: numpy
+    converts tuples, strings and None as well."""
+    if not all(isinstance(row, list) for row in data):
+        return False
+    pairs = list(chain.from_iterable(data))
+    return (all(issubclass(t, list) for t in set(map(type, pairs)))
+            and all(issubclass(t, (int, float))
+                    for t in set(map(type, chain.from_iterable(pairs)))))
+
+
+def _first_fault(data: list, cols: int) -> MatrixFileError:
+    """The error for the first malformed row or entry in row-major order,
+    on data that `matrix_from_obj` found malformed."""
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
-            raise MatrixFileError(f"row {i} does not match declared column count")
+            return MatrixFileError(f"row {i} does not match declared column count")
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(isinstance(x, (int, float)) for x in pair)):
-                raise MatrixFileError(f"entry ({i},{j}) is not a [re, im] pair")
-            re, im = float(pair[0]), float(pair[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise MatrixFileError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+                return MatrixFileError(f"entry ({i},{j}) is not a [re, im] pair")
+            try:
+                finite = math.isfinite(float(pair[0])) and math.isfinite(float(pair[1]))
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                return MatrixFileError(f"entry ({i},{j}) is not finite")
+    raise InternalCheckError("matrix data found malformed, but no row or entry is")
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -98,8 +126,7 @@ def load_matrix(path: str) -> np.ndarray:
 
 def save_matrix(path: str, a: np.ndarray) -> None:
     with open(path, "w") as fh:
-        json.dump(matrix_to_obj(a), fh)
-        fh.write("\n")
+        fh.write(json.dumps(matrix_to_obj(a)) + "\n")
 
 
 def _dump(obj, pretty: bool) -> None:
@@ -295,7 +322,20 @@ def cmd_hs(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "compute": cmd_compute,
+    "classify": cmd_classify,
+    "order": cmd_order,
+    "verify": cmd_verify,
+    "hs": cmd_hs,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later
+    `main` call in the process: it holds no state of its own between
+    parses."""
     parser = argparse.ArgumentParser(
         prog="geninv",
         description="Generalized matrix inverses, matrix class tests, "
@@ -317,12 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None,
                    help="write the inverse here; residuals go to stdout")
     add_common(p)
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("classify", help="matrix class report")
     p.add_argument("--input", "-i", required=True)
     add_common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("order", help="test the binary relations for a pair")
     p.add_argument("--a", required=True)
@@ -330,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", default="all",
                    choices=["drazin", "dmp", "mpd", "cmp", "all"])
     add_common(p)
-    p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("verify", help="run an identity suite over an ensemble")
     p.add_argument("--suite", required=True)
@@ -342,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample class; fixed_rank:R and fixed_index:K "
                         "take a parameter")
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hs", help="write the block factorization and "
                                   "derived blocks as matrix files")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", default=None, help="output directory")
     add_common(p)
-    p.set_defaults(func=cmd_hs)
 
     return parser
 
@@ -357,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -149,9 +149,12 @@ class _Analysis:
 
     @cached_property
     def drazin(self) -> np.ndarray:
-        """2^-e C^(k+1) B^k, C the core-EP inverse of B: powers on B's scale."""
+        """2^-e C^(k+1) B^k, C the core-EP inverse of B: powers on B's scale,
+        formed once, on the record of B."""
+        if self._exp:
+            return _ldexp(self.unit.drazin, -self._exp)
         k = self.index
-        return _ldexp(mat_pow(self.unit.core_ep, k + 1) @ self.unit.power(k), -self._exp)
+        return mat_pow(self.core_ep, k + 1) @ self.power(k)
 
     @cached_property
     def core(self) -> np.ndarray:

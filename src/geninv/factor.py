@@ -96,7 +96,7 @@ def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
     """v diag(1/s) u* over the singular values above the cutoff."""
     m, n = res.u.shape[0], res.v.shape[0]
     cutoff = _cutoff(res, scale, tol)
-    s_inv = np.array([1.0 / x if x > cutoff else 0.0 for x in res.s])
+    s_inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > cutoff)
     smat = np.zeros((n, m), dtype=np.complex128)
     smat[: len(res.s), : len(res.s)] = np.diag(s_inv)
     return res.v @ smat @ conj_transpose(res.u)

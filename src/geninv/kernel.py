@@ -120,8 +120,12 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm, as 2**e ||2**-e a|| so that no square overflows."""
+    """Frobenius norm, as 2**e ||2**-e a|| so that no square overflows.
+    When e lies in [-400, 400] no square leaves the normal range, and
+    scaling by 2**e is exact, so the unscaled norm has the same bits."""
     e = _exponent(a)
+    if -400 <= e <= 400:
+        return float(np.linalg.norm(a))
     return float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e))
 
 

@@ -160,6 +160,16 @@ def test_cli_forms_each_power_once(argv, a1, b3, tmp_path, power_inputs):
     assert len(power_inputs) == len(set(power_inputs))
 
 
+def test_drazin_power_of_core_ep_formed_once_at_any_scale(a1, power_inputs):
+    # A^D is 2^-e B^D (here B = 2^-42 A), so C^(k+1), C the core-EP inverse
+    # of B, is formed on the record of B only
+    r = _analyse(2.0 ** 40 * a1, gi.DEFAULT_TOL)
+    d = r.drazin
+    assert np.array_equal(d, 2.0 ** -42 * r.unit.drazin)
+    assert r.index == 2
+    assert power_inputs.count((_key(r.unit.core_ep), 3)) == 1
+
+
 def test_record_of_b_shares_powers_and_svds(a1):
     rec = _analyse(a1, gi.DEFAULT_TOL)
     assert rec.unit is not rec and rec.unit.unit is rec.unit

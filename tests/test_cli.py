@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geninv
 from geninv.cli import (
     MatrixFileError,
+    build_parser,
     load_matrix,
     main,
     matrix_from_obj,
@@ -54,6 +62,116 @@ def test_matrix_obj_validation():
         matrix_from_obj({"rows": 1, "cols": 1, "data": [[[1]]]})
     with pytest.raises(MatrixFileError):
         matrix_from_obj({"rows": 1, "cols": 1, "data": [[[float("inf"), 0]]]})
+
+
+def _pair_matrix(data, rows=1, cols=1):
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+NOT_A_PAIR = "entry (0,0) is not a [re, im] pair"
+NOT_FINITE = "entry (0,0) is not finite"
+MALFORMED = {
+    "ragged row": (_pair_matrix([[[1, 0], [0, 0]], [[1, 0]]], 2, 2),
+                   "row 1 does not match declared column count"),
+    "row a tuple": (_pair_matrix([([1, 0],)]), "row 0 does not match declared column count"),
+    "three-element pair": (_pair_matrix([[[1, 0, 0]]]), NOT_A_PAIR),
+    "tuple pair": (_pair_matrix([[(1, 0)]]), NOT_A_PAIR),
+    "float32 entry": (_pair_matrix([[[np.float32(1.5), 0]]]), NOT_A_PAIR),
+    "int64 entry": (_pair_matrix([[[np.int64(1), 0]]]), NOT_A_PAIR),
+    "string entry": (_pair_matrix([[["1", 0]]]), NOT_A_PAIR),
+    "None entry": (_pair_matrix([[[None, 0]]]), NOT_A_PAIR),
+    "dict pair": (_pair_matrix([[{"re": 1, "im": 0}]]), NOT_A_PAIR),
+    "inf entry": (_pair_matrix([[[float("inf"), 0]]]), NOT_FINITE),
+    "nan entry": (_pair_matrix([[[0, float("nan")]]]), NOT_FINITE),
+    "int beyond the float range": (_pair_matrix([[[10 ** 400, 0]]]), NOT_FINITE),
+    # the first fault in row-major order is reported
+    "nan before a malformed row": (_pair_matrix([[[float("nan"), 0]], "x"], 2), NOT_FINITE),
+    "bad pair before nan": (_pair_matrix([[[1], [float("nan"), 0]]], 1, 2), NOT_A_PAIR),
+}
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_matrix_message(obj, message):
+    with pytest.raises(MatrixFileError) as info:
+        matrix_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_matrix_entries_of_int_and_float_subclasses_accepted():
+    obj = _pair_matrix([[[True, np.float64(1.5)], [2, -0.0]]], 1, 2)
+    a = matrix_from_obj(obj)
+    assert a.dtype == np.complex128 and a.flags.c_contiguous
+    assert np.array_equal(a, [[1 + 1.5j, 2]])
+    assert np.signbit(a[0, 1].imag)
+
+
+def test_int_beyond_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows": 1, "cols": 1, "data": [[[1' + "0" * 400 + ', 0]]]}')
+    code, _ = run_cli(capsys, "compute", "-i", str(path), "--which", "mp")
+    assert code == 2
+    assert run_cli.err == f"error: {NOT_FINITE}\n"
+
+
+def test_save_matrix_golden_bytes(tmp_path):
+    a = np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, 2 ** 53 + 1)],
+                  [complex(0.1, -0.0), complex(-1e-310, 2.5)]])
+    path = tmp_path / "g.json"
+    save_matrix(str(path), a)
+    assert path.read_text() == (
+        '{"rows": 2, "cols": 2, "data": [[[-0.0, 5e-324], '
+        '[1.7976931348623157e+308, 9007199254740992.0]], '
+        '[[0.1, -0.0], [-1e-310, 2.5]]]}\n')
+    assert np.array_equal(load_matrix(str(path)).view(np.float64), a.view(np.float64))
+
+
+def test_empty_columns_round_trip(tmp_path):
+    path = str(tmp_path / "e.json")
+    save_matrix(path, np.zeros((3, 0), dtype=complex))
+    assert load_matrix(path).shape == (3, 0)
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def _in_process(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_interpreter(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(geninv.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from geninv.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_carries_no_state(files, tmp_path):
+    # each call in this process reuses the parser the earlier ones built
+    runs = [
+        ["classify", "-i", files["a1"], "--pretty"],
+        ["classify", "-i", files["a1"]],
+        ["compute", "-i", files["a1"], "--which", "drazin", "-o", "{dir}/d.json"],
+        ["compute", "-i", files["a1"], "--which", "nope"],
+        ["compute", "-i", files["a1"], "--which", "dmp"],
+    ]
+    for k, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        here.mkdir(), fresh.mkdir()
+        got = _in_process([arg.format(dir=here) for arg in argv])
+        want = _fresh_interpreter([arg.format(dir=fresh) for arg in argv])
+        assert got == want
+        assert got[0] == (2 if k == 3 else 0)
+        assert ([p.read_bytes() for p in here.iterdir()]
+                == [p.read_bytes() for p in fresh.iterdir()])
 
 
 def test_compute_drazin_to_file(files, tmp_path, capsys):

@@ -82,6 +82,12 @@ def test_pinv_fixture_values(a1, a2):
                           np.zeros((2, 3), dtype=complex))
 
 
+def test_pinv_drops_zero_singular_values_without_a_warning():
+    a = np.diag([2.0, 0.0, 1e-300]).astype(complex)
+    assert np.array_equal(pinv(a), np.diag([0.5, 0.0, 0.0]))
+    assert np.array_equal(pinv(np.zeros((2, 3), dtype=complex)), np.zeros((3, 2)))
+
+
 def test_pinv_penrose_residuals(rng):
     for _ in range(80):
         m, n = rng.integers(1, 9, 2)

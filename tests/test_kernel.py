@@ -16,6 +16,7 @@ from geninv import (
     mat_pow,
     matmul,
 )
+from geninv.kernel import _exponent
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_complex = st.builds(complex, finite, finite)
@@ -126,3 +127,16 @@ def test_fro_norm_unchanged_at_ordinary_scales(e, rng):
     for n in (1, 3, 8):
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 2.0 ** e
         assert fro_norm(a) == np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("e", (-401, -400, 400, 401))
+def test_fro_norm_equals_the_scaled_norm_at_the_unscaled_bound(e, rng):
+    # within 2^±400 the norm is taken unscaled, beyond it 2^e ||2^-e a||;
+    # scaling by 2^e is exact, so both give the bits of the scaled form
+    for n in (1, 3, 8):
+        b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+            * 2.0 ** rng.integers(-40, 1, (n, n))
+        b /= 2 * np.abs(b.view(np.float64)).max()
+        a = np.ldexp(b.view(np.float64), e).view(np.complex128)
+        assert _exponent(a) == e
+        assert fro_norm(a) == float(np.ldexp(np.linalg.norm(b), e))
