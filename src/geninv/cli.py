@@ -51,6 +51,10 @@ class MatrixFileError(ValueError):
     """The matrix file is malformed."""
 
 
+class _ArgumentError(ValueError):
+    """A command-line value or an environment variable is malformed."""
+
+
 def matrix_to_obj(a: np.ndarray) -> dict:
     """MatrixFile object: explicit [re, im] pairs, row-major."""
     a = np.asarray(a, dtype=np.complex128)
@@ -68,7 +72,9 @@ def matrix_from_obj(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise MatrixFileError(f"missing matrix field: {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 0:
+    # JSON true and false are Python bools, which subclass int
+    if (not all(isinstance(d, int) and not isinstance(d, bool) for d in (rows, cols))
+            or rows < 1 or cols < 0):
         raise MatrixFileError(f"bad dimensions rows={rows!r} cols={cols!r}")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFileError("data does not match declared row count")
@@ -134,10 +140,16 @@ def _dump(obj, pretty: bool) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        eq_abs=args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.eq_abs,
-        eq_rel=args.tol_rel if args.tol_rel is not None else DEFAULT_TOL.eq_rel,
-    )
+    """The tolerance of --tol-abs and --tol-rel; a value Tolerance rejects
+    (such as -1, nan or inf) exits 2, as a non-number does."""
+    try:
+        return Tolerance(
+            eq_abs=args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.eq_abs,
+            eq_rel=args.tol_rel if args.tol_rel is not None else DEFAULT_TOL.eq_rel,
+        )
+    except ValueError as exc:
+        raise _ArgumentError(
+            f"{exc}: --tol-abs {args.tol_abs}, --tol-rel {args.tol_rel}") from None
 
 
 # Residuals reported by `compute`, per --which: (label, sides(rec, x)),
@@ -259,21 +271,26 @@ def _parse_class(text: str):
     name, _, param = text.partition(":")
     if name not in KINDS:
         raise InvalidSpecError(f"unknown class {name!r}")
-    rank = index_val = None
-    if name == "fixed_rank":
-        rank = int(param) if param else None
-    elif name == "fixed_index":
-        index_val = int(param) if param else None
-    elif param:
+    if param and name not in ("fixed_rank", "fixed_index"):
         raise InvalidSpecError(f"class {name!r} takes no parameter")
-    return name, rank, index_val
+    try:
+        value = int(param) if param else None
+    except ValueError:
+        raise InvalidSpecError(
+            f"class {name!r} takes an integer parameter, got {param!r}") from None
+    return (name, value if name == "fixed_rank" else None,
+            value if name == "fixed_index" else None)
 
 
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("GENINV_SEED", "0"))
+        text = os.environ.get("GENINV_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise _ArgumentError(f"GENINV_SEED must be an integer, got {text!r}") from None
     kind, rank, index_val = _parse_class(args.matrix_class)
     try:
         spec = EnsembleSpec(size=args.size, count=args.count, seed=seed,
@@ -393,7 +410,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MatrixFileError as exc:
+    except (MatrixFileError, _ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, IndexTooLargeError, ZeroMatrixError) as exc:

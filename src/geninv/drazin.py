@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .factor import HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from, svd
-from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError,
-                     Tolerance, _exponent, _ldexp, conj_transpose, mat_pow)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _exponent,
+                     _guarded, _ldexp, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -56,7 +56,8 @@ class _Analysis:
     lives in. Powers and SVDs are formed once: B^j (B = 2^-e A) is kept by
     j, SVDs by input (shape and bytes), and the record of B shares both.
     The index search decomposes B and B^2 ... B^(k+1); svd(A) is read from
-    svd(B)."""
+    svd(B). The index, the core-EP and the Drazin inverse are computed on
+    the record of B only, and the record of A reads them scaled by 2^-e."""
 
     a: np.ndarray
     tol: Tolerance
@@ -90,9 +91,9 @@ class _Analysis:
         return _ldexp(m, self._exp * j)
 
     def power_pinv(self, j: int) -> np.ndarray:
-        """(B^j)^+ = 2^(e j) (A^j)^+, with the cutoff referenced to
-        sigma_max(B)**j."""
-        return _pinv_from(self._svd(self.unit.power(j)), self._smax ** j, self.tol)
+        """(B^j)^+, with the cutoff referenced to sigma_max(B)**j; called on
+        the record of B only, so that it is at that record's scale."""
+        return _pinv_from(self._svd(self.power(j)), self._smax ** j, self.tol)
 
     @property
     def unit(self) -> "_Analysis":
@@ -136,12 +137,15 @@ class _Analysis:
 
     @cached_property
     def index(self) -> int:
-        """The least k with rank(A^k) = rank(A^(k+1)); rank(A^j) is read from
-        svd(B^j), with the cutoff referenced to sigma_max(B)**j."""
+        """The least k with rank(A^k) = rank(A^(k+1)), searched on the
+        record of B: rank(B^j) is read from svd(B^j), with the cutoff
+        referenced to sigma_max(B)**j."""
+        if self._exp:
+            return self.unit.index
         n = self.a.shape[0]
         prev_rank = n
         for k in range(n + 1):
-            r = _rank_from(self._svd(self.unit.power(k + 1)), self._smax ** (k + 1), self.tol)
+            r = _rank_from(self._svd(self.power(k + 1)), self._smax ** (k + 1), self.tol)
             if r == prev_rank:
                 return k
             prev_rank = r
@@ -149,8 +153,8 @@ class _Analysis:
 
     @cached_property
     def drazin(self) -> np.ndarray:
-        """2^-e C^(k+1) B^k, C the core-EP inverse of B: powers on B's scale,
-        formed once, on the record of B."""
+        """2^-e C^(k+1) B^k, C the core-EP inverse of B, formed on the
+        record of B."""
         if self._exp:
             return _ldexp(self.unit.drazin, -self._exp)
         k = self.index
@@ -178,9 +182,12 @@ class _Analysis:
 
     @cached_property
     def core_ep(self) -> np.ndarray:
-        """2^-e B^k (B^(k+1))^+."""
+        """2^-e C, C = B^k (B^(k+1))^+ the core-EP inverse of B, formed on
+        the record of B."""
+        if self._exp:
+            return _ldexp(self.unit.core_ep, -self._exp)
         k = self.index
-        return _ldexp(self.unit.power(k) @ self.power_pinv(k + 1), -self._exp)
+        return self.power(k) @ self.power_pinv(k + 1)
 
     @cached_property
     def cce(self) -> np.ndarray:
@@ -188,23 +195,25 @@ class _Analysis:
 
 
 def _analyse(a, tol: Tolerance, square: bool = True) -> _Analysis:
-    """The record of `a`, and the package's one input guard: an input that
-    is not 2-D, or when `square` not square, raises DimensionMismatchError,
-    and a non-finite entry PreconditionError. Public functions take a
-    matrix or, from inside the package, a record, which passes through so
-    each call analyses each matrix once."""
-    if isinstance(a, _Analysis):
-        rec = a
-    else:
-        a = np.asarray(a, dtype=np.complex128)
-        if a.ndim != 2:
-            raise DimensionMismatchError(f"2-D matrix required, got ndim={a.ndim}")
-        if not np.isfinite(a).all():
-            raise PreconditionError("matrix has a non-finite entry")
-        rec = _Analysis(a, tol)
+    """The record of `a`, through the input guard (`kernel._guarded`); when
+    `square`, an input that is not square raises DimensionMismatchError.
+    Public functions take a matrix or, from inside the package, a record,
+    which passes through so each call analyses each matrix once."""
+    rec = a if isinstance(a, _Analysis) else _Analysis(_guarded(a), tol)
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
     return rec
+
+
+def _operand(rec: _Analysis, b) -> np.ndarray:
+    """The second operand `b` of a relation or family of the matrix of
+    `rec`, as an array, through the input guard and with the same shape
+    (DimensionMismatchError otherwise). A record passes as its matrix; no
+    record is built for `b`."""
+    b = b.a if isinstance(b, _Analysis) else _guarded(b)
+    if rec.a.shape != b.shape:
+        raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
+    return b
 
 
 def index(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

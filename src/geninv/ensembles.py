@@ -61,6 +61,8 @@ class EnsembleSpec:
             raise InvalidSpecError(f"size must be in [1, {MAX_SIZE}], got {self.size}")
         if self.count < 1:
             raise InvalidSpecError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown class {self.kind!r}")
         if self.kind == "fixed_rank":

@@ -99,10 +99,9 @@ def greville_forms(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """DMP and MPD from Moore-Penrose inverses of powers:
     (a^k (a^(2k+1))^+ a^(k+1) a^+,  a^+ a^(k+1) (a^(2k+1))^+ a^k)."""
     rec = _analyse(a, tol)
-    k = rec.index
-    p, t = rec.pinv, rec.power_pinv(2 * k + 1)
+    k, p, b = rec.index, rec.pinv, rec.unit
     # t and the powers are those of 2**-e a; the scales cancel in each product
-    bk, bk1 = rec.unit.power(k), rec.unit.power(k + 1)
+    t, bk, bk1 = b.power_pinv(2 * k + 1), b.power(k), b.power(k + 1)
     return bk @ t @ bk1 @ p, p @ bk1 @ t @ bk
 
 

@@ -56,10 +56,9 @@ class Tolerance:
     rank_rel: float | None = None
 
     def __post_init__(self) -> None:
-        if self.eq_abs <= 0.0 or self.eq_rel <= 0.0:
-            raise ValueError("tolerance fields must be strictly positive")
-        if self.rank_rel is not None and self.rank_rel <= 0.0:
-            raise ValueError("tolerance fields must be strictly positive")
+        for x in (self.eq_abs, self.eq_rel, self.rank_rel):
+            if x is not None and not (0.0 < x < math.inf):  # False for NaN
+                raise ValueError("tolerance fields must be finite and strictly positive")
 
     def rank_cutoff(self, m: int, n: int) -> float:
         """Cutoff factor applied to the largest singular value."""
@@ -71,16 +70,24 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def cmatrix(data) -> np.ndarray:
-    """Coerce `data` to a 2-D complex128 array with at least one entry, all
-    finite (PreconditionError otherwise)."""
-    a = np.array(data, dtype=np.complex128)
+def _guarded(a) -> np.ndarray:
+    """`a` as a complex128 array, through the package's one input guard: an
+    input that is not 2-D raises DimensionMismatchError, and a non-finite
+    entry PreconditionError."""
+    a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"matrix must be at least 1x1, got {a.shape}")
+        raise DimensionMismatchError(f"2-D matrix required, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise PreconditionError("matrix has a non-finite entry")
+    return a
+
+
+def cmatrix(data) -> np.ndarray:
+    """Coerce `data` to a new 2-D complex128 array with at least one entry
+    (ValueError otherwise), all finite (see `_guarded`)."""
+    a = _guarded(np.array(data, dtype=np.complex128))
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"matrix must be at least 1x1, got {a.shape}")
     return a
 
 

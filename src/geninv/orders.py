@@ -13,9 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .drazin import _analyse, drazin
+from .drazin import _analyse, _operand, drazin
 from .inverses import cmp_inverse, dmp, mpd
-from .kernel import DEFAULT_TOL, DimensionMismatchError, Tolerance, _check, _ldexp
+from .kernel import DEFAULT_TOL, Tolerance, _check, _ldexp
 
 __all__ = [
     "OrderKind",
@@ -58,10 +58,7 @@ def _check_pair(a, b, tol: Tolerance):
     (a, b) together, so it is decided on the pair scaled that way, whose
     answer is the same for every power-of-two multiple of the pair."""
     rec = _analyse(a, tol)
-    b = _analyse(b, tol, square=False).a
-    if rec.a.shape != b.shape:
-        raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
-    return rec.unit, _ldexp(b, -rec._exp)
+    return rec.unit, _ldexp(_operand(rec, b), -rec._exp)
 
 
 def _order_sides(rec, b: np.ndarray, kind: OrderKind, tol: Tolerance) -> list:

@@ -22,11 +22,10 @@ from .classify import (
     is_core_ep,
     is_ep,
 )
-from .drazin import _analyse
+from .drazin import _analyse, _operand
 from .factor import _core_blocks, pinv
 from .kernel import (
     DEFAULT_TOL,
-    DimensionMismatchError,
     InternalCheckError,
     PreconditionError,
     Tolerance,
@@ -201,9 +200,8 @@ def solution_family(a: np.ndarray, f: np.ndarray, which: str,
                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Member of the affine solution family of x a = a^+ core(a) (q1) or
     core(a) a^+ = a x (q2); the family equation is re-verified on return."""
-    rec, f = _analyse(a, tol), _analyse(f, tol, square=False).a
-    if rec.a.shape != f.shape:
-        raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {f.shape}")
+    rec = _analyse(a, tol)
+    f = _operand(rec, f)
     a, p, core = rec.a, rec.pinv, rec.core
     eye = np.eye(a.shape[0], dtype=np.complex128)
     if which == "q1":

@@ -15,7 +15,7 @@ import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
 from geninv.drazin import _analyse, _Analysis
 from geninv.ensembles import EnsembleSpec
-from geninv.verify import SUITE_IDS, run_suite, verify_system
+from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 
 from conftest import random_complex
 
@@ -202,3 +202,64 @@ def test_nonsingular_input_decomposes_only_itself(name, rng, svd_inputs):
     a = random_complex(rng, 6, 6) + 3 * np.eye(6)
     getattr(gi, name)(a)
     assert len(svd_inputs) == 1
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """Calls the analysis record makes, counted by function name."""
+    drazin_module = sys.modules["geninv.drazin"]
+    calls = dict.fromkeys(("_rank_from", "_pinv_from", "svd", "mat_pow"), 0)
+    for name in calls:
+        real = getattr(drazin_module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(drazin_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("e", (0, 2, 40, -40, 300, -300))
+def test_spectral_work_done_once_at_any_scale(a1, e, record_calls):
+    # the index search, A^⊕ and A^D run on the record of B = a1 / 4 only:
+    # ranks of B, B^2, B^3 and A, pinvs of A and B^3, SVDs of B, B^2, B^3,
+    # and powers B, B^2, B^3 and C^3, C the core-EP inverse of B (k = 2)
+    rep = gi.inverse_report(2.0 ** e * a1 / 4)
+    assert rep.index == 2
+    assert record_calls == {"_rank_from": 4, "_pinv_from": 2, "svd": 3, "mat_pow": 4}
+
+
+def test_suites_spectral_work(record_calls):
+    for suite in SUITE_IDS:
+        run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
+    assert record_calls == {"_rank_from": 442, "_pinv_from": 301, "svd": 452, "mat_pow": 562}
+
+
+SECOND_OPERAND = {
+    "leq": lambda a, b: gi.leq(a, b, "dmp"),
+    "dmp_order_characterizations": gi.dmp_order_characterizations,
+    "solution_family": lambda a, b: solution_family(a, b, "q1"),
+}
+
+
+@pytest.mark.parametrize("name", SECOND_OPERAND)
+def test_second_operand_builds_no_record(name, a1, b3, monkeypatch):
+    # the second operand goes through the input guard and the size check
+    # as an array: the records built are those of a1 and of a1 / 4
+    built = []
+    real_init = _Analysis.__init__
+
+    def recording(self, a, *args, **kwargs):
+        built.append(a)
+        real_init(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(_Analysis, "__init__", recording)
+    SECOND_OPERAND[name](a1, b3)
+    assert [m.tobytes() for m in built] == [a1.tobytes(), (a1 / 4).tobytes()]
+
+
+@pytest.mark.parametrize("name", SECOND_OPERAND)
+def test_second_operand_not_a_matrix_rejected(name, a1):
+    with pytest.raises(DimensionMismatchError):
+        SECOND_OPERAND[name](a1, np.ones(3))

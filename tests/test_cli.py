@@ -87,6 +87,9 @@ MALFORMED = {
     # the first fault in row-major order is reported
     "nan before a malformed row": (_pair_matrix([[[float("nan"), 0]], "x"], 2), NOT_FINITE),
     "bad pair before nan": (_pair_matrix([[[1], [float("nan"), 0]]], 1, 2), NOT_A_PAIR),
+    # JSON true is a Python bool, which subclasses int
+    "boolean dimensions": (_pair_matrix([[[1, 2]]], True, True),
+                           "bad dimensions rows=True cols=True"),
 }
 
 
@@ -152,6 +155,46 @@ def _fresh_interpreter(argv):
                                "sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+VERIFY = ["verify", "--suite", "ew2", "--size", "3", "--count", "2"]
+BAD_INPUT = {
+    # name: (argv, GENINV_SEED or None, exit code)
+    "rank parameter not an integer": (VERIFY + ["--class", "fixed_rank:abc"], None, 5),
+    "index parameter not an integer": (VERIFY + ["--class", "fixed_index:2.5"], None, 5),
+    "seed not an integer": (VERIFY + ["--seed", "abc"], None, 2),
+    "GENINV_SEED not an integer": (VERIFY, "abc", 2),
+    "GENINV_SEED a float": (VERIFY, "1.5", 2),
+    "negative seed": (VERIFY + ["--seed", "-1"], None, 3),
+    "negative GENINV_SEED": (VERIFY, "-1", 3),
+    "tol-abs not a number": (VERIFY + ["--tol-abs", "abc"], None, 2),
+    "tol-abs -1": (VERIFY + ["--tol-abs", "-1"], None, 2),
+    "tol-abs nan": (VERIFY + ["--tol-abs", "nan"], None, 2),
+    "tol-abs inf": (VERIFY + ["--tol-abs", "inf"], None, 2),
+    "tol-rel -1": (VERIFY + ["--tol-rel", "-1"], None, 2),
+    "tol-rel nan": (VERIFY + ["--tol-rel", "nan"], None, 2),
+    "tol-rel inf": (VERIFY + ["--tol-rel", "inf"], None, 2),
+    "compute tol-rel nan": (["compute", "--which", "mp", "-i", "{a1}", "--tol-rel", "nan"],
+                            None, 2),
+    "boolean dimensions": (["compute", "--which", "mp", "-i", "{bool_dims}"], None, 2),
+}
+
+
+@pytest.mark.parametrize("argv, env_seed, code", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_with_an_error_line(argv, env_seed, code, files, tmp_path,
+                                            monkeypatch):
+    bool_dims = tmp_path / "bool_dims.json"
+    bool_dims.write_text('{"rows": true, "cols": true, "data": [[[1, 2]]]}')
+    monkeypatch.delenv("GENINV_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("GENINV_SEED", env_seed)
+    got, out, err = _in_process([arg.format(a1=files["a1"], bool_dims=bool_dims)
+                                 for arg in argv])
+    assert got == code
+    assert out == ""
+    assert any(line.startswith(("error:", "geninv verify: error:", "geninv compute: error:"))
+               for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_reused_parser_carries_no_state(files, tmp_path):

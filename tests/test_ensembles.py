@@ -34,6 +34,8 @@ def test_spec_validation():
         EnsembleSpec(size=3, count=1, kind="fixed_rank", rank=4)
     with pytest.raises(InvalidSpecError):
         EnsembleSpec(size=3, count=1, kind="fixed_index")
+    with pytest.raises(InvalidSpecError):
+        EnsembleSpec(size=3, count=1, seed=-1)
 
 
 def test_reproducible_and_order_independent():

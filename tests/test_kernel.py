@@ -35,6 +35,13 @@ def test_cmatrix_rejects_bad_shapes():
         cmatrix([[]])
 
 
+@pytest.mark.parametrize("data", (1.0, [1, 2, 3], [[[1.0]]]))
+def test_cmatrix_rejects_non_matrix_as_dimension_mismatch(data):
+    # the input guard the analysis record uses
+    with pytest.raises(DimensionMismatchError):
+        cmatrix(data)
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(1, np.nan)))
 def test_cmatrix_rejects_non_finite_entries(bad):
     with pytest.raises(PreconditionError):
@@ -140,3 +147,12 @@ def test_fro_norm_equals_the_scaled_norm_at_the_unscaled_bound(e, rng):
         a = np.ldexp(b.view(np.float64), e).view(np.complex128)
         assert _exponent(a) == e
         assert fro_norm(a) == float(np.ldexp(np.linalg.norm(b), e))
+
+
+@pytest.mark.parametrize("field", ("eq_abs", "eq_rel", "rank_rel"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_tolerance_rejects_non_finite(field, bad):
+    # Tolerance(eq_abs=nan) would make approx_eq(I, I) False, and
+    # rank_rel=nan would give numerical_rank(I) == 0
+    with pytest.raises(ValueError):
+        Tolerance(**{field: bad})
