@@ -131,8 +131,11 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def save_matrix(path: str, a: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(matrix_to_obj(a)) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(matrix_to_obj(a)) + "\n")
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 
 
 def _dump(obj, pretty: bool) -> None:
@@ -308,7 +311,10 @@ def cmd_hs(args) -> int:
     h = rec.hs
     der = hs_derived(h, tol)
     outdir = Path(args.output or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {outdir}: {exc}") from exc
     blocks = {
         "U": h.u,
         "Sigma": h.sigma_mat,

@@ -8,15 +8,15 @@ referenced to sigma_max(a)**power: a computed power of a numerically
 nilpotent matrix is noise at that level, never exactly zero, and a
 relative cutoff would mistake the noise for signal.
 
-Powers are formed from b = 2**-e a, with e the exponent the SVD scales by,
-so that neither b^j nor sigma_max(b)**j leaves the float range however a
-is scaled; the scale is undone where a power enters a result.
+Every part is computed from b = 2**-e a, with e the exponent the SVD
+scales by, so that neither b^j nor sigma_max(b)**j leaves the float range
+however a is scaled; the part of a is that of b times its power of 2**e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -49,15 +49,28 @@ class CoreNilpotent:
     index: int
 
 
+def _part(degree: int):
+    """A part that is 2^(degree e) times that of B = 2^-e A: computed on
+    the record of B only, and read from `unit` and scaled on that of A."""
+    def tag(compute):
+        @wraps(compute)
+        def part(self):
+            if not self._exp:
+                return compute(self)
+            value = getattr(self.unit, compute.__name__)
+            return _ldexp(value, degree * self._exp) if degree else value
+        return cached_property(part)
+    return tag
+
+
 @dataclass(frozen=True)
 class _Analysis:
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
-    lives in. Powers and SVDs are formed once: B^j (B = 2^-e A) is kept by
-    j, SVDs by input (shape and bytes), and the record of B shares both.
-    The index search decomposes B and B^2 ... B^(k+1); svd(A) is read from
-    svd(B). The index, the core-EP and the Drazin inverse are computed on
-    the record of B only, and the record of A reads them scaled by 2^-e."""
+    lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
+    which keeps B^j by j and SVDs by input (shape and bytes), so each is
+    formed once; the record of A reads every part, svd(A) and A^j scaled
+    from there, and forms no SVD or power of its own."""
 
     a: np.ndarray
     tol: Tolerance
@@ -74,21 +87,17 @@ class _Analysis:
     def _exp(self) -> int:
         return _exponent(self.a)
 
-    @cached_property
-    def _b(self) -> np.ndarray:
-        """B = 2^-e A."""
-        return _ldexp(self.a, -self._exp)
-
     def power(self, j: int, left=None, right=None) -> np.ndarray:
         """left A^j right (a missing factor is left out), formed as
         2^(e j) (left B^j right), so that no power of A is formed on the
         way where it would leave the float range. On `unit` it is B^j."""
+        if self._exp:
+            return _ldexp(self.unit.power(j, left, right), self._exp * j)
         if j not in self._powers:
-            self._powers[j] = mat_pow(self._b, j)
+            self._powers[j] = mat_pow(self.a, j)
         m = self._powers[j]
         m = m if left is None else left @ m
-        m = m if right is None else m @ right
-        return _ldexp(m, self._exp * j)
+        return m if right is None else m @ right
 
     def power_pinv(self, j: int) -> np.ndarray:
         """(B^j)^+, with the cutoff referenced to sigma_max(B)**j; called on
@@ -97,33 +106,33 @@ class _Analysis:
 
     @property
     def unit(self) -> "_Analysis":
-        """The record of B = 2^-e A, whose largest real or imaginary part
-        lies in [0.5, 1) whatever the scale of A: this record itself when
-        e = 0, which is not stored, so that no record refers to itself."""
+        """The record of B = 2^-e A, its largest real or imaginary part in
+        [0.5, 1); when e = 0 this record itself, not stored, so none refers to itself."""
         return self if self._exp == 0 else self._unit
 
     @cached_property
     def _unit(self) -> "_Analysis":
-        return _Analysis(self._b, self.tol, self._svds, self._powers)
+        return _Analysis(_ldexp(self.a, -self._exp), self.tol)
 
     @cached_property
     def factors(self) -> SVDResult:
         """svd(A), read from svd(B): `svd` scales its input by 2^-e first,
         so the two differ only in s, by 2^e."""
-        res = self._svd(self._b)
+        if not self._exp:
+            return self._svd(self.a)
+        res = self.unit.factors
         return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
     @cached_property
     def _smax(self) -> float:
-        """sigma_max(B)."""
-        s = self._svd(self._b).s
-        return float(s[0]) if len(s) else 0.0
+        """sigma_max(B), on the record of B."""
+        return float(self.factors.s[0]) if self.factors.s.size else 0.0
 
-    @cached_property
+    @_part(0)
     def rank(self) -> int:
         return _rank_from(self.factors, 0.0, self.tol)
 
-    @cached_property
+    @_part(-1)
     def pinv(self) -> np.ndarray:
         return _pinv_from(self.factors, 0.0, self.tol)
 
@@ -135,13 +144,10 @@ class _Analysis:
         qp = conj_transpose(res.v) @ res.u
         return HSDecomp(u=res.u, sigma=res.s[:r], q=qp[:r, :r], p=qp[:r, r:], r=r)
 
-    @cached_property
+    @_part(0)
     def index(self) -> int:
-        """The least k with rank(A^k) = rank(A^(k+1)), searched on the
-        record of B: rank(B^j) is read from svd(B^j), with the cutoff
-        referenced to sigma_max(B)**j."""
-        if self._exp:
-            return self.unit.index
+        """The least k with rank(B^k) = rank(B^(k+1)): rank(B^j) is read
+        from svd(B^j), with the cutoff referenced to sigma_max(B)**j."""
         n = self.a.shape[0]
         prev_rank = n
         for k in range(n + 1):
@@ -151,45 +157,39 @@ class _Analysis:
             prev_rank = r
         return n
 
-    @cached_property
+    @_part(-1)
     def drazin(self) -> np.ndarray:
-        """2^-e C^(k+1) B^k, C the core-EP inverse of B, formed on the
-        record of B."""
-        if self._exp:
-            return _ldexp(self.unit.drazin, -self._exp)
+        """C^(k+1) B^k, C the core-EP inverse of B."""
         k = self.index
         return mat_pow(self.core_ep, k + 1) @ self.power(k)
 
-    @cached_property
+    @_part(1)
     def core(self) -> np.ndarray:
         return self.a @ self.drazin @ self.a
 
-    @cached_property
+    @_part(-1)
     def dmp(self) -> np.ndarray:
         return self.drazin @ self.a @ self.pinv
 
-    @cached_property
+    @_part(-1)
     def mpd(self) -> np.ndarray:
         return self.pinv @ self.a @ self.drazin
 
-    @cached_property
+    @_part(-1)
     def cmp(self) -> np.ndarray:
         return self.pinv @ self.core @ self.pinv
 
-    @cached_property
+    @_part(-3)
     def mpdmp(self) -> np.ndarray:
         return self.pinv @ self.drazin @ self.pinv
 
-    @cached_property
+    @_part(-1)
     def core_ep(self) -> np.ndarray:
-        """2^-e C, C = B^k (B^(k+1))^+ the core-EP inverse of B, formed on
-        the record of B."""
-        if self._exp:
-            return _ldexp(self.unit.core_ep, -self._exp)
+        """C = B^k (B^(k+1))^+, the core-EP inverse of B."""
         k = self.index
         return self.power(k) @ self.power_pinv(k + 1)
 
-    @cached_property
+    @_part(-1)
     def cce(self) -> np.ndarray:
         return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
 

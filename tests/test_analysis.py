@@ -170,13 +170,26 @@ def test_drazin_power_of_core_ep_formed_once_at_any_scale(a1, power_inputs):
     assert power_inputs.count((_key(r.unit.core_ep), 3)) == 1
 
 
-def test_record_of_b_shares_powers_and_svds(a1):
-    rec = _analyse(a1, gi.DEFAULT_TOL)
-    assert rec.unit is not rec and rec.unit.unit is rec.unit
-    assert rec.unit._powers is rec._powers and rec.unit._svds is rec._svds
-    assert np.array_equal(rec.power(2), 16 * rec.unit.power(2))
-    assert rec.factors.u is rec.unit.factors.u
-    assert np.array_equal(rec.factors.s, 4 * rec.unit.factors.s)
+# Each part of the record and the power of 2^e it scales by, A = 2^e B.
+PART_DEGREES = {"rank": 0, "index": 0, "core": 1, "mpdmp": -3, "pinv": -1, "drazin": -1,
+                "dmp": -1, "mpd": -1, "cmp": -1, "core_ep": -1, "cce": -1}
+
+
+@pytest.mark.parametrize("e", (2, 40, -40, 300, -300))
+@pytest.mark.parametrize("kind", ("a1", "core_ep", "nilpotent"))
+def test_record_of_a_reads_every_part_scaled_from_b(kind, e, a1):
+    m = a1 / 4 if kind == "a1" else gi.gen(EnsembleSpec(4, 1, 3, kind))[0]
+    rec = _analyse(2.0 ** e * m, gi.DEFAULT_TOL)
+    b, f = rec.unit, 2.0 ** rec._exp
+    assert rec._exp != 0 and b.unit is b
+    for name, degree in PART_DEGREES.items():
+        assert np.array_equal(getattr(rec, name), getattr(b, name) * f ** degree), name
+    for j in (0, 1, 2):
+        assert np.array_equal(rec.power(j), b.power(j) * f ** j)
+    assert rec.factors.u is b.factors.u and rec.factors.v is b.factors.v
+    assert np.array_equal(rec.factors.s, b.factors.s * f)
+    assert np.array_equal(rec.hs.sigma, b.hs.sigma * f)
+    assert rec._svds == {} and rec._powers == {}
 
 
 def test_no_record_outlives_its_call(a1):
@@ -233,7 +246,7 @@ def test_spectral_work_done_once_at_any_scale(a1, e, record_calls):
 def test_suites_spectral_work(record_calls):
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 442, "_pinv_from": 301, "svd": 452, "mat_pow": 562}
+    assert record_calls == {"_rank_from": 442, "_pinv_from": 280, "svd": 452, "mat_pow": 562}
 
 
 SECOND_OPERAND = {

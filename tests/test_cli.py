@@ -177,6 +177,9 @@ BAD_INPUT = {
     "compute tol-rel nan": (["compute", "--which", "mp", "-i", "{a1}", "--tol-rel", "nan"],
                             None, 2),
     "boolean dimensions": (["compute", "--which", "mp", "-i", "{bool_dims}"], None, 2),
+    "output in a missing directory": (["compute", "--which", "mp", "-i", "{a1}",
+                                       "-o", "{missing}/x.json"], None, 2),
+    "hs output directory an existing file": (["hs", "-i", "{a1}", "-o", "{a1}"], None, 2),
 }
 
 
@@ -188,7 +191,8 @@ def test_bad_input_exits_with_an_error_line(argv, env_seed, code, files, tmp_pat
     monkeypatch.delenv("GENINV_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("GENINV_SEED", env_seed)
-    got, out, err = _in_process([arg.format(a1=files["a1"], bool_dims=bool_dims)
+    got, out, err = _in_process([arg.format(a1=files["a1"], bool_dims=bool_dims,
+                                            missing=tmp_path / "missing")
                                  for arg in argv])
     assert got == code
     assert out == ""
