@@ -156,7 +156,8 @@ def _tolerance(args) -> Tolerance:
 
 
 # Residuals reported by `compute`, per --which: (label, sides(rec, x)),
-# two matrices whose distance is the residual of the computed inverse x.
+# two matrices whose distance is the residual of the computed inverse x;
+# `cmd_compute` passes the record of B = 2^-e A and B's inverse.
 _XAX_EQ_X = ("xax_eq_x", lambda r, x: (x @ r.a @ x, x))
 _DRAZIN_RESIDUALS = (
     ("power_identity", lambda r, x: (r.power(r.index + 1, right=x), r.power(r.index))),
@@ -219,9 +220,14 @@ def cmd_compute(args) -> int:
     a = load_matrix(args.input)
     rec = _analyse(a, tol, square=args.which != "mp")
     x = _WHICH_FUNCS[args.which](rec, tol)
+    # the residuals are those of B = 2^-e A and B's own inverse, as in
+    # `verify_system`: the same for every power-of-two multiple of A, and
+    # finite however far A^k would leave the float range
+    unit = rec.unit
+    x_unit = x if unit is rec else _WHICH_FUNCS[args.which](unit, tol)
     sidecar = {
         "which": args.which,
-        "residuals": {label: diff_norm(*sides(rec, x))
+        "residuals": {label: diff_norm(*sides(unit, x_unit))
                       for label, sides in _RESIDUALS[args.which]},
     }
     if a.shape[0] == a.shape[1]:

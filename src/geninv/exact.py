@@ -2,18 +2,26 @@
 
 A matrix is two numpy object arrays of Python ints, its real and imaginary
 parts, over one positive denominator, all three divided by their gcd, so
-each matrix has one stored form. A product is four integer matrix products;
-row reduction is fraction-free Gauss-Jordan over the Gaussian integers
-(Bareiss 1968). Each inverse inverts one r x r matrix of a full-rank
-factorization. The integers grow with n and with the index: the eight
-inverses of a matrix with entries in [-3, 3] take about 3-20 ms up to
-n = 6 and under 0.1 s at n = 12 on a 2-core x86-64 host.
-"""
+each matrix has one stored form; a matrix of integers is stored as it is,
+with no Fraction per entry. A product is four integer matrix products.
+Row reduction is fraction-free Gauss-Jordan (Bareiss 1968) on lists of
+Python int rows: over the integers when the matrix has no imaginary part,
+over the Gaussian integers otherwise. Each inverse inverts one r x r
+matrix of a full-rank factorization. One record per matrix
+(`_ExactAnalysis`, with the part names of `drazin._Analysis`) keeps A^j,
+its reduced form and (A^j)^+ by j, so the index search and all eight
+inverses share them. The integers grow with n and with the index: the
+eight inverses of a matrix with entries in [-3, 3] take about 3-10 ms up
+to n = 6 and 25-60 ms at n = 10-12 (index up to 8) on a 2-core x86-64
+host."""
 
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -90,15 +98,23 @@ class RMatrix:
     """Dense matrix over the Gaussian rationals: (re + i im) / den."""
 
     def __init__(self, rows):
-        qc = [[QC.of(x) for x in r] for r in rows]
-        n = len(qc[0]) if qc else 0
-        if any(len(r) != n for r in qc):
+        rows = [list(r) for r in rows]
+        m, n = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        # over the lcm of the reduced parts' denominators no factor is common
-        den = math.lcm(*(p.denominator for r in qc for x in r for p in (x.re, x.im)))
-        parts = np.array([[(int(x.re * den), int(x.im * den)) for x in r] for r in qc],
-                         dtype=object).reshape(len(qc), n, 2)
-        self._re, self._im, self._den = parts[..., 0], parts[..., 1], den
+        try:
+            # integer entries (int, bool, numpy integers) are their own
+            # numerators; operator.index returns a Python int, never a
+            # fixed-width numpy integer that would wrap around in a product
+            re, im, den = [[operator.index(x) for x in r] for r in rows], [[0] * n] * m, 1
+        except TypeError:
+            qc = [[QC.of(x) for x in r] for r in rows]
+            # over the lcm of the reduced parts' denominators no factor is common
+            den = math.lcm(*(p.denominator for r in qc for x in r for p in (x.re, x.im)))
+            re = [[int(x.re * den) for x in r] for r in qc]
+            im = [[int(x.im * den) for x in r] for r in qc]
+        self._re, self._im = (np.array(x, dtype=object).reshape(m, n) for x in (re, im))
+        self._den = den
 
     @staticmethod
     def _of(re, im, den=1) -> "RMatrix":
@@ -181,25 +197,65 @@ def _rref(a: RMatrix):
     """Reduced row echelon form; returns (rref, pivot column list). On the
     numerator M, each pivot p = M[r, c] turns every other row i into
     (p M[i] - M[i, c] M[r]) / q, q the previous pivot (1 at first): an exact
-    division that makes every earlier pivot p too, so the RREF is M / p."""
-    re, im = a._re.copy(), a._im.copy()
-    pivots, (qr, qi) = [], (1, 0)
-    for c in range(re.shape[1]):
+    division that makes every earlier pivot p too, so the RREF is M / p.
+    The rows are lists of Python ints; a matrix with no imaginary part is
+    reduced on its real rows alone."""
+    (m, n), re, im = a.shape, a._re.tolist(), a._im.tolist()
+    if a._im.any():
+        pivots, (qr, qi) = _eliminate_gaussian(re, im, n)
+    else:
+        (pivots, qr), qi = _eliminate_real(re, n), 0
+    re, im = (np.array(x, dtype=object).reshape(m, n) for x in (re, im))
+    # M / q is M conj(q) / |q|^2
+    return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi), pivots
+
+
+def _eliminate_real(rows: list, n: int):
+    """The elimination of `_rref` on integer rows, in place; returns the
+    pivot columns and the last pivot."""
+    pivots, q = [], 1
+    for c in range(n):
         r = len(pivots)
-        below = [i for i in range(r, re.shape[0]) if re[i, c] or im[i, c]]
+        below = [i for i in range(r, len(rows)) if rows[i][c]]
         if not below:
             continue
-        re[[r, below[0]]], im[[r, below[0]]] = re[[below[0], r]], im[[below[0], r]]
-        pr, pi, fr, fi = re[r, c], im[r, c], re[:, c:c + 1], im[:, c:c + 1]
-        xr = pr * re - pi * im - (fr * re[r] - fi * im[r])
-        xi = pr * im + pi * re - (fr * im[r] + fi * re[r])
-        if qi:  # dividing by q is multiplying by conj(q) and dividing by |q|^2
-            xr, xi, qr = xr * qr + xi * qi, xi * qr - xr * qi, qr * qr + qi * qi
-        xr, xi = xr // qr, xi // qr
-        xr[r], xi[r] = re[r], im[r]
-        re, im, (qr, qi) = xr, xi, (pr, pi)
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        top, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // q for x, y in zip(row, top)]
+        q = p
         pivots.append(c)
-    return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi), pivots
+    return pivots, q
+
+
+def _eliminate_gaussian(re: list, im: list, n: int):
+    """The elimination of `_rref` on Gaussian-integer rows (real parts `re`,
+    imaginary parts `im`), in place; returns the pivot columns and the last
+    pivot as (real, imaginary). Dividing by q is multiplying by conj(q) and
+    dividing by |q|^2."""
+    pivots, (qr, qi) = [], (1, 0)
+    for c in range(n):
+        r = len(pivots)
+        below = [i for i in range(r, len(re)) if re[i][c] or im[i][c]]
+        if not below:
+            continue
+        for rows in (re, im):
+            rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        tr, ti, qq = re[r], im[r], qr * qr + qi * qi
+        pr, pi = tr[c], ti[c]
+        for i in range(len(re)):
+            if i == r:
+                continue
+            fr, fi = re[i][c], im[i][c]
+            xr = [pr * x - pi * y - fr * u + fi * v for x, y, u, v in zip(re[i], im[i], tr, ti)]
+            xi = [pr * y + pi * x - fr * v - fi * u for x, y, u, v in zip(re[i], im[i], tr, ti)]
+            re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
+            im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
+        qr, qi = pr, pi
+        pivots.append(c)
+    return pivots, (qr, qi)
 
 
 def exact_rank(a: RMatrix) -> int:
@@ -211,6 +267,8 @@ def exact_inv(a: RMatrix) -> RMatrix:
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
+    if n == 0:  # the r x r matrix of a rank-0 factorization
+        return a
     eye = np.eye(n, dtype=int).astype(object) * a._den
     red, pivots = _rref(RMatrix._of(np.hstack([a._re, eye]), np.hstack([a._im, 0 * eye])))
     if pivots[:n] != list(range(n)):
@@ -218,72 +276,136 @@ def exact_inv(a: RMatrix) -> RMatrix:
     return red._sub(slice(None), slice(n, None))
 
 
-def _rank_factorize(a: RMatrix):
-    """Full-rank factorization a = f @ g with f m x r, g r x n."""
-    red, pivots = _rref(a)
-    return a._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
+@dataclass(frozen=True)
+class _ExactAnalysis:
+    """The exact counterpart of `drazin._Analysis`: what the oracle derives
+    from one matrix, each part computed on first use. A^j, its RREF and
+    (A^j)^+ are kept by j, so each power is formed, reduced and inverted
+    once, and the index search, the full-rank factorizations and the
+    pseudoinverses of A and of A^k share them."""
+
+    a: RMatrix
+    _powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
+    _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def power(self, j: int) -> RMatrix:
+        if j == 1:
+            return self.a
+        if j not in self._powers:
+            self._powers[j] = (RMatrix.identity(self.a.shape[0]) if j == 0
+                               else self.power(j - 1) @ self.a)
+        return self._powers[j]
+
+    def _reduced_form(self, j: int):
+        """(RREF, pivot columns) of A^j."""
+        if j not in self._reduced:
+            self._reduced[j] = _rref(self.power(j))
+        return self._reduced[j]
+
+    def _factors(self, j: int):
+        """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,
+        g the nonzero rows of its RREF."""
+        red, pivots = self._reduced_form(j)
+        return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
+
+    def power_pinv(self, j: int) -> RMatrix:
+        """(A^j)^+ = g* (f* A^j g*)^-1 f* for A^j = f g (MacDuffee;
+        Ben-Israel & Greville 2003); rank 0 gives zeros."""
+        if j not in self._pinvs:
+            f, g = self._factors(j)
+            gs, fs = g.conj_t(), f.conj_t()
+            self._pinvs[j] = gs @ exact_inv(fs @ self.power(j) @ gs) @ fs
+        return self._pinvs[j]
+
+    @cached_property
+    def index(self) -> int:
+        """The least k >= 0 with rank(A^k) = rank(A^(k+1)); once a power
+        has rank 0, so has the next, which is not reduced."""
+        k, rank = 0, self.a.shape[0]
+        while rank and (r := len(self._reduced_form(k + 1)[1])) != rank:
+            k, rank = k + 1, r
+        return k
+
+    @cached_property
+    def pinv(self) -> RMatrix:
+        return self.power_pinv(1)
+
+    @cached_property
+    def drazin(self) -> RMatrix:
+        """f (g A f)^-1 g for A^k = f g, k the index (Cline 1968)."""
+        f, g = self._factors(self.index)
+        return f @ exact_inv(g @ self.a @ f) @ g
+
+    @cached_property
+    def core(self) -> RMatrix:
+        return self.a @ self.drazin @ self.a
+
+    @cached_property
+    def dmp(self) -> RMatrix:
+        return self.drazin @ self.a @ self.pinv
+
+    @cached_property
+    def mpd(self) -> RMatrix:
+        return self.pinv @ self.a @ self.drazin
+
+    @cached_property
+    def cmp(self) -> RMatrix:
+        return self.pinv @ self.core @ self.pinv
+
+    @cached_property
+    def mpdmp(self) -> RMatrix:
+        return self.pinv @ self.drazin @ self.pinv
+
+    @cached_property
+    def core_ep(self) -> RMatrix:
+        """A^D A^k (A^k)^+."""
+        k = self.index
+        return self.drazin @ self.power(k) @ self.power_pinv(k)
+
+    @cached_property
+    def cce(self) -> RMatrix:
+        return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
 
 
 def exact_pinv(a: RMatrix) -> RMatrix:
-    """Moore-Penrose inverse, exact: g* (f* a g*)^-1 f* for a = f g
-    (MacDuffee; Ben-Israel & Greville 2003); rank 0 gives zeros."""
-    f, g = _rank_factorize(a)
-    gs, fs = g.conj_t(), f.conj_t()
-    return gs @ exact_inv(fs @ a @ gs) @ fs
-
-
-def _index_power(a: RMatrix):
-    """(k, a^k) for the smallest k >= 0 with rank(a^k) = rank(a^(k+1))."""
-    k, ak, nxt, rank = 0, RMatrix.identity(a.shape[0]), a, a.shape[0]
-    while (r := exact_rank(nxt)) != rank:
-        k, ak, nxt, rank = k + 1, nxt, nxt @ a, r
-    return k, ak
+    """Moore-Penrose inverse, exact; a may be rectangular."""
+    return _ExactAnalysis(a).pinv
 
 
 def exact_index(a: RMatrix) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1))."""
-    return _index_power(a)[0]
-
-
-def _drazin_parts(a: RMatrix):
-    """(k, a^k, a^D = f (g a f)^-1 g for a^k = f g (Cline 1968))."""
-    k, ak = _index_power(a)
-    f, g = _rank_factorize(ak)
-    return k, ak, f @ exact_inv(g @ a @ f) @ g
+    return _ExactAnalysis(a).index
 
 
 def exact_drazin(a: RMatrix) -> RMatrix:
     """Drazin inverse f (g a f)^-1 g, a^k = f g, with k the exact index."""
-    return _drazin_parts(a)[2]
+    return _ExactAnalysis(a).drazin
 
 
 def exact_core_part(a: RMatrix) -> RMatrix:
-    return a @ exact_drazin(a) @ a
+    return _ExactAnalysis(a).core
 
 
 def exact_dmp(a: RMatrix) -> RMatrix:
-    return exact_drazin(a) @ a @ exact_pinv(a)
+    return _ExactAnalysis(a).dmp
 
 
 def exact_mpd(a: RMatrix) -> RMatrix:
-    return exact_pinv(a) @ a @ exact_drazin(a)
+    return _ExactAnalysis(a).mpd
 
 
 def exact_cmp(a: RMatrix) -> RMatrix:
-    p = exact_pinv(a)
-    return p @ exact_core_part(a) @ p
+    return _ExactAnalysis(a).cmp
 
 
 def exact_mpdmp(a: RMatrix) -> RMatrix:
-    p = exact_pinv(a)
-    return p @ exact_drazin(a) @ p
+    return _ExactAnalysis(a).mpdmp
 
 
 def exact_core_ep(a: RMatrix) -> RMatrix:
-    _, ak, d = _drazin_parts(a)
-    return d @ ak @ exact_pinv(ak)
+    return _ExactAnalysis(a).core_ep
 
 
 def exact_cce(a: RMatrix) -> RMatrix:
-    p = exact_pinv(a)
-    return p @ a @ exact_core_ep(a) @ a @ p
+    return _ExactAnalysis(a).cce

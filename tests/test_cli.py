@@ -267,8 +267,8 @@ def test_compute_all_inverses_run(files, capsys):
 def test_compute_index_three_at_extreme_scales(tmp_path, capsys, which, e):
     # diag(1.5) + J3 has index 3; a^4 and sigma_max^7 leave the float range
     # at 2^297, and sigma_max^4 falls below it at 2^-294. The residuals
-    # form their powers of a from 2^-e a too, so each is finite, and no
-    # overflow warning is raised on the way.
+    # are those of 2^-e a, so each is finite, and no overflow warning is
+    # raised on the way.
     a = np.zeros((4, 4), dtype=complex)
     a[0, 0] = 1.5
     a[1, 2] = a[2, 3] = 1.0
@@ -283,6 +283,32 @@ def test_compute_index_three_at_extreme_scales(tmp_path, capsys, which, e):
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 2.0 ** -e / 1.5
     assert np.array_equal(x, expected)
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+@pytest.mark.parametrize("which", ("mp", "group", "drazin", "dmp", "mpd", "cmp", "mpdmp",
+                                   "core-ep", "cce"))
+def test_compute_residuals_are_json_and_the_same_at_every_scale(tmp_path, capsys, which):
+    # index 6 (index 1 for the group inverse): at 2^200 the entries of
+    # A^7 would pass 2^1200, beyond any float; the residuals are B's, with
+    # B = 2^-e A, so they stay finite and do not depend on the scale
+    kind = "ep" if which == "group" else "core_ep"
+    a = geninv.gen(geninv.EnsembleSpec(8, 3, 19, kind))[0]
+    residuals = []
+    for e in (0, 200, -200):
+        path = str(tmp_path / f"a{e}.json")
+        save_matrix(path, a * 2.0 ** e)
+        assert main(["compute", "-i", path, "--which", which]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        obj = json.loads(out, parse_constant=_reject_constant)
+        assert obj["index"] == (1 if which == "group" else 6)
+        residuals.append(obj["residuals"])
+    assert residuals[0] == residuals[1] == residuals[2]
+    assert max(residuals[0].values()) <= 1e-12
 
 
 def test_compute_malformed(tmp_path, capsys):

@@ -5,13 +5,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
+from geninv import exact
 from geninv.exact import (
     QC,
     RMatrix,
+    _rref,
     exact_cce,
     exact_cmp,
     exact_core_ep,
@@ -118,6 +120,34 @@ def test_complex_entries_exact():
     assert x == rm([[QC(F(1, 2), F(-1, 2)), 0], [0, QC(0, F(1, 2))]])
 
 
+def _stored(a):
+    return a._re.tolist(), a._im.tolist(), a._den
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, -2], [0, 2**70]],
+    np.array([[3, -2], [0, 7]]),
+    np.array([[1, 0], [-5, 2]], dtype=np.int32),
+    [[True, False], [False, True]],
+    [[F(1, 2), F(-3, 4)], [2, 0]],
+    [[0.5, 1.25], [-3.0, 0.0]],
+    [[1j, 2 + 0.5j], [0, 1]],
+    [[QC(F(1, 3), 2), 0], [1, QC(0, -1)]],
+], ids=["int", "int64", "int32", "bool", "fraction", "float", "complex", "qc"])
+def test_construction_keeps_one_stored_form(rows):
+    # integer entries skip the per-entry QC; every kind of entry must give
+    # what the QC path gives, with Python ints throughout
+    a = rm(rows)
+    assert _stored(a) == _stored(rm([[QC.of(x) for x in r] for r in rows]))
+    assert all(type(x) is int for x in (*a._re.flat, *a._im.flat, a._den))
+
+
+def test_numpy_integers_do_not_wrap_in_products():
+    # 2^160 passes any fixed-width integer: a stored np.int64 would wrap
+    assert (rm(np.array([[3, 2**40], [1, 2]])).power(4)
+            == rm([[3, 2**40], [1, 2]]).power(4))
+
+
 # ---- properties of the oracle on small Gaussian-rational matrices
 
 ENTRIES = st.builds(lambda p, q, s, t: QC(F(p, q), F(s, t)),
@@ -190,6 +220,19 @@ def test_inverse_and_drazin_equations_exactly(a):
     assert a @ d == d @ a
 
 
+@settings(max_examples=60, deadline=None)
+@given(gaussian_rational_matrices())
+def test_real_rows_reduce_as_gaussian_rows(a):
+    # a matrix with no imaginary part is reduced on its real rows alone,
+    # i a on Gaussian rows; a unit scalar leaves the RREF as it is
+    assume(not a._im.any())
+    ia = rm([[QC(0, 1) * x for x in r] for r in a.rows])
+    assert ia._im.any() or a.is_zero()
+    (red, pivots), (ired, ipivots) = _rref(a), _rref(ia)
+    assert red == ired
+    assert pivots == ipivots
+
+
 # ---- regression: every exact value stays the same, bit for bit
 
 def _int_matrix(seed, n):
@@ -226,6 +269,37 @@ def test_exact_values_are_pinned(name):
     for a in PINNED_MATRICES:
         h.update(repr(f(a).rows).encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
+
+
+# _rref calls of each exact_* call on one matrix, in the order of
+# RREF_FUNCS: A^j, its RREF and (A^j)^+ are kept by j, so no input is
+# reduced twice
+RREF_FUNCS = ("exact_index", "exact_pinv", "exact_drazin", "exact_core_part", "exact_dmp",
+              "exact_mpd", "exact_cmp", "exact_mpdmp", "exact_core_ep", "exact_cce")
+RREF_COUNTS = (
+    (A1, (3, 2, 4, 4, 5, 5, 5, 5, 5, 6)),                 # index 2
+    (rm([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (3, 2, 3, 3, 4, 4, 4, 4, 3, 4)),  # J3
+    (_int_matrix(2, 5), (1, 2, 3, 3, 4, 4, 4, 4, 4, 5)),  # nonsingular
+    (PINNED_MATRICES[8], (2, 2, 3, 3, 4, 4, 4, 4, 4, 4)),  # Gaussian, index 1
+)
+
+
+@pytest.mark.parametrize("a, counts", RREF_COUNTS, ids=["A1", "J3", "int5", "gaussian"])
+def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
+    inputs, rref = [], exact._rref
+
+    def spy(m):
+        inputs.append(repr((m.shape, m._den, m._re.tolist(), m._im.tolist())))
+        return rref(m)
+
+    monkeypatch.setattr(exact, "_rref", spy)
+    got = []
+    for name in RREF_FUNCS:
+        inputs.clear()
+        getattr(exact, name)(a)
+        assert len(set(inputs)) == len(inputs), name
+        got.append(len(inputs))
+    assert tuple(got) == counts
 
 
 # ---- float against exact on integer matrices of prescribed index
