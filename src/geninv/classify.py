@@ -88,10 +88,15 @@ def is_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_core_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff a^+ commutes with the core part of a."""
+    """True iff a^+ commutes with the core part of a. The verdict is kept on
+    the record by tolerance: a suite asks it of one sample for its skip rule
+    and for each of its identities."""
     rec = _analyse(a, tol).unit
-    x, core = rec.pinv, rec.core
-    return approx_eq(x @ core, core @ x, tol)
+    verdicts = rec._core_ep_verdicts
+    if tol not in verdicts:
+        x, core = rec.pinv, rec.core
+        verdicts[tol] = approx_eq(x @ core, core @ x, tol)
+    return verdicts[tol]
 
 
 def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -70,12 +70,14 @@ class _Analysis:
     lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
     which keeps B^j by j and SVDs by input (shape and bytes), so each is
     formed once; the record of A reads every part, svd(A) and A^j scaled
-    from there, and forms no SVD or power of its own."""
+    from there, and forms no SVD or power of its own. The record of B also
+    keeps the verdict of `classify.is_core_ep` by tolerance."""
 
     a: np.ndarray
     tol: Tolerance
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _core_ep_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _svd(self, m: np.ndarray) -> SVDResult:
         key = (m.shape, m.tobytes())

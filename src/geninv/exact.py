@@ -3,17 +3,20 @@
 A matrix is two numpy object arrays of Python ints, its real and imaginary
 parts, over one positive denominator, all three divided by their gcd, so
 each matrix has one stored form; a matrix of integers is stored as it is,
-with no Fraction per entry. A product is four integer matrix products.
-Row reduction is fraction-free Gauss-Jordan (Bareiss 1968) on lists of
-Python int rows: over the integers when the matrix has no imaginary part,
-over the Gaussian integers otherwise. Each inverse inverts one r x r
-matrix of a full-rank factorization. One record per matrix
-(`_ExactAnalysis`, with the part names of `drazin._Analysis`) keeps A^j,
-its reduced form and (A^j)^+ by j, so the index search and all eight
-inverses share them. The integers grow with n and with the index: the
-eight inverses of a matrix with entries in [-3, 3] take about 3-10 ms up
-to n = 6 and 25-60 ms at n = 10-12 (index up to 8) on a 2-core x86-64
-host."""
+with no Fraction per entry. A product is four integer matrix products, or
+one when neither factor has an imaginary part. Row reduction is
+fraction-free Gauss-Jordan (Bareiss 1968) on lists of Python int rows:
+over the integers when the matrix has no imaginary part, over the
+Gaussian integers otherwise. Each inverse inverts one r x r matrix of a
+full-rank factorization, or A^j itself when it is square of full rank;
+at index 0 all eight inverses are read from A^-1. One record per matrix
+(`_ExactAnalysis`, with the part names of `drazin._Analysis`) keeps A^j
+and (A^j)^+ by j and each reduction by its input, so the index search
+and all eight inverses share them. The integers grow with n and with the
+index: the eight inverses, each from its own record, of a matrix with
+entries in [-3, 3] take about 1.5-4 ms when it is nonsingular and 4-13 ms
+at index 1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to 8) on a
+2-core x86-64 host."""
 
 from __future__ import annotations
 
@@ -152,6 +155,9 @@ class RMatrix:
         return (isinstance(o, RMatrix) and self._den == o._den
                 and np.array_equal(self._re, o._re) and np.array_equal(self._im, o._im))
 
+    def __hash__(self):
+        return hash((self.shape, self._den, *self._re.flat, *self._im.flat))
+
     def _combine(self, o, sign: int) -> "RMatrix":
         """self + sign * o, over the least common denominator."""
         if self.shape != o.shape:
@@ -170,6 +176,9 @@ class RMatrix:
         if self.shape[1] != o.shape[0]:
             raise ValueError(f"cannot multiply {self.shape} by {o.shape}")
         a, b, c, d = self._re, self._im, o._re, o._im  # (a + bi)(c + di)
+        if not (b.any() or d.any()):
+            re = a.dot(c)
+            return RMatrix._of(re, np.zeros(re.shape, dtype=object), self._den * o._den)
         return RMatrix._of(a.dot(c) - b.dot(d), a.dot(d) + b.dot(c), self._den * o._den)
 
     def conj_t(self) -> "RMatrix":
@@ -264,13 +273,18 @@ def exact_rank(a: RMatrix) -> int:
 
 def exact_inv(a: RMatrix) -> RMatrix:
     """Inverse of a nonsingular square matrix via Gauss-Jordan on [a | I]."""
+    return _inverse(a, _rref)
+
+
+def _inverse(a: RMatrix, reduce) -> RMatrix:
+    """`exact_inv`, with `reduce` in place of `_rref`."""
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
     if n == 0:  # the r x r matrix of a rank-0 factorization
         return a
     eye = np.eye(n, dtype=int).astype(object) * a._den
-    red, pivots = _rref(RMatrix._of(np.hstack([a._re, eye]), np.hstack([a._im, 0 * eye])))
+    red, pivots = reduce(RMatrix._of(np.hstack([a._re, eye]), np.hstack([a._im, 0 * eye])))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return red._sub(slice(None), slice(n, None))
@@ -279,10 +293,11 @@ def exact_inv(a: RMatrix) -> RMatrix:
 @dataclass(frozen=True)
 class _ExactAnalysis:
     """The exact counterpart of `drazin._Analysis`: what the oracle derives
-    from one matrix, each part computed on first use. A^j, its RREF and
-    (A^j)^+ are kept by j, so each power is formed, reduced and inverted
-    once, and the index search, the full-rank factorizations and the
-    pseudoinverses of A and of A^k share them."""
+    from one matrix, each part computed on first use. A^j and (A^j)^+ are
+    kept by j and every row reduction by its input's stored form, so each
+    power is formed and inverted once and no matrix is reduced twice (an
+    idempotent power included), and the index search, the full-rank
+    factorizations and the pseudoinverses of A and of A^k share them."""
 
     a: RMatrix
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
@@ -290,18 +305,25 @@ class _ExactAnalysis:
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def power(self, j: int) -> RMatrix:
+        """A^j, j >= 1; no part needs A^0, since at index 0 all are read from A^-1."""
         if j == 1:
             return self.a
         if j not in self._powers:
-            self._powers[j] = (RMatrix.identity(self.a.shape[0]) if j == 0
-                               else self.power(j - 1) @ self.a)
+            self._powers[j] = self.power(j - 1) @ self.a
         return self._powers[j]
+
+    def _reduce(self, m: RMatrix):
+        """(RREF, pivot columns) of m."""
+        if m not in self._reduced:
+            self._reduced[m] = _rref(m)
+        return self._reduced[m]
 
     def _reduced_form(self, j: int):
         """(RREF, pivot columns) of A^j."""
-        if j not in self._reduced:
-            self._reduced[j] = _rref(self.power(j))
-        return self._reduced[j]
+        return self._reduce(self.power(j))
+
+    def _inv(self, m: RMatrix) -> RMatrix:
+        return _inverse(m, self._reduce)
 
     def _factors(self, j: int):
         """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,
@@ -310,12 +332,17 @@ class _ExactAnalysis:
         return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
 
     def power_pinv(self, j: int) -> RMatrix:
-        """(A^j)^+ = g* (f* A^j g*)^-1 f* for A^j = f g (MacDuffee;
-        Ben-Israel & Greville 2003); rank 0 gives zeros."""
+        """(A^j)^+: the inverse of A^j when it is square of full rank, else
+        g* (f* A^j g*)^-1 f* for A^j = f g (MacDuffee; Ben-Israel & Greville
+        2003); rank 0 gives zeros."""
         if j not in self._pinvs:
-            f, g = self._factors(j)
-            gs, fs = g.conj_t(), f.conj_t()
-            self._pinvs[j] = gs @ exact_inv(fs @ self.power(j) @ gs) @ fs
+            aj, pivots = self.power(j), self._reduced_form(j)[1]
+            if len(pivots) == aj.shape[0] == aj.shape[1]:
+                self._pinvs[j] = self._inv(aj)
+            else:
+                f, g = self._factors(j)
+                gs, fs = g.conj_t(), f.conj_t()
+                self._pinvs[j] = gs @ self._inv(fs @ aj @ gs) @ fs
         return self._pinvs[j]
 
     @cached_property
@@ -333,9 +360,12 @@ class _ExactAnalysis:
 
     @cached_property
     def drazin(self) -> RMatrix:
-        """f (g A f)^-1 g for A^k = f g, k the index (Cline 1968)."""
+        """A^-1 = A^+ at index 0, else f (g A f)^-1 g for A^k = f g, k the
+        index (Cline 1968)."""
+        if not self.index:
+            return self.pinv
         f, g = self._factors(self.index)
-        return f @ exact_inv(g @ self.a @ f) @ g
+        return f @ self._inv(g @ self.a @ f) @ g
 
     @cached_property
     def core(self) -> RMatrix:
@@ -359,8 +389,10 @@ class _ExactAnalysis:
 
     @cached_property
     def core_ep(self) -> RMatrix:
-        """A^D A^k (A^k)^+."""
+        """A^D A^k (A^k)^+, which is A^D = A^-1 at index 0."""
         k = self.index
+        if not k:
+            return self.drazin
         return self.drazin @ self.power(k) @ self.power_pinv(k)
 
     @cached_property

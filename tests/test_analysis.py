@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import geninv as gi
-from geninv import DimensionMismatchError, PreconditionError, cli
+from geninv import DimensionMismatchError, PreconditionError, classify, cli
 from geninv.drazin import _analyse, _Analysis
 from geninv.ensembles import EnsembleSpec
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
@@ -247,6 +247,22 @@ def test_suites_spectral_work(record_calls):
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
     assert record_calls == {"_rank_from": 442, "_pinv_from": 280, "svd": 452, "mat_pow": 562}
+
+
+@pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))
+@pytest.mark.parametrize("kind", ("core_ep", "fixed_index"))
+def test_core_ep_verdict_evaluated_once_per_sample(suite, kind, monkeypatch):
+    # the core_ep class check of a sample, the skip rule and each of the
+    # seven core_ep_equiv rows all ask for the verdict
+    calls, real = [], classify.approx_eq
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify, "approx_eq", counting)
+    rep = run_suite(suite, EnsembleSpec(5, 4, 3, kind, index=2 if kind == "fixed_index" else None))
+    assert len(calls) == rep.samples == 4
 
 
 SECOND_OPERAND = {

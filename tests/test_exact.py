@@ -272,19 +272,23 @@ def test_exact_values_are_pinned(name):
 
 
 # _rref calls of each exact_* call on one matrix, in the order of
-# RREF_FUNCS: A^j, its RREF and (A^j)^+ are kept by j, so no input is
-# reduced twice
+# RREF_FUNCS: every reduction is kept by its input's stored form, so no
+# input is reduced twice, an idempotent power included; a nonsingular
+# matrix is reduced once and inverted once
 RREF_FUNCS = ("exact_index", "exact_pinv", "exact_drazin", "exact_core_part", "exact_dmp",
               "exact_mpd", "exact_cmp", "exact_mpdmp", "exact_core_ep", "exact_cce")
 RREF_COUNTS = (
     (A1, (3, 2, 4, 4, 5, 5, 5, 5, 5, 6)),                 # index 2
     (rm([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (3, 2, 3, 3, 4, 4, 4, 4, 3, 4)),  # J3
-    (_int_matrix(2, 5), (1, 2, 3, 3, 4, 4, 4, 4, 4, 5)),  # nonsingular
+    (_int_matrix(2, 5), (1, 2, 2, 2, 2, 2, 2, 2, 2, 2)),  # nonsingular
     (PINNED_MATRICES[8], (2, 2, 3, 3, 4, 4, 4, 4, 4, 4)),  # Gaussian, index 1
+    (rm([[1, 1], [0, 0]]), (1, 2, 2, 2, 3, 3, 3, 3, 3, 3)),  # A^2 = A
+    (rm([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), (1, 2, 2, 2, 2, 2, 2, 2, 2, 2)),  # g A f = f* A g*
 )
 
 
-@pytest.mark.parametrize("a, counts", RREF_COUNTS, ids=["A1", "J3", "int5", "gaussian"])
+@pytest.mark.parametrize("a, counts", RREF_COUNTS,
+                         ids=["A1", "J3", "int5", "gaussian", "idempotent", "projector"])
 def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
     inputs, rref = [], exact._rref
 
@@ -300,6 +304,63 @@ def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
         assert len(set(inputs)) == len(inputs), name
         got.append(len(inputs))
     assert tuple(got) == counts
+
+
+def _stored_ints(a):
+    return _stored(a), {type(x) for x in (*a._re.flat, *a._im.flat, a._den)}
+
+
+def _four_dot_product(x, y):
+    a, b, c, d = x._re, x._im, y._re, y._im  # (a + bi)(c + di)
+    return RMatrix._of(a.dot(c) - b.dot(d), a.dot(d) + b.dot(c), x._den * y._den)
+
+
+SQUARE_3 = [a for a in PINNED_MATRICES if a.shape == (3, 3)] + [
+    rm([[F(1, 2), 0, F(-3, 4)], [0, 2, 0], [1, 0, 0]])]
+
+
+@pytest.mark.parametrize("x", SQUARE_3)
+@pytest.mark.parametrize("y", SQUARE_3)
+def test_product_equals_the_four_dot_product(x, y):
+    # real x real is one integer product, real x Gaussian and the rest four;
+    # both leave the stored form of the general formula, with Python ints
+    assert _stored_ints(x @ y) == _stored_ints(_four_dot_product(x, y))
+
+
+def _full_rank_factors(m):
+    """m = f g: f the pivot columns of m, g the nonzero rows of its RREF."""
+    red, pivots = _rref(m)
+    return m._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
+
+
+def _macduffee(m):
+    """m^+ = g* (f* m g*)^-1 f* for m = f g."""
+    f, g = _full_rank_factors(m)
+    gs, fs = g.conj_t(), f.conj_t()
+    return gs @ exact_inv(fs @ m @ gs) @ fs
+
+
+def _cline(a, k):
+    """a^D = f (g a f)^-1 g for a^k = f g."""
+    f, g = _full_rank_factors(a.power(k))
+    return f @ exact_inv(g @ a @ f) @ g
+
+
+@pytest.mark.parametrize("a", PINNED_MATRICES[4:] + (
+    rm([[1j, 2, 0], [1, 1 - 1j, 0], [0, 3, F(1, 2)]]),
+), ids=["int4", "int5a", "int5b", "gaussian1", "gaussian2", "gaussian3", "gaussian_inv"])
+def test_exact_values_equal_the_general_expressions(a):
+    # the general forms are the reference; at index 0 they run on A^0 = I =
+    # I I with (A^0)^+ = I, and must still give the oracle's A^-1
+    k = exact_index(a)
+    p, d = _macduffee(a), _cline(a, k)
+    ce = d @ a.power(k) @ _macduffee(a.power(k))
+    core = a @ d @ a
+    want = {"exact_pinv": p, "exact_drazin": d, "exact_core_part": core,
+            "exact_dmp": d @ a @ p, "exact_mpd": p @ a @ d, "exact_cmp": p @ core @ p,
+            "exact_mpdmp": p @ d @ p, "exact_core_ep": ce, "exact_cce": p @ a @ ce @ a @ p}
+    assert {name: _stored(getattr(exact, name)(a)) for name in want} == {
+        name: _stored(x) for name, x in want.items()}
 
 
 # ---- float against exact on integer matrices of prescribed index
