@@ -4,9 +4,11 @@ through conditions on the unitary block factorization.
 
 Every boolean is a residual comparison under the shared Tolerance, and the
 raw residual is reported next to it so near-threshold calls can be audited.
-The class predicates are tested on B = 2^-e a (e as in `svd`), and the block
-tests on the factors with Sigma scaled into [0.5, 1), so they give the same
-answer for every power-of-two multiple of a.
+The class predicates read the verdicts of the analysis record
+(`drazin._Analysis`), decided on B = 2^-e a (e as in `svd`) under the
+record's tolerance, and the block tests run on the factors with Sigma
+scaled into [0.5, 1), so they give the same answer for every power-of-two
+multiple of a.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .kernel import (
     approx_eq,
     conj_transpose,
     diff_norm,
-    mat_pow,
 )
 
 __all__ = [
@@ -45,19 +46,21 @@ __all__ = [
     "wqrt_criterion",
 ]
 
-# The seven equivalent core-EP conditions: (label, sides(rec, tol)), each
-# a pair of matrices that are equal exactly when the matrix is core-EP.
+# The seven equivalent core-EP conditions: (label, sides(rec)), each a
+# pair of matrices that are equal exactly when the matrix is core-EP.
 # The first is the definition; the others are stated through the MPDMP
 # matrix.
 _CORE_EP_CONDITIONS = (
-    ("defining_commutation", lambda r, tol: (r.pinv @ r.core, r.core @ r.pinv)),
-    ("mpdmp_is_drazin_cubed", lambda r, tol: (r.mpdmp, r.drazin @ r.drazin @ r.drazin)),
+    ("defining_commutation", lambda r: (r.pinv @ r.core, r.core @ r.pinv)),
+    ("mpdmp_is_drazin_cubed", lambda r: (r.mpdmp, r.drazin @ r.drazin @ r.drazin)),
     ("mpdmp_dmp_is_drazin_fourth",
-     lambda r, tol: (r.mpdmp @ r.dmp, r.drazin @ r.drazin @ r.drazin @ r.drazin)),
-    ("mpdmp_commutes_with_matrix", lambda r, tol: (r.mpdmp @ r.a, r.a @ r.mpdmp)),
-    ("mpdmp_commutes_with_core", lambda r, tol: (r.mpdmp @ r.core, r.core @ r.mpdmp)),
-    ("mpdmp_commutes_with_drazin", lambda r, tol: (r.mpdmp @ r.drazin, r.drazin @ r.mpdmp)),
-    ("mpdmp_drazin_is_dmp_fourth", lambda r, tol: (r.mpdmp @ r.drazin, mat_pow(r.dmp, 4))),
+     lambda r: (r.mpdmp @ r.dmp, r.drazin @ r.drazin @ r.drazin @ r.drazin)),
+    ("mpdmp_commutes_with_matrix", lambda r: (r.mpdmp @ r.a, r.a @ r.mpdmp)),
+    ("mpdmp_commutes_with_core", lambda r: (r.mpdmp @ r.core, r.core @ r.mpdmp)),
+    ("mpdmp_commutes_with_drazin", lambda r: (r.mpdmp @ r.drazin, r.drazin @ r.mpdmp)),
+    # (D^2)(D^2), the products numpy's matrix_power forms for D^4
+    ("mpdmp_drazin_is_dmp_fourth",
+     lambda r: (r.mpdmp @ r.drazin, r.dmp @ r.dmp @ (r.dmp @ r.dmp))),
 )
 
 
@@ -82,28 +85,17 @@ class ClassReport:
 
 def is_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a commutes with its Moore-Penrose inverse."""
-    rec = _analyse(a, tol).unit
-    x = rec.pinv
-    return approx_eq(rec.a @ x, x @ rec.a, tol)
+    return _analyse(a, tol).is_ep
 
 
 def is_core_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff a^+ commutes with the core part of a. The verdict is kept on
-    the record by tolerance: a suite asks it of one sample for its skip rule
-    and for each of its identities."""
-    rec = _analyse(a, tol).unit
-    verdicts = rec._core_ep_verdicts
-    if tol not in verdicts:
-        x, core = rec.pinv, rec.core
-        verdicts[tol] = approx_eq(x @ core, core @ x, tol)
-    return verdicts[tol]
+    """True iff a^+ commutes with the core part of a."""
+    return _analyse(a, tol).is_core_ep
 
 
 def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a^k commutes with a^+, k = index(a)."""
-    rec = _analyse(a, tol).unit
-    ak, x = rec.power(rec.index), rec.pinv
-    return approx_eq(ak @ x, x @ ak, tol)
+    return _analyse(a, tol).is_k_ep
 
 
 def _unit(h: HSDecomp) -> HSDecomp:
@@ -136,7 +128,7 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
     rec = _analyse(a, tol).unit
     conditions, residuals = {}, {}
     for label, sides in _CORE_EP_CONDITIONS:
-        conditions[label], residuals[label] = _check(sides(rec, tol), tol)
+        conditions[label], residuals[label] = _check(sides(rec), tol)
 
     core_ep = conditions["defining_commutation"]
     flags = [
@@ -153,9 +145,9 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
             flags.append("block conditions disagree with the defining core-EP test")
 
     return ClassReport(
-        is_ep=is_ep(rec, tol),
+        is_ep=rec.is_ep,
         is_core_ep=core_ep,
-        is_k_ep=is_k_ep(rec, tol),
+        is_k_ep=rec.is_k_ep,
         core_ep_conditions=conditions,
         block_conditions=block,
         residuals=residuals,

@@ -74,7 +74,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise MatrixFileError(f"missing matrix field: {exc}") from exc
     # JSON true and false are Python bools, which subclass int
     if (not all(isinstance(d, int) and not isinstance(d, bool) for d in (rows, cols))
-            or rows < 1 or cols < 0):
+            or rows < 0 or cols < 0):
         raise MatrixFileError(f"bad dimensions rows={rows!r} cols={cols!r}")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFileError("data does not match declared row count")
@@ -82,11 +82,12 @@ def matrix_from_obj(obj) -> np.ndarray:
         parts = np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         parts = None
-    # numpy reads rows of no pairs as shape (rows, 0)
-    if (parts is None or parts.shape != ((rows, cols, 2) if cols else (rows, 0))
+    # numpy reads no rows as shape (0,) and rows of no pairs as (rows, 0)
+    want = (rows, cols, 2)
+    if (parts is None or parts.shape != want[:parts.ndim] or parts.size != rows * cols * 2
             or not _number_pairs(data) or not np.isfinite(parts).all()):
         raise _first_fault(data, cols)
-    return parts.reshape(rows, cols, 2).view(np.complex128).reshape(rows, cols)
+    return parts.reshape(want).view(np.complex128).reshape(rows, cols)
 
 
 def _number_pairs(data: list) -> bool:
@@ -160,7 +161,7 @@ def _tolerance(args) -> Tolerance:
 # `cmd_compute` passes the record of B = 2^-e A and B's inverse.
 _XAX_EQ_X = ("xax_eq_x", lambda r, x: (x @ r.a @ x, x))
 _DRAZIN_RESIDUALS = (
-    ("power_identity", lambda r, x: (r.power(r.index + 1, right=x), r.power(r.index))),
+    ("power_identity", lambda r, x: (r.power(r.index + 1) @ x, r.power(r.index))),
     _XAX_EQ_X,
     ("commutes", lambda r, x: (r.a @ x, x @ r.a)),
 )
@@ -176,14 +177,12 @@ _RESIDUALS = {
     "dmp": (
         _XAX_EQ_X,
         ("xa_eq_drazin_a", lambda r, x: (x @ r.a, r.drazin @ r.a)),
-        ("power_mp", lambda r, x: (r.power(r.index, right=x),
-                                   r.power(r.index, right=r.pinv))),
+        ("power_mp", lambda r, x: (r.power(r.index) @ x, r.power(r.index) @ r.pinv)),
     ),
     "mpd": (
         _XAX_EQ_X,
         ("ax_eq_a_drazin", lambda r, x: (r.a @ x, r.a @ r.drazin)),
-        ("mp_power", lambda r, x: (r.power(r.index, left=x),
-                                   r.power(r.index, left=r.pinv))),
+        ("mp_power", lambda r, x: (x @ r.power(r.index), r.pinv @ r.power(r.index))),
     ),
     "cmp": (
         _XAX_EQ_X,

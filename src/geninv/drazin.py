@@ -22,7 +22,7 @@ import numpy as np
 
 from .factor import HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from, svd
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _exponent,
-                     _guarded, _ldexp, conj_transpose, mat_pow)
+                     _guarded, _ldexp, approx_eq, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -70,14 +70,13 @@ class _Analysis:
     lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
     which keeps B^j by j and SVDs by input (shape and bytes), so each is
     formed once; the record of A reads every part, svd(A) and A^j scaled
-    from there, and forms no SVD or power of its own. The record of B also
-    keeps the verdict of `classify.is_core_ep` by tolerance."""
+    from there, and forms no SVD or power of its own. The class verdicts
+    (EP, core-EP, k-EP) are parts too, decided on B under `tol`."""
 
     a: np.ndarray
     tol: Tolerance
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
-    _core_ep_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _svd(self, m: np.ndarray) -> SVDResult:
         key = (m.shape, m.tobytes())
@@ -89,17 +88,14 @@ class _Analysis:
     def _exp(self) -> int:
         return _exponent(self.a)
 
-    def power(self, j: int, left=None, right=None) -> np.ndarray:
-        """left A^j right (a missing factor is left out), formed as
-        2^(e j) (left B^j right), so that no power of A is formed on the
-        way where it would leave the float range. On `unit` it is B^j."""
+    def power(self, j: int) -> np.ndarray:
+        """A^j, read as 2^(e j) B^j from the record of B, where B^j is
+        formed once, so that no power of A is formed. On `unit` it is B^j."""
         if self._exp:
-            return _ldexp(self.unit.power(j, left, right), self._exp * j)
+            return _ldexp(self.unit.power(j), self._exp * j)
         if j not in self._powers:
             self._powers[j] = mat_pow(self.a, j)
-        m = self._powers[j]
-        m = m if left is None else left @ m
-        return m if right is None else m @ right
+        return self._powers[j]
 
     def power_pinv(self, j: int) -> np.ndarray:
         """(B^j)^+, with the cutoff referenced to sigma_max(B)**j; called on
@@ -195,12 +191,29 @@ class _Analysis:
     def cce(self) -> np.ndarray:
         return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
 
+    @_part(0)
+    def is_ep(self) -> bool:
+        """B commutes with B^+."""
+        return approx_eq(self.a @ self.pinv, self.pinv @ self.a, self.tol)
+
+    @_part(0)
+    def is_core_ep(self) -> bool:
+        """B^+ commutes with the core part of B."""
+        return approx_eq(self.pinv @ self.core, self.core @ self.pinv, self.tol)
+
+    @_part(0)
+    def is_k_ep(self) -> bool:
+        """B^k commutes with B^+, k the index."""
+        bk = self.power(self.index)
+        return approx_eq(bk @ self.pinv, self.pinv @ bk, self.tol)
+
 
 def _analyse(a, tol: Tolerance, square: bool = True) -> _Analysis:
     """The record of `a`, through the input guard (`kernel._guarded`); when
     `square`, an input that is not square raises DimensionMismatchError.
     Public functions take a matrix or, from inside the package, a record,
-    which passes through so each call analyses each matrix once."""
+    which passes through with its own `tol`, so each call analyses each
+    matrix once."""
     rec = a if isinstance(a, _Analysis) else _Analysis(_guarded(a), tol)
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import is_core_ep
 from .drazin import _analyse
 from .kernel import DEFAULT_TOL, InternalCheckError, Tolerance
 
@@ -132,7 +131,7 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
         u = _haar_unitary(rng, n)
         block = _block_diag(_well_conditioned(rng, r), _strict_upper(rng, n - r))
         rec = _analyse(u @ block @ u.conj().T, tol)
-        if not is_core_ep(rec, tol):
+        if not rec.is_core_ep:
             raise InternalCheckError("constructed sample is not core-EP")
         return rec
     if spec.kind == "ep":

@@ -268,26 +268,12 @@ def _eliminate_gaussian(re: list, im: list, n: int):
 
 
 def exact_rank(a: RMatrix) -> int:
-    return len(_rref(a)[1])
+    return len(_ExactAnalysis(a)._reduce(a)[1])
 
 
 def exact_inv(a: RMatrix) -> RMatrix:
     """Inverse of a nonsingular square matrix via Gauss-Jordan on [a | I]."""
-    return _inverse(a, _rref)
-
-
-def _inverse(a: RMatrix, reduce) -> RMatrix:
-    """`exact_inv`, with `reduce` in place of `_rref`."""
-    m, n = a.shape
-    if m != n:
-        raise ValueError("inverse of non-square matrix")
-    if n == 0:  # the r x r matrix of a rank-0 factorization
-        return a
-    eye = np.eye(n, dtype=int).astype(object) * a._den
-    red, pivots = reduce(RMatrix._of(np.hstack([a._re, eye]), np.hstack([a._im, 0 * eye])))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return red._sub(slice(None), slice(n, None))
+    return _ExactAnalysis(a)._inv(a)
 
 
 @dataclass(frozen=True)
@@ -323,7 +309,19 @@ class _ExactAnalysis:
         return self._reduce(self.power(j))
 
     def _inv(self, m: RMatrix) -> RMatrix:
-        return _inverse(m, self._reduce)
+        """m^-1, the right half of the RREF of [m | I]; ValueError unless m
+        is square and nonsingular."""
+        k, n = m.shape
+        if k != n:
+            raise ValueError("inverse of non-square matrix")
+        if n == 0:  # the r x r matrix of a rank-0 factorization
+            return m
+        eye = np.eye(n, dtype=int).astype(object) * m._den
+        red, pivots = self._reduce(
+            RMatrix._of(np.hstack([m._re, eye]), np.hstack([m._im, 0 * eye])))
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return red._sub(slice(None), slice(n, None))
 
     def _factors(self, j: int):
         """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,

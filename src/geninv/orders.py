@@ -61,9 +61,9 @@ def _check_pair(a, b, tol: Tolerance):
     return rec.unit, _ldexp(_operand(rec, b), -rec._exp)
 
 
-def _order_sides(rec, b: np.ndarray, kind: OrderKind, tol: Tolerance) -> list:
+def _order_sides(rec, b: np.ndarray, kind: OrderKind) -> list:
     """a <= b under inverse g of a, as sides: [(g a, g b), (a g, b g)]."""
-    g = _INVERSE_FOR_KIND[kind](rec, tol)
+    g = _INVERSE_FOR_KIND[kind](rec, rec.tol)
     return [(g @ rec.a, g @ b), (rec.a @ g, b @ g)]
 
 
@@ -73,7 +73,7 @@ def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
     rec, b = _check_pair(a, b, tol)
     kind = OrderKind(kind)
     (left, left_residual), (right, right_residual) = (
-        _check(sides, tol) for sides in _order_sides(rec, b, kind, tol))
+        _check(sides, tol) for sides in _order_sides(rec, b, kind))
     return OrderReport(
         kind=kind,
         holds=left and right,
@@ -91,13 +91,13 @@ def core_upper_bound_check(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 # The three equivalent tests of a <= b under the DMP and the MPD inverse:
 # (label, sides(rec, b, A^k)), each a list of pairs that must all be equal.
 _DMP_FORMS = (
-    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.DMP, r.tol)),
+    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.DMP)),
     ("drazin", lambda r, b, ak: [(r.drazin, r.drazin @ r.pinv @ b),
                                  (r.drazin, b @ r.drazin @ r.drazin)]),
     ("power", lambda r, b, ak: [(ak, ak @ r.pinv @ b), (ak, b @ r.drazin @ ak)]),
 )
 _MPD_FORMS = (
-    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.MPD, r.tol)),
+    ("definition", lambda r, b, ak: _order_sides(r, b, OrderKind.MPD)),
     ("drazin", lambda r, b, ak: [(r.drazin, r.drazin @ r.drazin @ b),
                                  (r.drazin, b @ r.pinv @ r.drazin)]),
     ("power", lambda r, b, ak: [(ak, ak @ r.drazin @ b), (ak, b @ r.pinv @ ak)]),

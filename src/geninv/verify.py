@@ -16,12 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import (
-    _CORE_EP_CONDITIONS,
-    dmp_pinv_commute_criterion,
-    is_core_ep,
-    is_ep,
-)
+from .classify import _CORE_EP_CONDITIONS, dmp_pinv_commute_criterion
 from .drazin import _analyse, _operand
 from .factor import _core_blocks, pinv
 from .kernel import (
@@ -103,7 +98,7 @@ class VerificationReport:
         }
 
 
-# Uniqueness systems: system -> (solution(rec, tol), equations). Each
+# Uniqueness systems: system -> (solution(rec), equations). Each
 # equation is (label, sides(rec, x)), two matrices that are equal at the
 # designated solution x and that a perturbation of x must pull apart.
 _AX_EQ_D_MP = ("ax_eq_d_mp", lambda r, x: (r.a @ x, r.drazin @ r.pinv))
@@ -112,24 +107,24 @@ _X_PA_EQ_X = ("x_pa_eq_x", lambda r, x: (x @ (r.a @ r.pinv), x))
 _QA_X_PA_EQ_X = ("qa_x_pa_eq_x", lambda r, x: (r.pinv @ r.a @ x @ (r.a @ r.pinv), x))
 
 
-def _mpdmp(rec, tol):
+def _mpdmp(rec):
     return rec.mpdmp
 
 
-def _core_ep_mpdmp(rec, tol):
-    if not is_core_ep(rec, tol):
+def _core_ep_mpdmp(rec):
+    if not rec.is_core_ep:
         raise PreconditionError("system kj43 requires a core-EP matrix")
     return rec.mpdmp
 
 
 _SYSTEMS = {
-    "a2": (lambda r, tol: r.drazin @ r.pinv, (
+    "a2": (lambda r: r.drazin @ r.pinv, (
         _X_PA_EQ_X,
         ("xa_eq_drazin", lambda r, x: (x @ r.a, r.drazin)),
     )),
     "a1": (_mpdmp, (
         # (x A^3) x: the scales of x and A^3 cancel before the second x
-        ("x_a3_x_eq_x", lambda r, x: (r.power(3, left=x) @ x, x)),
+        ("x_a3_x_eq_x", lambda r, x: (x @ r.power(3) @ x, x)),
         _AX_EQ_D_MP,
         _XA_EQ_MP_D,
     )),
@@ -144,13 +139,13 @@ _SYSTEMS = {
         ("qa_x_eq_x", lambda r, x: (r.pinv @ r.a @ x, x)),
         _AX_EQ_D_MP,
     )),
-    "a101": (lambda r, tol: r.core, (
-        ("ak_x_eq_ak1", lambda r, x: (r.power(r.index, right=x), r.power(r.index + 1))),
+    "a101": (lambda r: r.core, (
+        ("ak_x_eq_ak1", lambda r, x: (r.power(r.index) @ x, r.power(r.index + 1))),
         ("ax_eq_xa", lambda r, x: (r.a @ x, x @ r.a)),
         ("x_d_x_eq_x", lambda r, x: (x @ r.drazin @ x, x)),
     )),
     "kj43": (_core_ep_mpdmp, (
-        ("a3_x_eq_spectral_projector", lambda r, x: (r.power(3, right=x), r.a @ r.drazin)),
+        ("a3_x_eq_spectral_projector", lambda r, x: (r.power(3) @ x, r.a @ r.drazin)),
         ("range_inclusion", lambda r, x: (r.a @ r.core_ep @ x, x)),
     )),
 }
@@ -167,11 +162,11 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     by more than min_violation. The system is evaluated on B = 2^-e a (e as
     in `svd`), so the report is the same for every power-of-two multiple of
     a; the residuals are B's."""
-    rec = _analyse(a, tol).unit
     if system not in _SYSTEMS:
         raise UnknownSystemError(f"unknown system {system!r}")
+    rec = _analyse(a, tol).unit
     solution, eqs = _SYSTEMS[system]
-    x = solution(rec, tol)
+    x = solution(rec)
     report = VerificationReport(suite=f"system:{system}")
     for label, sides in eqs:
         report.record(label, *_check(sides(rec, x), tol))
@@ -249,9 +244,10 @@ def _kep_pairs(specs, tol):
 
 
 class _Suite(NamedTuple):
-    """An identity suite: its identities (label, sides(subject, tol)), the
-    skip rules (note, applies(subject, tol)) tried in order before them, and
-    the source (specs, tol) -> (samples, subjects)."""
+    """An identity suite: its identities (label, sides(subject)), the skip
+    rules (note, applies(subject)) tried in order before them, and the
+    source (specs, tol) -> (samples, subjects). A subject is a record, which
+    carries its tolerance, or a pair whose first member is a record."""
 
     identities: tuple
     skips: tuple = ()
@@ -265,113 +261,110 @@ def _eye(r):
 def _iff_core_ep(sides):
     """A core-EP condition as a suite identity: on a core-EP subject it must
     hold, and its residual is recorded; on any other it must fail."""
-    return lambda r, tol: (sides(r, tol) if is_core_ep(r, tol)
-                           else (sides(r, tol), False))
+    return lambda r: sides(r) if r.is_core_ep else (sides(r), False)
 
 
-def _dmp_pinv_commutes(r, tol):
-    gp = pinv(r.dmp, tol)
-    return dmp_pinv_commute_criterion(r.hs, tol), (gp @ r.drazin, r.drazin @ gp)
+def _dmp_pinv_commutes(r):
+    gp = pinv(r.dmp, r.tol)
+    return dmp_pinv_commute_criterion(r.hs, r.tol), (gp @ r.drazin, r.drazin @ gp)
 
 
-def _cce_hypothesis_fails(r, tol):
+def _cce_hypothesis_fails(r):
     """The core-EP and Drazin inverses of the core block SQ differ."""
-    core = _core_blocks(r.hs, tol)[0]
-    return not approx_eq(core.core_ep, core.drazin, tol)
+    core = _core_blocks(r.hs, r.tol)[0]
+    return not approx_eq(core.core_ep, core.drazin, r.tol)
 
 
-def _cmp_ep_iff_cce_commutes(r, tol):
-    c = _analyse(r.cmp, tol)
+def _cmp_ep_iff_cce_commutes(r):
+    c = _analyse(r.cmp, r.tol)
     z, cp = r.cce, c.pinv
-    return is_ep(c, tol), (z @ cp, cp @ z)
+    return c.is_ep, (z @ cp, cp @ z)
 
 
-_NOT_CORE_EP = ("not_core_ep_skipped", lambda r, tol: not is_core_ep(r, tol))
-_ZERO = ("zero_skipped", lambda r, tol: not np.any(r.a != 0))
+_NOT_CORE_EP = ("not_core_ep_skipped", lambda r: not r.is_core_ep)
+_ZERO = ("zero_skipped", lambda r: not np.any(r.a != 0))
 
 _SUITES = {
     "core_ep_equiv": _Suite(tuple(
         (label, _iff_core_ep(sides)) for label, sides in _CORE_EP_CONDITIONS)),
     "core_ep_collapse": _Suite(skips=(_NOT_CORE_EP,), identities=(
-        ("dmp_eq_drazin", lambda r, tol: (r.dmp, r.drazin)),
-        ("mpd_eq_drazin", lambda r, tol: (r.mpd, r.drazin)),
-        ("cmp_eq_drazin", lambda r, tol: (r.cmp, r.drazin)),
-        ("dmp_eq_mpd", lambda r, tol: (r.dmp, r.mpd)),
+        ("dmp_eq_drazin", lambda r: (r.dmp, r.drazin)),
+        ("mpd_eq_drazin", lambda r: (r.mpd, r.drazin)),
+        ("cmp_eq_drazin", lambda r: (r.cmp, r.drazin)),
+        ("dmp_eq_mpd", lambda r: (r.dmp, r.mpd)),
         ("mpdmp_dmp_iff_mpdmp_mpd",
-         lambda r, tol: ((r.mpdmp, r.dmp), (r.mpdmp, r.mpd))),
+         lambda r: ((r.mpdmp, r.dmp), (r.mpdmp, r.mpd))),
     )),
     "six_part": _Suite(skips=(_NOT_CORE_EP,), identities=(
-        ("mpd_commutes_matrix", lambda r, tol: (r.mpd @ r.a, r.a @ r.mpd)),
-        ("mpd_commutes_drazin", lambda r, tol: (r.mpd @ r.drazin, r.drazin @ r.mpd)),
-        ("mpd_commutes_core", lambda r, tol: (r.mpd @ r.core, r.core @ r.mpd)),
-        ("mpdmp_commutes_mpd", lambda r, tol: (r.mpdmp @ r.mpd, r.mpd @ r.mpdmp)),
-        ("core_eq_cmp_a2", lambda r, tol: (r.core, r.cmp @ (r.a @ r.a))),
-        ("core_eq_mpd_a2", lambda r, tol: (r.core, r.mpd @ (r.a @ r.a))),
-        ("core_eq_dmp_a2", lambda r, tol: (r.core, r.dmp @ (r.a @ r.a))),
-        ("qa_core_eq_core", lambda r, tol: (r.pinv @ r.a @ r.core, r.core)),
-        ("core_qa_eq_core", lambda r, tol: (r.core @ (r.pinv @ r.a), r.core)),
+        ("mpd_commutes_matrix", lambda r: (r.mpd @ r.a, r.a @ r.mpd)),
+        ("mpd_commutes_drazin", lambda r: (r.mpd @ r.drazin, r.drazin @ r.mpd)),
+        ("mpd_commutes_core", lambda r: (r.mpd @ r.core, r.core @ r.mpd)),
+        ("mpdmp_commutes_mpd", lambda r: (r.mpdmp @ r.mpd, r.mpd @ r.mpdmp)),
+        ("core_eq_cmp_a2", lambda r: (r.core, r.cmp @ (r.a @ r.a))),
+        ("core_eq_mpd_a2", lambda r: (r.core, r.mpd @ (r.a @ r.a))),
+        ("core_eq_dmp_a2", lambda r: (r.core, r.dmp @ (r.a @ r.a))),
+        ("qa_core_eq_core", lambda r: (r.pinv @ r.a @ r.core, r.core)),
+        ("core_qa_eq_core", lambda r: (r.core @ (r.pinv @ r.a), r.core)),
     )),
     "ass": _Suite(source=_with_witnesses, identities=(
         ("product_iff_idempotent_power",
-         lambda r, tol: ((r.cmp, r.mpd @ r.dmp), (r.power(r.index + 1), r.power(r.index)))),
+         lambda r: ((r.cmp, r.mpd @ r.dmp), (r.power(r.index + 1), r.power(r.index)))),
         ("idempotent_power_iff_range",
-         lambda r, tol: ((r.power(r.index + 1), r.power(r.index)),
-                         ((_eye(r) - r.a) @ r.a @ r.core_ep, np.zeros_like(r.a)))),
+         lambda r: ((r.power(r.index + 1), r.power(r.index)),
+                    ((_eye(r) - r.a) @ r.a @ r.core_ep, np.zeros_like(r.a)))),
     )),
     "five_way_mp": _Suite(skips=(_ZERO,), identities=(
         ("dmp_pinv_commutes", _dmp_pinv_commutes),
-        ("cmp_eq_mpd_a", lambda r, tol: ((r.cmp, r.mpd @ r.a),
-                                         (r.power(r.index, right=r.pinv), r.power(r.index)))),
-        ("cmp_eq_a_dmp", lambda r, tol: ((r.cmp, r.a @ r.dmp),
-                                         (r.power(r.index, left=r.pinv), r.power(r.index)))),
-        ("cmp_eq_mpd_astar", lambda r, tol: ((r.cmp, r.mpd @ conj_transpose(r.a)),
-                                             (r.power(r.index, right=conj_transpose(r.pinv)),
-                                              r.power(r.index)))),
-        ("cmp_eq_astar_dmp", lambda r, tol: ((r.cmp, conj_transpose(r.a) @ r.dmp),
-                                             (r.power(r.index, left=conj_transpose(r.pinv)),
-                                              r.power(r.index)))),
+        ("cmp_eq_mpd_a", lambda r: ((r.cmp, r.mpd @ r.a),
+                                    (r.power(r.index) @ r.pinv, r.power(r.index)))),
+        ("cmp_eq_a_dmp", lambda r: ((r.cmp, r.a @ r.dmp),
+                                    (r.pinv @ r.power(r.index), r.power(r.index)))),
+        ("cmp_eq_mpd_astar", lambda r: ((r.cmp, r.mpd @ conj_transpose(r.a)),
+                                        (r.power(r.index) @ conj_transpose(r.pinv),
+                                         r.power(r.index)))),
+        ("cmp_eq_astar_dmp", lambda r: ((r.cmp, conj_transpose(r.a) @ r.dmp),
+                                        (conj_transpose(r.pinv) @ r.power(r.index),
+                                         r.power(r.index)))),
     )),
     "five_way_core": _Suite((
         ("dmp_core_commute_iff_null",
-         lambda r, tol: ((r.dmp @ r.core, r.core @ r.dmp),
-                         (r.power(r.index, right=_eye(r) - r.a @ r.pinv), np.zeros_like(r.a)))),
+         lambda r: ((r.dmp @ r.core, r.core @ r.dmp),
+                    (r.power(r.index) @ (_eye(r) - r.a @ r.pinv), np.zeros_like(r.a)))),
         ("mpd_core_commute_iff_range",
-         lambda r, tol: ((r.mpd @ r.core, r.core @ r.mpd),
-                         (r.power(r.index, left=_eye(r) - r.pinv @ r.a), np.zeros_like(r.a)))),
+         lambda r: ((r.mpd @ r.core, r.core @ r.mpd),
+                    ((_eye(r) - r.pinv @ r.a) @ r.power(r.index), np.zeros_like(r.a)))),
         ("core_fixed_by_dmp_iff_idempotent_power",
-         lambda r, tol: ((r.core, r.dmp @ r.core), (r.power(r.index), r.power(r.index + 1)))),
+         lambda r: ((r.core, r.dmp @ r.core), (r.power(r.index), r.power(r.index + 1)))),
         ("core_fixed_by_mpd_iff_mp_fixes_power",
-         lambda r, tol: ((r.core, r.mpd @ r.core),
-                         (r.power(r.index, left=r.pinv), r.power(r.index)))),
+         lambda r: ((r.core, r.mpd @ r.core), (r.pinv @ r.power(r.index), r.power(r.index)))),
         ("core_fixed_by_cmp_iff_mp_fixes_power",
-         lambda r, tol: ((r.core, r.cmp @ r.core),
-                         (r.power(r.index, left=r.pinv), r.power(r.index)))),
+         lambda r: ((r.core, r.cmp @ r.core), (r.pinv @ r.power(r.index), r.power(r.index)))),
     )),
     "commute_lemma": _Suite((
-        ("drazin_mpd_eq_dmp_drazin", lambda r, tol: (r.drazin @ r.mpd, r.dmp @ r.drazin)),
-        ("drazin_mpd_eq_drazin_sq", lambda r, tol: (r.drazin @ r.mpd, r.drazin @ r.drazin)),
-        ("dmp_drazin_eq_drazin_sq", lambda r, tol: (r.dmp @ r.drazin, r.drazin @ r.drazin)),
+        ("drazin_mpd_eq_dmp_drazin", lambda r: (r.drazin @ r.mpd, r.dmp @ r.drazin)),
+        ("drazin_mpd_eq_drazin_sq", lambda r: (r.drazin @ r.mpd, r.drazin @ r.drazin)),
+        ("dmp_drazin_eq_drazin_sq", lambda r: (r.dmp @ r.drazin, r.drazin @ r.drazin)),
     )),
     "ew2": _Suite(tuple(
         (f"core_upper_bound_{kind.value}",
-         lambda r, tol, kind=kind: _order_sides(r, r.core, kind, tol))
+         lambda r, kind=kind: _order_sides(r, r.core, kind))
         for kind in OrderKind)),
     "adf": _Suite(source=_adf_pairs, identities=(
         ("dmp_characterizations_agree",
-         lambda pair, tol: dmp_order_characterizations(*pair, tol)),
+         lambda pair: dmp_order_characterizations(*pair, pair[0].tol)),
         ("mpd_characterizations_agree",
-         lambda pair, tol: mpd_order_characterizations(*pair, tol)),
+         lambda pair: mpd_order_characterizations(*pair, pair[0].tol)),
     )),
     "orders_kep": _Suite(source=_kep_pairs, identities=(
         ("four_relations_agree",
-         lambda pair, tol: tuple(leq(*pair, kind, tol).holds for kind in OrderKind)),
+         lambda pair: tuple(leq(*pair, kind, pair[0].tol).holds for kind in OrderKind)),
     )),
     "cce_conditional": _Suite(
         skips=(_ZERO, ("hypothesis_skipped", _cce_hypothesis_fails)),
         identities=(
             # one statement always agrees with itself: counts the subjects
             # that meet the hypothesis
-            ("qualified", lambda r, tol: (True,)),
+            ("qualified", lambda r: (True,)),
             ("cmp_ep_iff_cce_commutes", _cmp_ep_iff_cce_commutes),
         )),
 }
@@ -395,11 +388,11 @@ def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
     samples, subjects = row.source(specs, tol)
     report = VerificationReport(suite=suite)
     for subject in subjects:
-        skip = next((note for note, applies in row.skips if applies(subject, tol)), None)
+        skip = next((note for note, applies in row.skips if applies(subject)), None)
         if skip is not None:
             report.note(skip)
             continue
         for label, sides in row.identities:
-            report.record(label, *_check(sides(subject, tol), tol))
+            report.record(label, *_check(sides(subject), tol))
     report.samples = len(samples)
     return report

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import geninv as gi
-from geninv import DimensionMismatchError, PreconditionError, classify, cli
+from geninv import DimensionMismatchError, PreconditionError, cli
 from geninv.drazin import _analyse, _Analysis
 from geninv.ensembles import EnsembleSpec
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
@@ -172,7 +172,8 @@ def test_drazin_power_of_core_ep_formed_once_at_any_scale(a1, power_inputs):
 
 # Each part of the record and the power of 2^e it scales by, A = 2^e B.
 PART_DEGREES = {"rank": 0, "index": 0, "core": 1, "mpdmp": -3, "pinv": -1, "drazin": -1,
-                "dmp": -1, "mpd": -1, "cmp": -1, "core_ep": -1, "cce": -1}
+                "dmp": -1, "mpd": -1, "cmp": -1, "core_ep": -1, "cce": -1,
+                "is_ep": 0, "is_core_ep": 0, "is_k_ep": 0}
 
 
 @pytest.mark.parametrize("e", (2, 40, -40, 300, -300))
@@ -253,14 +254,15 @@ def test_suites_spectral_work(record_calls):
 @pytest.mark.parametrize("kind", ("core_ep", "fixed_index"))
 def test_core_ep_verdict_evaluated_once_per_sample(suite, kind, monkeypatch):
     # the core_ep class check of a sample, the skip rule and each of the
-    # seven core_ep_equiv rows all ask for the verdict
-    calls, real = [], classify.approx_eq
+    # seven core_ep_equiv rows all ask for the verdict, a part of the record
+    drazin_module = sys.modules["geninv.drazin"]
+    calls, real = [], drazin_module.approx_eq
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classify, "approx_eq", counting)
+    monkeypatch.setattr(drazin_module, "approx_eq", counting)
     rep = run_suite(suite, EnsembleSpec(5, 4, 3, kind, index=2 if kind == "fixed_index" else None))
     assert len(calls) == rep.samples == 4
 

@@ -134,6 +134,26 @@ def test_empty_columns_round_trip(tmp_path):
     assert load_matrix(path).shape == (3, 0)
 
 
+# n x 0 is test_empty_columns_round_trip
+@pytest.mark.parametrize("shape", ((0, 3), (0, 0), (1, 1)))
+def test_every_written_shape_loads_back(tmp_path, shape):
+    a = np.full(shape, 1.5 - 2j)
+    path = str(tmp_path / "m.json")
+    save_matrix(path, a)
+    back = load_matrix(path)
+    assert back.shape == shape and np.array_equal(back, a)
+
+
+def test_compute_output_of_an_empty_matrix_reads_back(tmp_path, capsys):
+    # the pseudoinverse of a 2 x 0 matrix is 0 x 2, and that of 0 x 2 is 2 x 0
+    src, out = tmp_path / "a.json", tmp_path / "x.json"
+    save_matrix(str(src), np.zeros((2, 0), dtype=complex))
+    code, _ = run_cli(capsys, "compute", "-i", str(src), "--which", "mp", "-o", str(out))
+    assert code == 0 and load_matrix(str(out)).shape == (0, 2)
+    code, rep = run_cli(capsys, "compute", "-i", str(out), "--which", "mp")
+    assert code == 0 and matrix_from_obj(rep["matrix"]).shape == (2, 0)
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 

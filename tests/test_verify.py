@@ -55,6 +55,11 @@ def test_unknown_system(a1):
         verify_system(a1, "nonsense")
 
 
+def test_unknown_system_checked_before_the_matrix():
+    with pytest.raises(UnknownSystemError):
+        verify_system(np.ones((2, 3)), "nope")
+
+
 def test_solution_family_zero_member(a1):
     zero = np.zeros((3, 3), dtype=complex)
     x = solution_family(a1, zero, "q1")
