@@ -16,7 +16,7 @@ however a is scaled; the part of a is that of b times its power of 2**e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -49,6 +49,26 @@ class CoreNilpotent:
     index: int
 
 
+class _once:
+    """A part computed on first read and written to the record's instance
+    dict, which later reads find before this (non-data) descriptor. Unlike
+    `functools.cached_property` on Python 3.11 it takes no lock: a record
+    lives inside one public call, so no two threads read one record."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        value = rec.__dict__[self.name] = self.compute(rec)
+        return value
+
+
 def _part(degree: int):
     """A part that is 2^(degree e) times that of B = 2^-e A: computed on
     the record of B only, and read from `unit` and scaled on that of A."""
@@ -59,7 +79,7 @@ def _part(degree: int):
                 return compute(self)
             value = getattr(self.unit, compute.__name__)
             return _ldexp(value, degree * self._exp) if degree else value
-        return cached_property(part)
+        return _once(part)
     return tag
 
 
@@ -84,7 +104,7 @@ class _Analysis:
             self._svds[key] = svd(m)
         return self._svds[key]
 
-    @cached_property
+    @_once
     def _exp(self) -> int:
         return _exponent(self.a)
 
@@ -108,11 +128,11 @@ class _Analysis:
         [0.5, 1); when e = 0 this record itself, not stored, so none refers to itself."""
         return self if self._exp == 0 else self._unit
 
-    @cached_property
+    @_once
     def _unit(self) -> "_Analysis":
         return _Analysis(_ldexp(self.a, -self._exp), self.tol)
 
-    @cached_property
+    @_once
     def factors(self) -> SVDResult:
         """svd(A), read from svd(B): `svd` scales its input by 2^-e first,
         so the two differ only in s, by 2^e."""
@@ -121,7 +141,7 @@ class _Analysis:
         res = self.unit.factors
         return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
-    @cached_property
+    @_once
     def _smax(self) -> float:
         """sigma_max(B), on the record of B."""
         return float(self.factors.s[0]) if self.factors.s.size else 0.0
@@ -134,7 +154,7 @@ class _Analysis:
     def pinv(self) -> np.ndarray:
         return _pinv_from(self.factors, 0.0, self.tol)
 
-    @cached_property
+    @_once
     def hs(self) -> HSDecomp:
         res, r = self.factors, self.rank
         if r == 0:

@@ -7,12 +7,13 @@ with no Fraction per entry. A product is four integer matrix products, or
 one when neither factor has an imaginary part. Row reduction is
 fraction-free Gauss-Jordan (Bareiss 1968) on lists of Python int rows:
 over the integers when the matrix has no imaginary part, over the
-Gaussian integers otherwise. Each inverse inverts one r x r matrix of a
-full-rank factorization, or A^j itself when it is square of full rank;
-at index 0 all eight inverses are read from A^-1. One record per matrix
-(`_ExactAnalysis`, with the part names of `drazin._Analysis`) keeps A^j
-and (A^j)^+ by j and each reduction by its input, so the index search
-and all eight inverses share them. The integers grow with n and with the
+Gaussian integers otherwise; a matrix is inverted by repeating the row
+operations of its reduction on I. Each inverse inverts one r x r matrix
+of a full-rank factorization, or A^j itself when it is square of full
+rank; at index 0 all eight inverses are read from A^-1. One record per
+matrix (`_ExactAnalysis`, with the part names of `drazin._Analysis`)
+keeps A^j and (A^j)^+ by j and each reduction by its input, so the index
+search and all eight inverses share them. The integers grow with n and with the
 index: the eight inverses, each from its own record, of a matrix with
 entries in [-3, 3] take about 1.5-4 ms when it is nonsingular and 4-13 ms
 at index 1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to 8) on a
@@ -203,68 +204,75 @@ class RMatrix:
 
 
 def _rref(a: RMatrix):
-    """Reduced row echelon form; returns (rref, pivot column list). On the
-    numerator M, each pivot p = M[r, c] turns every other row i into
+    """Reduced row echelon form; returns (rref, pivot columns, replay). On
+    the numerator M, each pivot p = M[r, c] turns every other row i into
     (p M[i] - M[i, c] M[r]) / q, q the previous pivot (1 at first): an exact
     division that makes every earlier pivot p too, so the RREF is M / p.
     The rows are lists of Python ints; a matrix with no imaginary part is
-    reduced on its real rows alone."""
+    reduced on its real rows alone. replay(re, im) applies the same row
+    operations to the rows re + i im (as many as a has) and returns them
+    over the last pivot, which is the right half of the RREF of [a | rows]
+    when a is square and nonsingular: on I, the inverse of a."""
     (m, n), re, im = a.shape, a._re.tolist(), a._im.tolist()
-    if a._im.any():
-        pivots, (qr, qi) = _eliminate_gaussian(re, im, n)
-    else:
-        (pivots, qr), qi = _eliminate_real(re, n), 0
-    re, im = (np.array(x, dtype=object).reshape(m, n) for x in (re, im))
-    # M / q is M conj(q) / |q|^2
-    return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi), pivots
-
-
-def _eliminate_real(rows: list, n: int):
-    """The elimination of `_rref` on integer rows, in place; returns the
-    pivot columns and the last pivot."""
-    pivots, q = [], 1
+    step = _step_gaussian if a._im.any() else _step_real
+    pivots, steps, q = [], [], (1, 0)
     for c in range(n):
         r = len(pivots)
-        below = [i for i in range(r, len(rows)) if rows[i][c]]
+        below = [i for i in range(r, m) if re[i][c] or im[i][c]]
         if not below:
             continue
-        rows[r], rows[below[0]] = rows[below[0]], rows[r]
-        top, p = rows[r], rows[r][c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(p * x - f * y) // q for x, y in zip(row, top)]
-        q = p
+        # column c with rows r and below[0] swapped: the pivot and multipliers
+        fr, fi = [x[c] for x in re], [y[c] for y in im]
+        for f in (fr, fi):
+            f[r], f[below[0]] = f[below[0]], f[r]
+        steps.append((r, below[0], fr, fi, q))
+        step(re, im, *steps[-1])
+        q = fr[r], fi[r]
         pivots.append(c)
-    return pivots, q
+
+    def replay(re: list, im: list) -> RMatrix:
+        for args in steps:
+            step(re, im, *args)
+        return _over(re, im, q, len(re[0]))
+
+    return _over(re, im, q, n), pivots, replay
 
 
-def _eliminate_gaussian(re: list, im: list, n: int):
-    """The elimination of `_rref` on Gaussian-integer rows (real parts `re`,
-    imaginary parts `im`), in place; returns the pivot columns and the last
-    pivot as (real, imaginary). Dividing by q is multiplying by conj(q) and
-    dividing by |q|^2."""
-    pivots, (qr, qi) = [], (1, 0)
-    for c in range(n):
-        r = len(pivots)
-        below = [i for i in range(r, len(re)) if re[i][c] or im[i][c]]
-        if not below:
+def _over(re: list, im: list, q, n: int) -> RMatrix:
+    """(re + i im) / q for int rows of length n and a Gaussian integer q =
+    (qr, qi): (re + i im) conj(q) / |q|^2."""
+    (qr, qi), (re, im) = q, (np.array(x, dtype=object).reshape(len(x), n) for x in (re, im))
+    return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi)
+
+
+def _step_real(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> None:
+    """One step of `_rref` on integer rows `re`, in place (`im`, all zero,
+    and `fi` are unused): swap rows r and s, then turn each row i != r
+    into (p re[i] - fr[i] re[r]) / q, p = fr[r]."""
+    re[r], re[s] = re[s], re[r]
+    top, p, q = re[r], fr[r], q[0]
+    for i, row in enumerate(re):
+        if i != r:
+            f = fr[i]
+            re[i] = [(p * x - f * y) // q for x, y in zip(row, top)]
+
+
+def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> None:
+    """The step of `_step_real` on Gaussian-integer rows re + i im, with
+    pivot fr[r] + i fi[r] and multipliers fr[i] + i fi[i]. Dividing by q is
+    multiplying by conj(q) and dividing by |q|^2."""
+    for rows in (re, im):
+        rows[r], rows[s] = rows[s], rows[r]
+    (qr, qi), tr, ti, pr, pi = q, re[r], im[r], fr[r], fi[r]
+    qq = qr * qr + qi * qi
+    for i in range(len(re)):
+        if i == r:
             continue
-        for rows in (re, im):
-            rows[r], rows[below[0]] = rows[below[0]], rows[r]
-        tr, ti, qq = re[r], im[r], qr * qr + qi * qi
-        pr, pi = tr[c], ti[c]
-        for i in range(len(re)):
-            if i == r:
-                continue
-            fr, fi = re[i][c], im[i][c]
-            xr = [pr * x - pi * y - fr * u + fi * v for x, y, u, v in zip(re[i], im[i], tr, ti)]
-            xi = [pr * y + pi * x - fr * v - fi * u for x, y, u, v in zip(re[i], im[i], tr, ti)]
-            re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
-            im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
-        qr, qi = pr, pi
-        pivots.append(c)
-    return pivots, (qr, qi)
+        gr, gi = fr[i], fi[i]
+        xr = [pr * x - pi * y - gr * u + gi * v for x, y, u, v in zip(re[i], im[i], tr, ti)]
+        xi = [pr * y + pi * x - gr * v - gi * u for x, y, u, v in zip(re[i], im[i], tr, ti)]
+        re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
+        im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
 
 
 def exact_rank(a: RMatrix) -> int:
@@ -282,7 +290,8 @@ class _ExactAnalysis:
     from one matrix, each part computed on first use. A^j and (A^j)^+ are
     kept by j and every row reduction by its input's stored form, so each
     power is formed and inverted once and no matrix is reduced twice (an
-    idempotent power included), and the index search, the full-rank
+    idempotent power included, and a nonsingular A, whose inverse replays
+    the reduction that read its rank), and the index search, the full-rank
     factorizations and the pseudoinverses of A and of A^k share them."""
 
     a: RMatrix
@@ -299,34 +308,34 @@ class _ExactAnalysis:
         return self._powers[j]
 
     def _reduce(self, m: RMatrix):
-        """(RREF, pivot columns) of m."""
+        """(RREF, pivot columns, replay) of m; see `_rref`."""
         if m not in self._reduced:
             self._reduced[m] = _rref(m)
         return self._reduced[m]
 
     def _reduced_form(self, j: int):
-        """(RREF, pivot columns) of A^j."""
+        """(RREF, pivot columns, replay) of A^j."""
         return self._reduce(self.power(j))
 
     def _inv(self, m: RMatrix) -> RMatrix:
-        """m^-1, the right half of the RREF of [m | I]; ValueError unless m
-        is square and nonsingular."""
+        """m^-1: the reduction of m replayed on I, so that a matrix whose
+        rank was read is not reduced again; ValueError unless m is square
+        and nonsingular."""
         k, n = m.shape
         if k != n:
             raise ValueError("inverse of non-square matrix")
         if n == 0:  # the r x r matrix of a rank-0 factorization
             return m
-        eye = np.eye(n, dtype=int).astype(object) * m._den
-        red, pivots = self._reduce(
-            RMatrix._of(np.hstack([m._re, eye]), np.hstack([m._im, 0 * eye])))
-        if pivots[:n] != list(range(n)):
+        _, pivots, replay = self._reduce(m)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return red._sub(slice(None), slice(n, None))
+        return replay([[m._den if i == j else 0 for j in range(n)] for i in range(n)],
+                      [[0] * n for _ in range(n)])
 
     def _factors(self, j: int):
         """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,
         g the nonzero rows of its RREF."""
-        red, pivots = self._reduced_form(j)
+        red, pivots, _ = self._reduced_form(j)
         return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
 
     def power_pinv(self, j: int) -> RMatrix:

@@ -65,9 +65,12 @@ def svd(a: np.ndarray) -> SVDResult:
     which keeps it row-wise stable on rows of widely different size (Cox &
     Higham 1998); u is unpermuted afterwards.
     """
-    exp = _exponent(a)
-    b = _ldexp(a, -exp)
-    order = np.argsort(-np.linalg.norm(b, axis=1), kind="stable")
+    b = np.ascontiguousarray(a, dtype=np.complex128)
+    exp = _exponent(b)
+    if exp:
+        b = _ldexp(b, -exp)
+    # the row norms of np.linalg.norm(b, axis=1), by its own ufuncs
+    order = np.argsort(-np.sqrt(np.add.reduce((b.conj() * b).real, axis=1)), kind="stable")
     try:
         u_sorted, s, vh = np.linalg.svd(b[order])
     except np.linalg.LinAlgError as exc:
@@ -98,7 +101,7 @@ def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
     cutoff = _cutoff(res, scale, tol)
     s_inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > cutoff)
     smat = np.zeros((n, m), dtype=np.complex128)
-    smat[: len(res.s), : len(res.s)] = np.diag(s_inv)
+    smat.reshape(-1)[: len(s_inv) * (m + 1) : m + 1] = s_inv  # its diagonal
     return res.v @ smat @ conj_transpose(res.u)
 
 

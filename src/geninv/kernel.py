@@ -41,6 +41,9 @@ class InternalCheckError(RuntimeError):
     """A cross-check that must always pass has failed."""
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Comparison policy threaded through every residual test.
@@ -64,7 +67,7 @@ class Tolerance:
         """Cutoff factor applied to the largest singular value."""
         if self.rank_rel is not None:
             return self.rank_rel
-        return float(np.finfo(np.float64).eps) * max(m, n) * 64.0
+        return _EPS * max(m, n) * 64.0
 
 
 DEFAULT_TOL = Tolerance()
@@ -126,14 +129,50 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(parts, e).view(np.complex128)
 
 
+# Band of plain norms that proves the unscaled rule of `fro_norm`: with M
+# the largest real or imaginary part, M <= ||a||_F <= sqrt(2mn) M, so a
+# plain norm at most 2**399 has M < 2**400 (e <= 400) with room for its
+# rounding, and one at least 2**-360 has M >= 2**-401 (e >= -400) for any
+# matrix with sqrt(2mn) below 2**40. Underflowed squares only shrink the
+# plain norm, and an overflowed one makes it inf, both outside the band.
+_PLAIN_BAND = (2.0 ** -360, 2.0 ** 399)
+
+
+def _plain_norm(a) -> float:
+    """||a||_F unscaled, with the bits of np.linalg.norm(a): its two BLAS
+    dots (one for a real input) over ravel(order="K"), without its
+    dispatch. An overflowing square gives inf and a floating-point
+    overflow, which the callers ignore."""
+    x = np.asarray(a)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        x_re, x_im = x.real, x.imag
+        return float(np.sqrt(x_re.dot(x_re) + x_im.dot(x_im)))
+    return float(np.sqrt(x.dot(x)))
+
+
+def _fro_norm(a) -> float:
+    """`fro_norm` with floating-point overflow already ignored."""
+    norm = _plain_norm(a)
+    if _PLAIN_BAND[0] <= norm <= _PLAIN_BAND[1]:
+        return norm
+    e = _exponent(a)
+    if -400 <= e <= 400:
+        return norm
+    return float(np.ldexp(_plain_norm(_ldexp(a, -e)), e))
+
+
 def fro_norm(a: np.ndarray) -> float:
     """Frobenius norm, as 2**e ||2**-e a|| so that no square overflows.
     When e lies in [-400, 400] no square leaves the normal range, and
-    scaling by 2**e is exact, so the unscaled norm has the same bits."""
-    e = _exponent(a)
-    if -400 <= e <= 400:
-        return float(np.linalg.norm(a))
-    return float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e))
+    scaling by 2**e is exact, so the plain norm has the same bits. The
+    plain norm is taken first, and e is found only when that norm falls
+    outside `_PLAIN_BAND`, as every norm of a matrix with e outside
+    [-400, 400] does."""
+    with np.errstate(over="ignore"):
+        return _fro_norm(a)
 
 
 def diff_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,7 +184,11 @@ def diff_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def eq_scale(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     """Threshold under which a and b count as equal."""
-    return tol.eq_abs + tol.eq_rel * (1.0 + fro_norm(a) + fro_norm(b))
+    return _threshold(fro_norm(a), fro_norm(b), tol)
+
+
+def _threshold(norm_a: float, norm_b: float, tol: Tolerance) -> float:
+    return tol.eq_abs + tol.eq_rel * (1.0 + norm_a + norm_b)
 
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -166,7 +209,12 @@ def _check(sides, tol: Tolerance) -> tuple[bool, float]:
         checks = [_check(s, tol) for s in sides]
         return all(ok for ok, _ in checks), max(r for _, r in checks)
     if isinstance(sides[0], np.ndarray):
-        residual = diff_norm(*sides)
-        return residual <= eq_scale(*sides, tol), residual
+        a, b = sides
+        if a.shape != b.shape:
+            raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+        d = a - b
+        with np.errstate(over="ignore"):
+            residual, norm_a, norm_b = _fro_norm(d), _fro_norm(a), _fro_norm(b)
+        return residual <= _threshold(norm_a, norm_b, tol), residual
     truths = {_check(s, tol)[0] if isinstance(s, tuple) else s for s in sides}
     return len(truths) == 1, 0.0

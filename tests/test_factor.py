@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +288,79 @@ def _subnormal_coupling():
     a[0, 0], a[1, 1], a[1, 2] = 1.0, 1e-160, (2 + 1j) * 1e-160
     a[2, 1], a[2, 2] = 0.5e-160, 1e-160j
     return a
+
+
+def _reference_svd(a):
+    """(u, s, v) by the contract of `svd`: B = 2^-e a with its largest real
+    or imaginary part in [0.5, 1), the rows of B sorted by decreasing norm,
+    np.linalg.svd of the sorted B, u unpermuted and s scaled back."""
+    parts = np.array(a, dtype=np.complex128, order="C").view(np.float64)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    b = np.ldexp(parts, -e).view(np.complex128)
+    order = np.argsort(-np.linalg.norm(b, axis=1), kind="stable")
+    u_sorted, s, vh = np.linalg.svd(b[order])
+    u = np.empty_like(u_sorted)
+    u[order] = u_sorted
+    return u, np.ldexp(s, e), vh.conj().T, e
+
+
+def _reference_pinv(a):
+    """2^-e pinv(B), pinv(B) = v diag(1/s) u* over the singular values of B
+    above eps max(m, n) 64 s_max."""
+    u, s, v, e = _reference_svd(a)
+    s = np.ldexp(s, -e)
+    m, n = u.shape[0], v.shape[0]
+    cutoff = float(np.finfo(np.float64).eps) * max(m, n) * 64.0 * (s[0] if len(s) else 0.0)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    smat = np.zeros((n, m), dtype=np.complex128)
+    smat[: len(s), : len(s)] = np.diag(s_inv)
+    x = v @ smat @ u.conj().T
+    return np.ldexp(x.view(np.float64), -e).view(np.complex128)
+
+
+def _input_forms(rng):
+    """The forms a public svd or pinv input may take: lists, real, int and
+    view inputs, inputs already in [0.5, 1), scaled ones and ones with
+    rows of widely different size."""
+    a = random_complex(rng, 4, 3)
+    unit = a / (2 * np.abs(a.view(np.float64)).max())  # largest part 0.5
+    ints = rng.integers(-3, 4, (3, 5))
+    graded = random_complex(rng, 5, 5) * 2.0 ** np.arange(0, -50, -10)[:, None]
+    return {"complex": a, "unit": unit, "unit_t": unit.T.copy(), "scaled": 2.0 ** 300 * a,
+            "tiny": 2.0 ** -300 * a, "list": a.tolist(), "real": a.real.copy(),
+            "real_list": a.real.tolist(), "int": ints, "int_list": ints.tolist(),
+            "int32": ints.astype(np.int32), "view": conj_transpose(a), "strided": a[::2],
+            "graded": graded, "rank_one": np.outer(a[:, 0], a[0]), "zero": np.zeros((2, 3)),
+            "single": np.array([[0.75]]),
+            # squared row norms 0.25 and 0.25 + 2^-54 have the same square
+            # root, so the stable sort keeps the rows in place
+            "tied": np.array([[0.5, 0], [0.5, 2.0 ** -27]], dtype=complex)}
+
+
+FORM_NAMES = tuple(_input_forms(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("form", FORM_NAMES)
+def test_svd_input_contract(form, rng):
+    a = _input_forms(rng)[form]
+    res = svd(a)
+    u, s, v, _ = _reference_svd(a)
+    for got, want in ((res.u, u), (res.s, s), (res.v, v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", FORM_NAMES)
+def test_pinv_input_contract(form, rng):
+    a = _input_forms(rng)[form]
+    assert pinv(a).tobytes() == _reference_pinv(a).tobytes()
+
+
+def test_svd_leaves_its_input_as_it_is(rng):
+    a = _input_forms(rng)["unit"]
+    before = a.copy()
+    svd(a)
+    pinv(a)
+    assert a.tobytes() == before.tobytes()
 
 
 def test_subnormal_coupling_is_below_every_cutoff():

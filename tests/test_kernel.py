@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +18,7 @@ from geninv import (
     mat_pow,
     matmul,
 )
-from geninv.kernel import _exponent
+from geninv.kernel import _PLAIN_BAND, _check, _exponent, eq_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_complex = st.builds(complex, finite, finite)
@@ -147,6 +149,92 @@ def test_fro_norm_equals_the_scaled_norm_at_the_unscaled_bound(e, rng):
         a = np.ldexp(b.view(np.float64), e).view(np.complex128)
         assert _exponent(a) == e
         assert fro_norm(a) == float(np.ldexp(np.linalg.norm(b), e))
+
+
+def _scaled_rule(a) -> float:
+    """The Frobenius norm by the rule of `fro_norm` without its band: e the
+    exponent of the largest real or imaginary part, the plain norm when e
+    lies in [-400, 400], else 2^e ||2^-e a||."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    if -400 <= e <= 400:
+        return float(np.linalg.norm(a))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(np.complex128)), e))
+
+
+# exponents at and beside both edges of the unscaled rule (2^+-400) and of
+# the plain-norm band, and far beyond them; at 2^-530 the squares are
+# subnormal, so that the plain norm is finite, nonzero and inexact
+EDGE_EXPONENTS = (0, 399, 400, 401, 600, 1000, -359, -360, -361, -399, -400, -401,
+                  -530, -600)
+
+
+@st.composite
+def edge_matrices(draw, shape=None):
+    """0-4 x 0-4 complex matrices at one of EDGE_EXPONENTS, each part offset
+    by 0 to -700 binary orders, so that tiny parts sit beside huge ones and
+    some are subnormal or zero."""
+    m, n = shape or (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    e = draw(st.sampled_from(EDGE_EXPONENTS))
+    mant = draw(arrays(np.float64, (m, n, 2), elements=st.floats(-1, 1)))
+    offset = draw(arrays(np.int64, (m, n, 2), elements=st.sampled_from((0, 0, -1, -52, -300, -700))))
+    return np.ldexp(mant, e + offset).view(np.complex128)[..., 0]
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return float.hex(x) == float.hex(y)
+
+
+# the plain norm at each edge of the band, exactly, and one step outside
+BAND_EDGE_MATRICES = [np.array([[_PLAIN_BAND[0]]]), np.array([[_PLAIN_BAND[1]]]),
+                      np.array([[np.nextafter(_PLAIN_BAND[0], 0)]]),
+                      np.array([[np.nextafter(_PLAIN_BAND[1], np.inf)]])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_matrices(), st.sampled_from(("complex", "float", "int", "list", "view")))
+@example(np.zeros((2, 3), dtype=complex), "complex")
+@example(np.zeros((0, 3), dtype=complex), "complex")
+@example(np.zeros((0, 0), dtype=complex), "list")
+@example(np.full((2, 2), 5e-324 + 5e-324j), "complex")
+@example(np.diag([2.0 ** 600, 5e-324]), "float")
+def test_fro_norm_has_the_bits_of_the_scaled_rule(a, form):
+    if form == "float":
+        a = a.real.copy()
+    elif form == "int":
+        # up to 2^40, so that an integer dot would overflow
+        a = np.rint(np.ldexp(a.real, -_exponent(a) + 40)).astype(np.int64)
+    elif form == "list":
+        a = a.tolist()
+    elif form == "view":
+        a = conj_transpose(a)
+    assert _same_bits(fro_norm(a), _scaled_rule(a))
+
+
+@pytest.mark.parametrize("a", BAND_EDGE_MATRICES + [2.0 ** k * np.eye(3) for k in (
+    -601, -600, -401, -400, -399, 399, 400, 401, 600)])
+def test_fro_norm_at_the_band_edges(a):
+    for x in (a, a.astype(complex), 1j * a, conj_transpose(a)):
+        assert _same_bits(fro_norm(x), _scaled_rule(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.tuples(edge_matrices(shape), edge_matrices(shape))))
+@example((np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)))
+@example((np.zeros((0, 2), dtype=complex), np.zeros((0, 2), dtype=complex)))
+@example((2.0 ** 600 * np.eye(2, dtype=complex), 2.0 ** 600 * np.eye(2, dtype=complex)))
+def test_check_of_a_pair_is_diff_norm_against_eq_scale(pair):
+    a, b = pair
+    for x, y in ((a, b), (conj_transpose(a), conj_transpose(b)), (a, a)):
+        residual = diff_norm(x, y)
+        assert _check((x, y), Tolerance()) == (residual <= eq_scale(x, y), residual)
+        assert _same_bits(_check((x, y), Tolerance())[1], residual)
+
+
+def test_check_of_a_pair_checks_the_shapes():
+    with pytest.raises(DimensionMismatchError):
+        _check((np.ones((2, 3)), np.ones((3, 2))), Tolerance())
 
 
 @pytest.mark.parametrize("field", ("eq_abs", "eq_rel", "rank_rel"))
