@@ -8,6 +8,7 @@ mismatch, 5 unknown identifier, 6 internal failure (a self-check or the SVD).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -34,7 +35,7 @@ from .kernel import (
     fro_norm,
 )
 from .orders import OrderKind, leq
-from .verify import _SYSTEMS, UnknownSuiteError, run_suite
+from .verify import _AX_EQ_CORE_MP, _SYSTEMS, _XA_EQ_MP_CORE, UnknownSuiteError, run_suite
 
 __all__ = ["MatrixFileError", "matrix_to_obj", "matrix_from_obj",
            "load_matrix", "save_matrix", "main"]
@@ -145,15 +146,16 @@ def _dump(obj, pretty: bool) -> None:
 
 def _tolerance(args) -> Tolerance:
     """The tolerance of --tol-abs and --tol-rel; a value Tolerance rejects
-    (such as -1, nan or inf) exits 2, as a non-number does."""
+    (such as -1, nan or inf) exits 2, as a non-number does, with an error
+    that names the flags given."""
+    given = {flag: value for flag, value in
+             (("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)) if value is not None}
     try:
-        return Tolerance(
-            eq_abs=args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.eq_abs,
-            eq_rel=args.tol_rel if args.tol_rel is not None else DEFAULT_TOL.eq_rel,
-        )
+        return Tolerance(eq_abs=given.get("--tol-abs", DEFAULT_TOL.eq_abs),
+                         eq_rel=given.get("--tol-rel", DEFAULT_TOL.eq_rel))
     except ValueError as exc:
-        raise _ArgumentError(
-            f"{exc}: --tol-abs {args.tol_abs}, --tol-rel {args.tol_rel}") from None
+        flags = ", ".join(f"{flag} {value}" for flag, value in given.items())
+        raise _ArgumentError(f"{exc}: {flags}") from None
 
 
 # Residuals reported by `compute`, per --which: (label, sides(rec, x)),
@@ -184,11 +186,7 @@ _RESIDUALS = {
         ("ax_eq_a_drazin", lambda r, x: (r.a @ x, r.a @ r.drazin)),
         ("mp_power", lambda r, x: (x @ r.power(r.index), r.pinv @ r.power(r.index))),
     ),
-    "cmp": (
-        _XAX_EQ_X,
-        ("ax_eq_core_mp", lambda r, x: (r.a @ x, r.core @ r.pinv)),
-        ("xa_eq_mp_core", lambda r, x: (x @ r.a, r.pinv @ r.core)),
-    ),
+    "cmp": (_XAX_EQ_X, _AX_EQ_CORE_MP, _XA_EQ_MP_CORE),
     # the MPDMP inverse is the designated solution of system a1
     "mpdmp": _SYSTEMS["a1"][1],
     "core-ep": (
@@ -244,17 +242,7 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
     rep = core_ep_equiv_report(rec, tol)
-    _dump({
-        "rank": rec.rank,
-        "index": rec.index,
-        "is_ep": rep.is_ep,
-        "is_core_ep": rep.is_core_ep,
-        "is_k_ep": rep.is_k_ep,
-        "core_ep_conditions": rep.core_ep_conditions,
-        "block_conditions": rep.block_conditions,
-        "residuals": rep.residuals,
-        "flags": list(rep.flags),
-    }, args.pretty)
+    _dump({"rank": rec.rank, "index": rec.index, **dataclasses.asdict(rep)}, args.pretty)
     return EXIT_OK
 
 

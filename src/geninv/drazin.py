@@ -6,7 +6,8 @@ ends on: c = a^k (a^(k+1))^+ is the core-EP inverse and a^D = c^(k+1) a^k,
 with k the index of a. Ranks and pseudoinverses of powers use cutoffs
 referenced to sigma_max(a)**power: a computed power of a numerically
 nilpotent matrix is noise at that level, never exactly zero, and a
-relative cutoff would mistake the noise for signal.
+relative cutoff would mistake the noise for signal. At power 1 that is the
+relative cutoff, so a^1 is a, with the rank and a^+ of a.
 
 Every part is computed from b = 2**-e a, with e the exponent the SVD
 scales by, so that neither b^j nor sigma_max(b)**j leaves the float range
@@ -109,17 +110,22 @@ class _Analysis:
         return _exponent(self.a)
 
     def power(self, j: int) -> np.ndarray:
-        """A^j, read as 2^(e j) B^j from the record of B, where B^j is
-        formed once, so that no power of A is formed. On `unit` it is B^j."""
+        """A^j, read as 2^(e j) B^j from the record of B, where B^j (j != 1)
+        is formed once, so that no power of A is formed; B^1 is B itself."""
         if self._exp:
             return _ldexp(self.unit.power(j), self._exp * j)
+        if j == 1:
+            return self.a
         if j not in self._powers:
             self._powers[j] = mat_pow(self.a, j)
         return self._powers[j]
 
     def power_pinv(self, j: int) -> np.ndarray:
         """(B^j)^+, with the cutoff referenced to sigma_max(B)**j; called on
-        the record of B only, so that it is at that record's scale."""
+        the record of B only, so that it is at that record's scale; (B^1)^+
+        is the `pinv` part."""
+        if j == 1:
+            return self.pinv
         return _pinv_from(self._svd(self.power(j)), self._smax ** j, self.tol)
 
     @property
@@ -164,12 +170,14 @@ class _Analysis:
 
     @_part(0)
     def index(self) -> int:
-        """The least k with rank(B^k) = rank(B^(k+1)): rank(B^j) is read
-        from svd(B^j), with the cutoff referenced to sigma_max(B)**j."""
+        """The least k with rank(B^k) = rank(B^(k+1)): rank(B) is the `rank`
+        part, rank(B^j) is read from svd(B^j), with the cutoff referenced to
+        sigma_max(B)**j."""
         n = self.a.shape[0]
         prev_rank = n
         for k in range(n + 1):
-            r = _rank_from(self._svd(self.power(k + 1)), self._smax ** (k + 1), self.tol)
+            r = (self.rank if k == 0 else
+                 _rank_from(self._svd(self.power(k + 1)), self._smax ** (k + 1), self.tol))
             if r == prev_rank:
                 return k
             prev_rank = r

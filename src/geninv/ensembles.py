@@ -110,9 +110,8 @@ def _jordan_nilpotent(k: int) -> np.ndarray:
     return np.eye(k, k, 1, dtype=np.complex128)
 
 
-def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
-    """One sample: a matrix, or for core_ep the record its class check
-    analysed."""
+def _sample(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One sample matrix of the class of `spec`."""
     n = spec.size
     if spec.kind == "generic":
         return _cgauss(rng, n, n)
@@ -130,10 +129,7 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
         r = int(rng.integers(1, n)) if n > 1 else 1
         u = _haar_unitary(rng, n)
         block = _block_diag(_well_conditioned(rng, r), _strict_upper(rng, n - r))
-        rec = _analyse(u @ block @ u.conj().T, tol)
-        if not rec.is_core_ep:
-            raise InternalCheckError("constructed sample is not core-EP")
-        return rec
+        return u @ block @ u.conj().T
     if spec.kind == "ep":
         r = int(rng.integers(1, n)) if n > 1 else 1
         u = _haar_unitary(rng, n)
@@ -142,7 +138,7 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
         return u @ block @ u.conj().T
     if spec.kind == "k_ep":
         inner = replace(spec, kind="ep" if rng.random() < 0.5 else "nilpotent")
-        return _sample(inner, rng, tol)
+        return _sample(inner, rng)
     if spec.kind == "nilpotent":
         u = _haar_unitary(rng, n)
         return u @ _strict_upper(rng, n) @ u.conj().T
@@ -153,9 +149,12 @@ def _sample(spec: EnsembleSpec, rng: np.random.Generator, tol: Tolerance):
 
 def _records(spec: EnsembleSpec, tol: Tolerance) -> list:
     """The samples of `spec` as analysis records, so that a sample checked
-    here is not analysed a second time by its caller."""
-    return [_analyse(_sample(spec, _rng_for(spec.seed, i), tol), tol)
-            for i in range(spec.count)]
+    here is not analysed a second time by its caller: a core_ep sample
+    must be core-EP under `tol`."""
+    recs = [_analyse(_sample(spec, _rng_for(spec.seed, i)), tol) for i in range(spec.count)]
+    if spec.kind == "core_ep" and not all(rec.is_core_ep for rec in recs):
+        raise InternalCheckError("constructed sample is not core-EP")
+    return recs
 
 
 def gen(spec: EnsembleSpec, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

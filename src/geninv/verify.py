@@ -103,6 +103,9 @@ class VerificationReport:
 # designated solution x and that a perturbation of x must pull apart.
 _AX_EQ_D_MP = ("ax_eq_d_mp", lambda r, x: (r.a @ x, r.drazin @ r.pinv))
 _XA_EQ_MP_D = ("xa_eq_mp_d", lambda r, x: (x @ r.a, r.pinv @ r.drazin))
+# the equations of the CMP inverse that the two solution families keep
+_AX_EQ_CORE_MP = ("ax_eq_core_mp", lambda r, x: (r.a @ x, r.core @ r.pinv))
+_XA_EQ_MP_CORE = ("xa_eq_mp_core", lambda r, x: (x @ r.a, r.pinv @ r.core))
 _X_PA_EQ_X = ("x_pa_eq_x", lambda r, x: (x @ (r.a @ r.pinv), x))
 _QA_X_PA_EQ_X = ("qa_x_pa_eq_x", lambda r, x: (r.pinv @ r.a @ x @ (r.a @ r.pinv), x))
 
@@ -194,22 +197,22 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
 def solution_family(a: np.ndarray, f: np.ndarray, which: str,
                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Member of the affine solution family of x a = a^+ core(a) (q1) or
-    core(a) a^+ = a x (q2); the family equation is re-verified on return."""
+    core(a) a^+ = a x (q2); on return the member is checked against that
+    equation, the CMP row `xa_eq_mp_core` or `ax_eq_core_mp` that
+    `geninv compute --which cmp` reports."""
     rec = _analyse(a, tol)
     f = _operand(rec, f)
-    a, p, core = rec.a, rec.pinv, rec.core
+    a, p = rec.a, rec.pinv
     eye = np.eye(a.shape[0], dtype=np.complex128)
     if which == "q1":
-        x = rec.mpd + f @ (eye - a @ p)
-        if not approx_eq(x @ a, p @ core, tol):
-            raise InternalCheckError("family member violates x a = a^+ core(a)")
-        return x
-    if which == "q2":
-        x = rec.dmp + (eye - p @ a) @ f
-        if not approx_eq(a @ x, core @ p, tol):
-            raise InternalCheckError("family member violates core(a) a^+ = a x")
-        return x
-    raise ValueError(f"unknown family {which!r}; use 'q1' or 'q2'")
+        x, (_, sides), law = rec.mpd + f @ (eye - a @ p), _XA_EQ_MP_CORE, "x a = a^+ core(a)"
+    elif which == "q2":
+        x, (_, sides), law = rec.dmp + (eye - p @ a) @ f, _AX_EQ_CORE_MP, "core(a) a^+ = a x"
+    else:
+        raise ValueError(f"unknown family {which!r}; use 'q1' or 'q2'")
+    if not _check(sides(rec, x), tol)[0]:
+        raise InternalCheckError(f"family member violates {law}")
+    return x
 
 
 def _drawn(specs, tol):

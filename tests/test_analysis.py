@@ -237,17 +237,38 @@ def record_calls(monkeypatch):
 @pytest.mark.parametrize("e", (0, 2, 40, -40, 300, -300))
 def test_spectral_work_done_once_at_any_scale(a1, e, record_calls):
     # the index search, A^⊕ and A^D run on the record of B = a1 / 4 only:
-    # ranks of B, B^2, B^3 and A, pinvs of A and B^3, SVDs of B, B^2, B^3,
-    # and powers B, B^2, B^3 and C^3, C the core-EP inverse of B (k = 2)
+    # ranks of B, B^2 and B^3, pinvs of B and B^3, SVDs of B, B^2 and B^3,
+    # and powers B^2, B^3 and C^3, C the core-EP inverse of B (k = 2); B^1
+    # is B itself, and its rank the one the index search starts from
     rep = gi.inverse_report(2.0 ** e * a1 / 4)
     assert rep.index == 2
-    assert record_calls == {"_rank_from": 4, "_pinv_from": 2, "svd": 3, "mat_pow": 4}
+    assert record_calls == {"_rank_from": 3, "_pinv_from": 2, "svd": 3, "mat_pow": 3}
+
+
+NONSINGULAR = {
+    "gaussian": random_complex(np.random.default_rng(7), 4, 4) + 3 * np.eye(4),
+    "diagonal": np.diag([0.75, -2.0, 1j, 0.5]).astype(complex),
+    "permutation": np.eye(4, dtype=complex)[[2, 0, 3, 1]],
+    "triangular": np.triu(np.ones((4, 4), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("e", (0, 40, -40, 300, -300))
+@pytest.mark.parametrize("name", NONSINGULAR)
+def test_nonsingular_spectral_work(name, e, record_calls):
+    # one SVD, whose rank ends the index search at 0 and whose pinv is
+    # (B^1)^+; A^⊕ = B^0 (B^1)^+ and A^D = C^1 B^0 keep their general
+    # forms, whose products with I fix the signs of zeros, so the powers
+    # are B^0 and C^1
+    rep = gi.inverse_report(2.0 ** e * NONSINGULAR[name])
+    assert (rep.index, rep.rank) == (0, 4)
+    assert record_calls == {"_rank_from": 1, "_pinv_from": 1, "svd": 1, "mat_pow": 2}
 
 
 def test_suites_spectral_work(record_calls):
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 442, "_pinv_from": 280, "svd": 452, "mat_pow": 562}
+    assert record_calls == {"_rank_from": 422, "_pinv_from": 280, "svd": 452, "mat_pow": 422}
 
 
 @pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import geninv
+from geninv.classify import ClassReport
 from geninv.cli import (
     MatrixFileError,
     build_parser,
@@ -221,6 +223,18 @@ def test_bad_input_exits_with_an_error_line(argv, env_seed, code, files, tmp_pat
     assert "Traceback" not in err
 
 
+TOL_ERROR = "error: tolerance fields must be finite and strictly positive: "
+
+
+@pytest.mark.parametrize("flags, named", (
+    (["--tol-rel", "-1"], "--tol-rel -1.0"),
+    (["--tol-abs", "nan"], "--tol-abs nan"),
+    (["--tol-abs", "0", "--tol-rel", "1e-9"], "--tol-abs 0.0, --tol-rel 1e-09"),
+), ids=("tol-rel", "tol-abs", "both"))
+def test_tolerance_error_names_the_flags_given(flags, named):
+    assert _in_process(VERIFY + flags) == (2, "", TOL_ERROR + named + "\n")
+
+
 def test_reused_parser_carries_no_state(files, tmp_path):
     # each call in this process reuses the parser the earlier ones built
     runs = [
@@ -348,6 +362,14 @@ def test_classify_fixture(files, capsys):
     assert rep["is_core_ep"] is False
     assert set(rep["core_ep_conditions"].values()) == {False}
     assert rep["flags"] == []
+
+
+def test_classify_keys_are_rank_index_then_the_report_fields(files, capsys):
+    code, rep = run_cli(capsys, "classify", "-i", files["a3"])
+    assert code == 0
+    assert list(rep) == ["rank", "index", "is_ep", "is_core_ep", "is_k_ep",
+                         "core_ep_conditions", "block_conditions", "residuals", "flags"]
+    assert list(rep)[2:] == [f.name for f in dataclasses.fields(ClassReport)]
 
 
 def test_classify_identity(tmp_path, capsys):

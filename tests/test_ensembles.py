@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geninv import (
+    InternalCheckError,
     approx_eq,
     drazin,
     index,
@@ -11,6 +12,7 @@ from geninv import (
     mat_pow,
     numerical_rank,
 )
+from geninv import ensembles
 from geninv.ensembles import (
     EnsembleSpec,
     InvalidSpecError,
@@ -59,6 +61,18 @@ def test_seed_changes_samples():
 def test_core_ep_samples_pass_defining_identity():
     for a in gen(EnsembleSpec(size=5, count=50, seed=131, kind="core_ep")):
         assert is_core_ep(a)
+
+
+def test_core_ep_ensemble_rejects_a_sample_that_is_not_core_ep(monkeypatch):
+    # an idempotent that is not EP: its core part is itself, which its
+    # pseudoinverse does not commute with
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[0, :2] = 1
+    assert not is_core_ep(bad)
+    monkeypatch.setattr(ensembles, "_sample", lambda spec, rng: bad)
+    with pytest.raises(InternalCheckError, match="not core-EP"):
+        gen(EnsembleSpec(4, 2, 0, "core_ep"))
+    assert len(gen(EnsembleSpec(4, 2, 0, "generic"))) == 2
 
 
 def test_fixed_index_samples():

@@ -11,8 +11,12 @@ from geninv import (
     mpd,
     pinv,
     core_nilpotent,
+    fro_norm,
 )
+from geninv.cli import _RESIDUALS
+from geninv.drazin import _analyse
 from geninv.ensembles import EnsembleSpec, gen
+from geninv.kernel import DEFAULT_TOL, _check
 from geninv.verify import (
     SUITE_IDS,
     SYSTEM_IDS,
@@ -79,6 +83,17 @@ def test_solution_family_random_members(a1, a3, rng):
         f = random_complex(rng, 3, 3)
         x = solution_family(a3, f, "q2")
         assert approx_eq(a3 @ x, core3 @ p3)
+
+
+@pytest.mark.parametrize("which, label", (("q1", "xa_eq_mp_core"), ("q2", "ax_eq_core_mp")))
+def test_solution_family_members_pass_the_cmp_rows(which, label, a1, a3, rng):
+    # the family equation is the row `geninv compute --which cmp` reports
+    sides = dict(_RESIDUALS["cmp"])[label]
+    for a in (a1, a3, 2.0 ** 40 * a3):
+        rec = _analyse(a, DEFAULT_TOL)
+        for _ in range(5):
+            x = solution_family(a, random_complex(rng, 3, 3) / fro_norm(a), which)
+            assert _check(sides(rec, x), DEFAULT_TOL)[0]
 
 
 def test_solution_family_rejects_unknown_kind(a1):

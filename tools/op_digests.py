@@ -1,0 +1,59 @@
+"""Hashes of the benchmark's operation outputs, for comparing two trees.
+
+    python tools/op_digests.py TREE
+
+imports TREE/src/geninv and TREE/bench/workloads.py, changing neither,
+runs one full cycle of each workload at seeds 0 and 401 and prints one
+sha256 over the op digests per (seed, workload). Two trees whose lines
+agree give bit-identical outputs on every benchmark operation. The work
+directory is fixed, since `geninv hs` prints the paths it writes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+# BLAS single-threaded, as in the benchmark; set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SEEDS = (0, 401)
+WORK = Path(tempfile.gettempdir()) / "geninv-op-digests"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: op_digests.py TREE", file=sys.stderr)
+        return 2
+    tree = Path(argv[0]).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    import geninv
+    import workloads
+
+    if Path(geninv.__file__).resolve().parent != tree / "src" / "geninv":
+        sys.exit(f"error: imported geninv from {geninv.__file__}, not {tree}")
+    for seed in SEEDS:
+        for name, cls in workloads.WORKLOADS.items():
+            shutil.rmtree(WORK, ignore_errors=True)
+            wl, h = cls(seed, WORK), hashlib.sha256()
+            try:
+                for j in range(wl.cycle):
+                    op = wl.op(j)
+                    try:
+                        h.update(op.digest(op.run()).encode())
+                    except Exception as exc:  # an operation that raises is an output too
+                        h.update(f"{type(exc).__name__}: {exc}".encode())
+                    op.cleanup()
+            finally:
+                shutil.rmtree(WORK, ignore_errors=True)
+            print(f"seed {seed:3d} {name:14s} {wl.cycle:4d} ops {h.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
