@@ -21,7 +21,8 @@ from functools import wraps
 
 import numpy as np
 
-from .factor import HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from, svd
+from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
+                     _singular_values, svd)
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _exponent,
                      _guarded, _ldexp, approx_eq, conj_transpose, mat_pow)
 
@@ -92,18 +93,37 @@ class _Analysis:
     which keeps B^j by j and SVDs by input (shape and bytes), so each is
     formed once; the record of A reads every part, svd(A) and A^j scaled
     from there, and forms no SVD or power of its own. The class verdicts
-    (EP, core-EP, k-EP) are parts too, decided on B under `tol`."""
+    (EP, core-EP, k-EP) are parts too, decided on B under `tol`.
+
+    Every rank reads its singular values through `_sigma`. A record built
+    with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
+    whose answers are ranks alone) takes them from values-only
+    decompositions and so forms no singular vectors; it is never asked for
+    a part that needs them. Any other record reads them from the full SVD
+    that its pseudoinverses also use."""
 
     a: np.ndarray
     tol: Tolerance
+    _values_only: bool = False
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _svd(self, m: np.ndarray) -> SVDResult:
+    def _svd(self, m: np.ndarray):
+        """svd(m), or its singular values alone on a `_values_only` record,
+        decomposed once per input (shape and bytes)."""
         key = (m.shape, m.tobytes())
         if key not in self._svds:
-            self._svds[key] = svd(m)
+            self._svds[key] = _singular_values(m) if self._values_only else svd(m)
         return self._svds[key]
+
+    def _sigma(self, j: int) -> np.ndarray:
+        """The singular values of A^j, read as 2^(e j) those of B^j from the
+        record of B."""
+        if self._exp:
+            return np.ldexp(self.unit._sigma(j), self._exp * j)
+        if self._values_only:
+            return self._svd(self.power(j))
+        return self.factors.s if j == 1 else self._svd(self.power(j)).s
 
     @_once
     def _exp(self) -> int:
@@ -136,7 +156,7 @@ class _Analysis:
 
     @_once
     def _unit(self) -> "_Analysis":
-        return _Analysis(_ldexp(self.a, -self._exp), self.tol)
+        return _Analysis(_ldexp(self.a, -self._exp), self.tol, self._values_only)
 
     @_once
     def factors(self) -> SVDResult:
@@ -150,11 +170,16 @@ class _Analysis:
     @_once
     def _smax(self) -> float:
         """sigma_max(B), on the record of B."""
-        return float(self.factors.s[0]) if self.factors.s.size else 0.0
+        s = self._sigma(1)
+        return float(s[0]) if s.size else 0.0
+
+    def _power_rank(self, j: int, scale: float) -> int:
+        """rank(B^j), its cutoff referenced to max(sigma_max(B^j), scale)."""
+        return _rank_from(self._sigma(j), self.a.shape, scale, self.tol)
 
     @_part(0)
     def rank(self) -> int:
-        return _rank_from(self.factors, 0.0, self.tol)
+        return self._power_rank(1, 0.0)
 
     @_part(-1)
     def pinv(self) -> np.ndarray:
@@ -171,15 +196,17 @@ class _Analysis:
     @_part(0)
     def index(self) -> int:
         """The least k with rank(B^k) = rank(B^(k+1)): rank(B) is the `rank`
-        part, rank(B^j) is read from svd(B^j), with the cutoff referenced to
-        sigma_max(B)**j."""
+        part, rank(B^j) is read from the singular values of B^j, with the
+        cutoff referenced to sigma_max(B)**j. A power of rank 0 ends the
+        search, since every higher power has rank 0 too."""
         n = self.a.shape[0]
         prev_rank = n
         for k in range(n + 1):
-            r = (self.rank if k == 0 else
-                 _rank_from(self._svd(self.power(k + 1)), self._smax ** (k + 1), self.tol))
+            r = self.rank if k == 0 else self._power_rank(k + 1, self._smax ** (k + 1))
             if r == prev_rank:
                 return k
+            if r == 0:
+                return k + 1
             prev_rank = r
         return n
 
@@ -236,13 +263,14 @@ class _Analysis:
         return approx_eq(bk @ self.pinv, self.pinv @ bk, self.tol)
 
 
-def _analyse(a, tol: Tolerance, square: bool = True) -> _Analysis:
+def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False) -> _Analysis:
     """The record of `a`, through the input guard (`kernel._guarded`); when
     `square`, an input that is not square raises DimensionMismatchError.
     Public functions take a matrix or, from inside the package, a record,
     which passes through with its own `tol`, so each call analyses each
-    matrix once."""
-    rec = a if isinstance(a, _Analysis) else _Analysis(_guarded(a), tol)
+    matrix once. `values_only` builds a record that reads singular values
+    alone, for a call whose answer is a rank or an index."""
+    rec = a if isinstance(a, _Analysis) else _Analysis(_guarded(a), tol, values_only)
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
     return rec
@@ -260,8 +288,9 @@ def _operand(rec: _Analysis, b) -> np.ndarray:
 
 
 def index(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1))."""
-    return _analyse(a, tol).index
+    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)), read from singular
+    values alone: no singular vectors are formed."""
+    return _analyse(a, tol, values_only=True).index
 
 
 def drazin(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -55,6 +55,27 @@ class SVDResult:
         return self.u @ smat @ conj_transpose(self.v)
 
 
+def _prepared(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(b, e, order): b = 2**-e a with its largest real or imaginary part in
+    [0.5, 1) and its rows sorted by decreasing norm, row i of b being row
+    order[i] of 2**-e a."""
+    b = np.ascontiguousarray(a, dtype=np.complex128)
+    exp = _exponent(b)
+    if exp:
+        b = _ldexp(b, -exp)
+    # the row norms of np.linalg.norm(b, axis=1), by its own ufuncs
+    order = np.argsort(-np.sqrt(np.add.reduce((b.conj() * b).real, axis=1)), kind="stable")
+    return b[order], exp, order
+
+
+def _lapack_svd(b: np.ndarray, compute_uv: bool):
+    """np.linalg.svd(b), its LinAlgError raised as SvdConvergenceError."""
+    try:
+        return np.linalg.svd(b, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+
+
 def svd(a: np.ndarray) -> SVDResult:
     """Full SVD by LAPACK (through numpy), with exact power-of-two scaling.
 
@@ -63,42 +84,47 @@ def svd(a: np.ndarray) -> SVDResult:
     svd(2**e * a) is exactly 2**e times svd(a), with the same u and v. The
     rows are sorted by decreasing norm before the Householder reduction,
     which keeps it row-wise stable on rows of widely different size (Cox &
-    Higham 1998); u is unpermuted afterwards.
+    Higham 1998); u is unpermuted afterwards. The rank-only calls
+    (`numerical_rank`, `rank_scaled`, `index`) decompose the same prepared
+    input for its singular values alone.
     """
-    b = np.ascontiguousarray(a, dtype=np.complex128)
-    exp = _exponent(b)
-    if exp:
-        b = _ldexp(b, -exp)
-    # the row norms of np.linalg.norm(b, axis=1), by its own ufuncs
-    order = np.argsort(-np.sqrt(np.add.reduce((b.conj() * b).real, axis=1)), kind="stable")
-    try:
-        u_sorted, s, vh = np.linalg.svd(b[order])
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(str(exc)) from exc
+    b, exp, order = _prepared(a)
+    u_sorted, s, vh = _lapack_svd(b, compute_uv=True)
     u = np.empty_like(u_sorted)
     u[order] = u_sorted
     return SVDResult(u=u, s=np.ldexp(s, exp), v=conj_transpose(vh))
 
 
-def _cutoff(res: SVDResult, scale: float, tol: Tolerance) -> float:
-    """The singular-value cutoff, referenced to max(sigma_max, scale).
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of `svd(a)` without u and v: the same scaled,
+    row-sorted input, decomposed by LAPACK for values alone (gesdd with
+    JOBZ='N'). They agree with svd(a).s to rounding, not bit for bit, and
+    _singular_values(2**e * a) is exactly 2**e times _singular_values(a)."""
+    b, exp, _ = _prepared(a)
+    return np.ldexp(_lapack_svd(b, compute_uv=False), exp)
+
+
+def _cutoff(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> float:
+    """The cutoff for the singular values s of an m x n matrix (`shape`),
+    referenced to max(sigma_max, scale).
 
     Matrix powers computed in floating point carry a noise floor set by the
     norm of the base matrix, so their rank must be measured against
     sigma_max(base)**k rather than the power's own largest singular value.
     """
-    ref = max(float(res.s[0]) if len(res.s) else 0.0, float(scale))
-    return tol.rank_cutoff(res.u.shape[0], res.v.shape[0]) * ref
+    ref = max(float(s[0]) if len(s) else 0.0, float(scale))
+    return tol.rank_cutoff(*shape) * ref
 
 
-def _rank_from(res: SVDResult, scale: float, tol: Tolerance) -> int:
-    return int(np.count_nonzero(res.s > _cutoff(res, scale, tol)))
+def _rank_from(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> int:
+    """The number of singular values s of an m x n matrix above the cutoff."""
+    return int(np.count_nonzero(s > _cutoff(s, shape, scale, tol)))
 
 
 def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
     """v diag(1/s) u* over the singular values above the cutoff."""
     m, n = res.u.shape[0], res.v.shape[0]
-    cutoff = _cutoff(res, scale, tol)
+    cutoff = _cutoff(res.s, (m, n), scale, tol)
     s_inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > cutoff)
     smat = np.zeros((n, m), dtype=np.complex128)
     smat.reshape(-1)[: len(s_inv) * (m + 1) : m + 1] = s_inv  # its diagonal
@@ -106,14 +132,18 @@ def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
 
 
 def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with the singular-value cutoff referenced to max(sigma_max, scale)."""
+    """Rank with the singular-value cutoff referenced to max(sigma_max, scale).
+
+    Reads the singular values alone: no singular vectors are formed.
+    """
     from .drazin import _analyse
 
-    return _rank_from(_analyse(a, tol, square=False).factors, scale, tol)
+    return _analyse(a, tol, square=False, values_only=True)._power_rank(1, scale)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative cutoff."""
+    """Number of singular values above the relative cutoff, read from the
+    singular values alone."""
     return rank_scaled(a, 0.0, tol)
 
 

@@ -10,11 +10,14 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
 from geninv.drazin import _analyse, _Analysis
-from geninv.ensembles import EnsembleSpec
+from geninv.ensembles import KINDS, EnsembleSpec, gen
+from geninv.factor import _rank_from
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 
 from conftest import random_complex
@@ -57,12 +60,13 @@ def _key(a):
     return repr(a.shape).encode() + a.tobytes()
 
 
-def _recorded(monkeypatch, module, name, key):
-    """Calls of `name` from every geninv module, each recorded as key(args).
+def _recorded(monkeypatch, module, name, key, calls=None):
+    """Calls of `name` from every geninv module, each recorded as key(args)
+    in `calls` (a new list if None).
 
     The modules come from sys.modules: geninv.drazin is the function."""
     real = getattr(sys.modules[module], name)
-    calls = []
+    calls = [] if calls is None else calls
 
     def recording(*args, **kwargs):
         calls.append(key(*args))
@@ -75,9 +79,17 @@ def _recorded(monkeypatch, module, name, key):
 
 
 @pytest.fixture
-def svd_inputs(monkeypatch):
-    """Every SVD input, as shape plus bytes."""
+def full_svd_inputs(monkeypatch):
+    """Every input of a full SVD (`factor.svd`), as shape plus bytes."""
     return _recorded(monkeypatch, "geninv.factor", "svd", lambda a, *_: _key(a))
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch, full_svd_inputs):
+    """Every SVD input, full or values-only (`factor._singular_values`), as
+    shape plus bytes."""
+    calls = _recorded(monkeypatch, "geninv.factor", "_singular_values", _key)
+    return _recorded(monkeypatch, "geninv.factor", "svd", lambda a, *_: _key(a), calls)
 
 
 @pytest.fixture
@@ -95,11 +107,17 @@ SINGLE_MATRIX = (
 )
 
 
+# calls whose answer is a rank or an index, read from singular values alone
+RANK_ONLY = ("numerical_rank", "index")
+
+
 @pytest.mark.parametrize("name", SINGLE_MATRIX)
-def test_each_svd_input_decomposed_once(name, a1, svd_inputs):
+def test_each_svd_input_decomposed_once(name, a1, svd_inputs, full_svd_inputs):
     getattr(gi, name)(a1)
     assert svd_inputs
     assert len(svd_inputs) == len(set(svd_inputs))
+    if name in RANK_ONLY:
+        assert full_svd_inputs == []
 
 
 def test_inverse_report_svd_calls_at_most_index_plus_one(a1, svd_inputs):
@@ -212,10 +230,65 @@ def test_no_record_outlives_its_call(a1):
 
 
 @pytest.mark.parametrize("name", ("index", "drazin", "core_ep_inverse", "inverse_report"))
-def test_nonsingular_input_decomposes_only_itself(name, rng, svd_inputs):
+def test_nonsingular_input_decomposes_only_itself(name, rng, svd_inputs, full_svd_inputs):
     a = random_complex(rng, 6, 6) + 3 * np.eye(6)
     getattr(gi, name)(a)
     assert len(svd_inputs) == 1
+    if name in RANK_ONLY:
+        assert full_svd_inputs == []
+
+
+def test_rank_scaled_decomposes_for_values_alone(a1, svd_inputs, full_svd_inputs):
+    assert gi.rank_scaled(a1, 8.0) == 2
+    assert svd_inputs == [_key(a1 / 4)]
+    assert full_svd_inputs == []
+
+
+def test_rank_zero_power_ends_the_index_search(svd_inputs, full_svd_inputs):
+    # the ranks of B ... B^5 fall from 5 to 1 and B^6 has rank 0, so B^7
+    # is not decomposed
+    for a in gen(EnsembleSpec(6, 3, 0, "nilpotent")):
+        svd_inputs.clear()
+        assert gi.index(a) == 6
+        b = _analyse(a, gi.DEFAULT_TOL).unit
+        assert svd_inputs == [_key(b.power(j)) for j in range(1, 7)]
+    assert full_svd_inputs == []
+
+
+def _spec(n, count, seed, kind):
+    return EnsembleSpec(n, count, seed, kind, rank=n // 2 if kind == "fixed_rank" else None,
+                        index=min(2, n) if kind == "fixed_index" else None)
+
+
+def _rank_only_matrices(source):
+    if source == "prescribed_index":
+        from test_exact import _prescribed_index_matrices
+
+        return [a.astype(complex) for seed in range(5, 10)
+                for a, _ in _prescribed_index_matrices(seed)]
+    return [a for n in range(2, 17) for seed in range(3) for a in gen(_spec(n, 2, seed, source))]
+
+
+@pytest.mark.parametrize("source", KINDS + ("prescribed_index",))
+def test_rank_only_calls_agree_with_the_full_record(source):
+    # values-only singular values differ from those of the full SVD by
+    # rounding alone, which moves no rank or index read here
+    tol = gi.DEFAULT_TOL
+    for a in _rank_only_matrices(source):
+        for e in (0, 40, -300):
+            b, scale = 2.0 ** e * a, 2.0 ** (e + 30) * np.abs(a).max()
+            rec = _analyse(b, tol)
+            assert gi.index(b) == rec.index
+            assert gi.numerical_rank(b) == rec.rank
+            assert gi.rank_scaled(b, scale) == _rank_from(rec.factors.s, b.shape, scale, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-300, 300), st.sampled_from(KINDS), st.integers(2, 8), st.integers(0, 3))
+def test_rank_only_calls_exact_under_power_of_two_scaling(e, kind, n, seed):
+    a = gen(_spec(n, 1, seed, kind))[0]
+    assert gi.index(2.0 ** e * a) == gi.index(a)
+    assert gi.numerical_rank(2.0 ** e * a) == gi.numerical_rank(a)
 
 
 @pytest.fixture
@@ -266,9 +339,12 @@ def test_nonsingular_spectral_work(name, e, record_calls):
 
 
 def test_suites_spectral_work(record_calls):
+    # five records of 6x6 nilpotent matrices end their index search at the
+    # rank-0 power B^6 without reading the rank of B^7, whose SVD their
+    # core-EP inverse still takes
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 422, "_pinv_from": 280, "svd": 452, "mat_pow": 422}
+    assert record_calls == {"_rank_from": 417, "_pinv_from": 280, "svd": 452, "mat_pow": 422}
 
 
 @pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))

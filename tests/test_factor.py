@@ -19,6 +19,7 @@ from geninv import (
     is_core_ep,
     numerical_rank,
     pinv,
+    rank_scaled,
     svd,
 )
 from geninv.drazin import drazin, index
@@ -381,6 +382,17 @@ def finite_matrices(draw):
     re, im = (np.array(draw(st.lists(parts, min_size=m * n, max_size=m * n)))
               for _ in range(2))
     return (re + 1j * im).reshape(m, n)
+
+
+@pytest.mark.parametrize("call", (numerical_rank, index, lambda a: rank_scaled(a, 1.0)))
+def test_values_only_convergence_failure_is_typed(call, a1, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SvdConvergenceError, match="did not converge") as info:
+        call(a1)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 @settings(max_examples=100, deadline=None)
