@@ -85,15 +85,84 @@ def _part(degree: int):
     return tag
 
 
+class _Derived:
+    """The parts every record derives the same way from its base parts,
+    each defined once beside the power of 2^e it scales by: the index,
+    core(A) = A A^D A, the DMP, MPD, CMP, MPDMP and CCE inverses, and the
+    EP, core-EP and k-EP verdicts. A record gives `a`, `power(j)`, `pinv`,
+    `drazin`, `core_ep`, `_exp` (0 where every part is computed on A
+    itself) and two primitives: `_rank_of_power(j)`, rank(A^j), and
+    `_equal(x, y)`, its equality of matrices. The float record
+    (`_Analysis`) and the exact one (`exact._ExactAnalysis`) inherit it."""
+
+    @_part(0)
+    def index(self) -> int:
+        """The least k with rank(A^k) = rank(A^(k+1)). A power of rank 0
+        ends the search, since every higher power has rank 0 too; ranks
+        that never settle end it at k = n, after A^(n+1)."""
+        n = self.a.shape[0]
+        prev_rank = n
+        for k in range(n + 1):
+            r = self._rank_of_power(k + 1)
+            if r == prev_rank:
+                return k
+            if r == 0:
+                return k + 1
+            prev_rank = r
+        return n
+
+    @_part(1)
+    def core(self):
+        return self.a @ self.drazin @ self.a
+
+    @_part(-1)
+    def dmp(self):
+        return self.drazin @ self.a @ self.pinv
+
+    @_part(-1)
+    def mpd(self):
+        return self.pinv @ self.a @ self.drazin
+
+    @_part(-1)
+    def cmp(self):
+        return self.pinv @ self.core @ self.pinv
+
+    @_part(-3)
+    def mpdmp(self):
+        return self.pinv @ self.drazin @ self.pinv
+
+    @_part(-1)
+    def cce(self):
+        return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
+
+    @_part(0)
+    def is_ep(self) -> bool:
+        """A commutes with A^+."""
+        return self._equal(self.a @ self.pinv, self.pinv @ self.a)
+
+    @_part(0)
+    def is_core_ep(self) -> bool:
+        """A^+ commutes with the core part of A."""
+        return self._equal(self.pinv @ self.core, self.core @ self.pinv)
+
+    @_part(0)
+    def is_k_ep(self) -> bool:
+        """A^k commutes with A^+, k the index."""
+        ak = self.power(self.index)
+        return self._equal(ak @ self.pinv, self.pinv @ ak)
+
+
 @dataclass(frozen=True)
-class _Analysis:
+class _Analysis(_Derived):
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
     lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
     which keeps B^j by j and SVDs by input (shape and bytes), so each is
     formed once; the record of A reads every part, svd(A) and A^j scaled
-    from there, and forms no SVD or power of its own. The class verdicts
-    (EP, core-EP, k-EP) are parts too, decided on B under `tol`.
+    from there, and forms no SVD or power of its own. The index, the
+    composite inverses and the class verdicts are those of `_Derived`, on
+    B: ranks of powers read against sigma_max(B)**j, and verdicts decided
+    by `approx_eq` under `tol`.
 
     Every rank reads its singular values through `_sigma`. A record built
     with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
@@ -193,48 +262,11 @@ class _Analysis:
         qp = conj_transpose(res.v) @ res.u
         return HSDecomp(u=res.u, sigma=res.s[:r], q=qp[:r, :r], p=qp[:r, r:], r=r)
 
-    @_part(0)
-    def index(self) -> int:
-        """The least k with rank(B^k) = rank(B^(k+1)): rank(B) is the `rank`
-        part, rank(B^j) is read from the singular values of B^j, with the
-        cutoff referenced to sigma_max(B)**j. A power of rank 0 ends the
-        search, since every higher power has rank 0 too."""
-        n = self.a.shape[0]
-        prev_rank = n
-        for k in range(n + 1):
-            r = self.rank if k == 0 else self._power_rank(k + 1, self._smax ** (k + 1))
-            if r == prev_rank:
-                return k
-            if r == 0:
-                return k + 1
-            prev_rank = r
-        return n
-
     @_part(-1)
     def drazin(self) -> np.ndarray:
         """C^(k+1) B^k, C the core-EP inverse of B."""
         k = self.index
         return mat_pow(self.core_ep, k + 1) @ self.power(k)
-
-    @_part(1)
-    def core(self) -> np.ndarray:
-        return self.a @ self.drazin @ self.a
-
-    @_part(-1)
-    def dmp(self) -> np.ndarray:
-        return self.drazin @ self.a @ self.pinv
-
-    @_part(-1)
-    def mpd(self) -> np.ndarray:
-        return self.pinv @ self.a @ self.drazin
-
-    @_part(-1)
-    def cmp(self) -> np.ndarray:
-        return self.pinv @ self.core @ self.pinv
-
-    @_part(-3)
-    def mpdmp(self) -> np.ndarray:
-        return self.pinv @ self.drazin @ self.pinv
 
     @_part(-1)
     def core_ep(self) -> np.ndarray:
@@ -242,25 +274,13 @@ class _Analysis:
         k = self.index
         return self.power(k) @ self.power_pinv(k + 1)
 
-    @_part(-1)
-    def cce(self) -> np.ndarray:
-        return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
+    def _rank_of_power(self, j: int) -> int:
+        """rank(B^j): the `rank` part at j = 1, else read from the singular
+        values of B^j with the cutoff referenced to sigma_max(B)**j."""
+        return self.rank if j == 1 else self._power_rank(j, self._smax ** j)
 
-    @_part(0)
-    def is_ep(self) -> bool:
-        """B commutes with B^+."""
-        return approx_eq(self.a @ self.pinv, self.pinv @ self.a, self.tol)
-
-    @_part(0)
-    def is_core_ep(self) -> bool:
-        """B^+ commutes with the core part of B."""
-        return approx_eq(self.pinv @ self.core, self.core @ self.pinv, self.tol)
-
-    @_part(0)
-    def is_k_ep(self) -> bool:
-        """B^k commutes with B^+, k the index."""
-        bk = self.power(self.index)
-        return approx_eq(bk @ self.pinv, self.pinv @ bk, self.tol)
+    def _equal(self, x: np.ndarray, y: np.ndarray) -> bool:
+        return approx_eq(x, y, self.tol)
 
 
 def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False) -> _Analysis:

@@ -10,14 +10,21 @@ over the integers when the matrix has no imaginary part, over the
 Gaussian integers otherwise; a matrix is inverted by repeating the row
 operations of its reduction on I. Each inverse inverts one r x r matrix
 of a full-rank factorization, or A^j itself when it is square of full
-rank; at index 0 all eight inverses are read from A^-1. One record per
-matrix (`_ExactAnalysis`, with the part names of `drazin._Analysis`)
-keeps A^j and (A^j)^+ by j and each reduction by its input, so the index
-search and all eight inverses share them. The integers grow with n and with the
-index: the eight inverses, each from its own record, of a matrix with
-entries in [-3, 3] take about 1.5-4 ms when it is nonsingular and 4-13 ms
-at index 1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to 8) on a
-2-core x86-64 host."""
+rank; at index 0 all eight inverses are read from A^-1.
+
+One record per matrix (`_ExactAnalysis`) keeps A^j and (A^j)^+ by j and
+each reduction by its input, so the index search and all eight inverses
+share them. It shares only definitions with the float record, through
+`drazin._Derived`: the index search, core(A), the DMP, MPD, CMP, MPDMP
+and CCE inverses as products of A, A^+, A^D and A^(core-EP), and the EP,
+core-EP and k-EP verdicts. What makes it an oracle stays its own: exact
+arithmetic, ranks read from exact reductions, equality of stored forms,
+and its own A^+ (MacDuffee) and A^D (Cline), checked against the general
+expressions in `tests/test_exact.py`. The integers grow with n and with
+the index: the eight inverses, each from its own record, of a matrix
+with entries in [-3, 3] take about 1.5-4 ms when it is nonsingular and
+4-13 ms at index 1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to
+8) on a 2-core x86-64 host."""
 
 from __future__ import annotations
 
@@ -25,9 +32,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
+
+from .drazin import _Derived, _once
 
 __all__ = [
     "QC", "RMatrix", "exact_pinv", "exact_index", "exact_drazin", "exact_core_part",
@@ -285,26 +293,27 @@ def exact_inv(a: RMatrix) -> RMatrix:
 
 
 @dataclass(frozen=True)
-class _ExactAnalysis:
-    """The exact counterpart of `drazin._Analysis`: what the oracle derives
-    from one matrix, each part computed on first use. A^j and (A^j)^+ are
-    kept by j and every row reduction by its input's stored form, so each
-    power is formed and inverted once and no matrix is reduced twice (an
-    idempotent power included, and a nonsingular A, whose inverse replays
-    the reduction that read its rank), and the index search, the full-rank
-    factorizations and the pseudoinverses of A and of A^k share them."""
+class _ExactAnalysis(_Derived):
+    """The exact record: the base parts by the oracle's own algorithms,
+    and the parts of `drazin._Derived` on A itself (`_exp` = 0), with the
+    rank of A^j the pivot count of its RREF and equality that of stored
+    forms. Each power is formed and inverted once, and no matrix is
+    reduced twice: an idempotent power included, and a nonsingular A,
+    whose inverse replays the reduction that read its rank."""
 
     a: RMatrix
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, repr=False, compare=False)
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
+    _exp = 0
 
     def power(self, j: int) -> RMatrix:
-        """A^j, j >= 1; no part needs A^0, since at index 0 all are read from A^-1."""
+        """A^j, with A^0 = I."""
         if j == 1:
             return self.a
         if j not in self._powers:
-            self._powers[j] = self.power(j - 1) @ self.a
+            self._powers[j] = (RMatrix.identity(self.a.shape[0]) if j == 0
+                               else self.power(j - 1) @ self.a)
         return self._powers[j]
 
     def _reduce(self, m: RMatrix):
@@ -313,9 +322,10 @@ class _ExactAnalysis:
             self._reduced[m] = _rref(m)
         return self._reduced[m]
 
-    def _reduced_form(self, j: int):
-        """(RREF, pivot columns, replay) of A^j."""
-        return self._reduce(self.power(j))
+    def _rank_of_power(self, j: int) -> int:
+        return len(self._reduce(self.power(j))[1])
+
+    _equal = staticmethod(operator.eq)  # on the one stored form of each matrix
 
     def _inv(self, m: RMatrix) -> RMatrix:
         """m^-1: the reduction of m replayed on I, so that a matrix whose
@@ -335,7 +345,7 @@ class _ExactAnalysis:
     def _factors(self, j: int):
         """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,
         g the nonzero rows of its RREF."""
-        red, pivots, _ = self._reduced_form(j)
+        red, pivots, _ = self._reduce(self.power(j))
         return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
 
     def power_pinv(self, j: int) -> RMatrix:
@@ -343,7 +353,8 @@ class _ExactAnalysis:
         g* (f* A^j g*)^-1 f* for A^j = f g (MacDuffee; Ben-Israel & Greville
         2003); rank 0 gives zeros."""
         if j not in self._pinvs:
-            aj, pivots = self.power(j), self._reduced_form(j)[1]
+            aj = self.power(j)
+            pivots = self._reduce(aj)[1]
             if len(pivots) == aj.shape[0] == aj.shape[1]:
                 self._pinvs[j] = self._inv(aj)
             else:
@@ -352,20 +363,11 @@ class _ExactAnalysis:
                 self._pinvs[j] = gs @ self._inv(fs @ aj @ gs) @ fs
         return self._pinvs[j]
 
-    @cached_property
-    def index(self) -> int:
-        """The least k >= 0 with rank(A^k) = rank(A^(k+1)); once a power
-        has rank 0, so has the next, which is not reduced."""
-        k, rank = 0, self.a.shape[0]
-        while rank and (r := len(self._reduced_form(k + 1)[1])) != rank:
-            k, rank = k + 1, r
-        return k
-
-    @cached_property
+    @_once
     def pinv(self) -> RMatrix:
         return self.power_pinv(1)
 
-    @cached_property
+    @_once
     def drazin(self) -> RMatrix:
         """A^-1 = A^+ at index 0, else f (g A f)^-1 g for A^k = f g, k the
         index (Cline 1968)."""
@@ -374,37 +376,13 @@ class _ExactAnalysis:
         f, g = self._factors(self.index)
         return f @ self._inv(g @ self.a @ f) @ g
 
-    @cached_property
-    def core(self) -> RMatrix:
-        return self.a @ self.drazin @ self.a
-
-    @cached_property
-    def dmp(self) -> RMatrix:
-        return self.drazin @ self.a @ self.pinv
-
-    @cached_property
-    def mpd(self) -> RMatrix:
-        return self.pinv @ self.a @ self.drazin
-
-    @cached_property
-    def cmp(self) -> RMatrix:
-        return self.pinv @ self.core @ self.pinv
-
-    @cached_property
-    def mpdmp(self) -> RMatrix:
-        return self.pinv @ self.drazin @ self.pinv
-
-    @cached_property
+    @_once
     def core_ep(self) -> RMatrix:
         """A^D A^k (A^k)^+, which is A^D = A^-1 at index 0."""
         k = self.index
         if not k:
             return self.drazin
         return self.drazin @ self.power(k) @ self.power_pinv(k)
-
-    @cached_property
-    def cce(self) -> RMatrix:
-        return self.pinv @ self.a @ self.core_ep @ self.a @ self.pinv
 
 
 def exact_pinv(a: RMatrix) -> RMatrix:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
-from geninv.drazin import _analyse, _Analysis
+from geninv.drazin import _analyse, _Analysis, _Derived
 from geninv.ensembles import KINDS, EnsembleSpec, gen
 from geninv.factor import _rank_from
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
@@ -253,6 +253,26 @@ def test_rank_zero_power_ends_the_index_search(svd_inputs, full_svd_inputs):
         b = _analyse(a, gi.DEFAULT_TOL).unit
         assert svd_inputs == [_key(b.power(j)) for j in range(1, 7)]
     assert full_svd_inputs == []
+
+
+def test_index_search_ends_at_n_when_ranks_never_settle():
+    # float rank reads need not decrease: with ranks 3, 2, 3, 2, 3 for
+    # A ... A^5 of a 4 x 4 matrix the search reads A^(n+1) last and returns n
+    class Ranks(_Derived):
+        _exp = 0
+        a = np.zeros((4, 4))
+
+        def __init__(self):
+            self.reads = []
+
+        def _rank_of_power(self, j):
+            self.reads.append(j)
+            assert j <= 10, "the search has no bound"
+            return 3 if j % 2 else 2
+
+    rec = Ranks()
+    assert rec.index == 4
+    assert rec.reads == [1, 2, 3, 4, 5]
 
 
 def _spec(n, count, seed, kind):

@@ -1,6 +1,8 @@
 """The rational oracle must reproduce the worked fixture values exactly."""
 
 import hashlib
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import exact
+from geninv.drazin import _analyse
 from geninv.exact import (
     QC,
     RMatrix,
@@ -306,6 +309,18 @@ def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
     assert tuple(got) == counts
 
 
+@pytest.mark.parametrize("a", [a for a, _ in RREF_COUNTS],
+                         ids=["A1", "J3", "int5", "gaussian", "idempotent", "projector"])
+def test_exact_verdicts_reduce_nothing_after_the_inverses(monkeypatch, a):
+    rec = exact._ExactAnalysis(a)
+    for name in ("pinv", "drazin", "dmp", "mpd", "cmp", "mpdmp", "core_ep", "cce"):
+        getattr(rec, name)
+    inputs, rref = [], exact._rref
+    monkeypatch.setattr(exact, "_rref", lambda m: inputs.append(m) or rref(m))
+    assert {type(getattr(rec, v)) for v in ("is_ep", "is_core_ep", "is_k_ep")} == {bool}
+    assert inputs == []
+
+
 def _stored_ints(a):
     return _stored(a), {type(x) for x in (*a._re.flat, *a._im.flat, a._den)}
 
@@ -361,6 +376,31 @@ def test_exact_values_equal_the_general_expressions(a):
             "exact_mpdmp": p @ d @ p, "exact_core_ep": ce, "exact_cce": p @ a @ ce @ a @ p}
     assert {name: _stored(getattr(exact, name)(a)) for name in want} == {
         name: _stored(x) for name, x in want.items()}
+
+
+# ---- exact against float verdicts on every small matrix
+
+VERDICTS = ("index", "is_ep", "is_core_ep", "is_k_ep")
+# (index, EP, core-EP, k-EP) classes of every n x n matrix over `entries`
+VERDICT_CLASSES = {
+    (2, (-1, 0, 1)): {(0, True, True, True): 48, (1, False, False, False): 16,
+                      (1, True, True, True): 9, (2, False, True, True): 8},
+    (3, (0, 1)): {(0, True, True, True): 174, (1, False, False, False): 198,
+                  (1, True, True, True): 44, (2, False, False, False): 66,
+                  (2, False, True, True): 18, (3, False, True, True): 12},
+}
+
+
+@pytest.mark.parametrize("n, entries", VERDICT_CLASSES)
+def test_exact_verdicts_equal_the_float_ones(n, entries):
+    classes = Counter()
+    for flat in itertools.product(entries, repeat=n * n):
+        a = np.array(flat).reshape(n, n)
+        rec, ex = _analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a))
+        got = tuple(getattr(ex, v) for v in VERDICTS)
+        assert got == tuple(getattr(rec, v) for v in VERDICTS), a
+        classes[got] += 1
+    assert classes == VERDICT_CLASSES[n, entries]
 
 
 # ---- float against exact on integer matrices of prescribed index

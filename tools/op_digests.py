@@ -1,19 +1,25 @@
 """Hashes of the benchmark's operation outputs, for comparing two trees.
 
     python tools/op_digests.py TREE
+    python tools/op_digests.py PARENT CHANGE
 
-imports TREE/src/geninv and TREE/bench/workloads.py, changing neither,
-runs one full cycle of each workload at seeds 0 and 401 and prints one
-sha256 over the op digests per (seed, workload). Two trees whose lines
-agree give bit-identical outputs on every benchmark operation. The work
-directory is fixed, since `geninv hs` prints the paths it writes.
+With one tree, imports TREE/src/geninv and TREE/bench/workloads.py,
+changing neither, runs one full cycle of each workload at seeds 0 and 401
+and prints one sha256 over the op digests per (seed, workload). Two trees
+whose lines agree give bit-identical outputs on every benchmark operation.
+With two, runs each tree in its own interpreter, one after the other,
+prints their lines side by side and exits 1 if any pair differs, 2 if
+either run fails. The work directory is fixed, since `geninv hs` prints
+the paths it writes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,9 +32,26 @@ SEEDS = (0, 401)
 WORK = Path(tempfile.gettempdir()) / "geninv-op-digests"
 
 
+def compare(parent: str, change: str) -> int:
+    """Print the lines of both trees side by side: 1 if any pair differs,
+    2 if either run fails."""
+    lines = []
+    for tree in (parent, change):
+        run = subprocess.run([sys.executable, __file__, tree], stdout=subprocess.PIPE, text=True)
+        if run.returncode:
+            print(f"error: op_digests.py {tree} exited with {run.returncode}", file=sys.stderr)
+            return 2
+        lines.append(run.stdout.splitlines())
+    for p, c in itertools.zip_longest(*lines, fillvalue=""):
+        print(f"{p:<97} | {c}" + ("" if p == c else "  DIFFERS"))
+    return int(lines[0] != lines[1])
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        return compare(*argv)
     if len(argv) != 1:
-        print("usage: op_digests.py TREE", file=sys.stderr)
+        print("usage: op_digests.py TREE | op_digests.py PARENT CHANGE", file=sys.stderr)
         return 2
     tree = Path(argv[0]).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
