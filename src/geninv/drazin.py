@@ -86,14 +86,48 @@ def _part(degree: int):
 
 
 class _Derived:
-    """The parts every record derives the same way from its base parts,
-    each defined once beside the power of 2^e it scales by: the index,
-    core(A) = A A^D A, the DMP, MPD, CMP, MPDMP and CCE inverses, and the
-    EP, core-EP and k-EP verdicts. A record gives `a`, `power(j)`, `pinv`,
-    `drazin`, `core_ep`, `_exp` (0 where every part is computed on A
-    itself) and two primitives: `_rank_of_power(j)`, rank(A^j), and
-    `_equal(x, y)`, its equality of matrices. The float record
+    """The parts every record derives the same way, each defined once beside
+    the power of 2^e it scales by: A^j, (A^j)^+ and rank(A^j), each formed
+    once per j (A^1 is A); rank(A), A^+, the index, the core-EP inverse,
+    core(A), the DMP, MPD, CMP, MPDMP and CCE inverses, and the EP, core-EP
+    and k-EP verdicts. A record gives `a`, `drazin`, `_exp` (if not 0, every
+    part and power is read from `unit`, the record of B = 2^-e A), the memo
+    dicts `_powers`, `_pinvs` and `_ranks`, and four primitives:
+    `_form_power(j)` (j != 1), `_read_rank(j)` and `_invert_power(j)` for
+    A^j, rank(A^j) and (A^j)^+, and `_equal(x, y)`. The float record
     (`_Analysis`) and the exact one (`exact._ExactAnalysis`) inherit it."""
+
+    def power(self, j: int):
+        """A^j, formed once per j; A^1 is A. On a record with e != 0, read as
+        2^(e j) B^j from `unit`, so that no power of A is formed."""
+        if self._exp:
+            return _ldexp(self.unit.power(j), self._exp * j)
+        if j == 1:
+            return self.a
+        if j not in self._powers:
+            self._powers[j] = self._form_power(j)
+        return self._powers[j]
+
+    def power_pinv(self, j: int):
+        """(A^j)^+, computed once per j; like `_rank_of_power`, asked of the
+        record of B only, through the parts and `unit`."""
+        if j not in self._pinvs:
+            self._pinvs[j] = self._invert_power(j)
+        return self._pinvs[j]
+
+    def _rank_of_power(self, j: int) -> int:
+        """rank(A^j), read once per j."""
+        if j not in self._ranks:
+            self._ranks[j] = self._read_rank(j)
+        return self._ranks[j]
+
+    @_part(0)
+    def rank(self) -> int:
+        return self._rank_of_power(1)
+
+    @_part(-1)
+    def pinv(self):
+        return self.power_pinv(1)
 
     @_part(0)
     def index(self) -> int:
@@ -110,6 +144,13 @@ class _Derived:
                 return k + 1
             prev_rank = r
         return n
+
+    @_part(-1)
+    def core_ep(self):
+        """A^k (A^(k+1))^+, k the index (Prasad & Mohana 2014); I A^+ at
+        index 0."""
+        k = self.index
+        return self.power(k) @ self.power_pinv(k + 1)
 
     @_part(1)
     def core(self):
@@ -157,12 +198,12 @@ class _Analysis(_Derived):
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
     lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
-    which keeps B^j by j and SVDs by input (shape and bytes), so each is
-    formed once; the record of A reads every part, svd(A) and A^j scaled
-    from there, and forms no SVD or power of its own. The index, the
-    composite inverses and the class verdicts are those of `_Derived`, on
-    B: ranks of powers read against sigma_max(B)**j, and verdicts decided
-    by `approx_eq` under `tol`.
+    which keeps SVDs by input (shape and bytes) as well, so each is formed
+    once; the record of A reads every part, svd(A) and A^j scaled from
+    there, and forms no SVD or power of its own. Beside svd(A), the block
+    factorization and A^D, it gives `_Derived` B^j by `mat_pow`, its rank
+    and pseudoinverse with the cutoff referenced to sigma_max(B)**j, and
+    verdicts by `approx_eq` under `tol`.
 
     Every rank reads its singular values through `_sigma`. A record built
     with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
@@ -176,6 +217,8 @@ class _Analysis(_Derived):
     _values_only: bool = False
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _svd(self, m: np.ndarray):
         """svd(m), or its singular values alone on a `_values_only` record,
@@ -187,35 +230,21 @@ class _Analysis(_Derived):
 
     def _sigma(self, j: int) -> np.ndarray:
         """The singular values of A^j, read as 2^(e j) those of B^j from the
-        record of B."""
+        record of B; those of B are looked up once (`_s1`)."""
         if self._exp:
             return np.ldexp(self.unit._sigma(j), self._exp * j)
-        if self._values_only:
-            return self._svd(self.power(j))
-        return self.factors.s if j == 1 else self._svd(self.power(j)).s
+        if j == 1:
+            return self._s1
+        res = self._svd(self.power(j))
+        return res if self._values_only else res.s
+
+    @_once
+    def _s1(self) -> np.ndarray:
+        return self._svd(self.a) if self._values_only else self.factors.s
 
     @_once
     def _exp(self) -> int:
         return _exponent(self.a)
-
-    def power(self, j: int) -> np.ndarray:
-        """A^j, read as 2^(e j) B^j from the record of B, where B^j (j != 1)
-        is formed once, so that no power of A is formed; B^1 is B itself."""
-        if self._exp:
-            return _ldexp(self.unit.power(j), self._exp * j)
-        if j == 1:
-            return self.a
-        if j not in self._powers:
-            self._powers[j] = mat_pow(self.a, j)
-        return self._powers[j]
-
-    def power_pinv(self, j: int) -> np.ndarray:
-        """(B^j)^+, with the cutoff referenced to sigma_max(B)**j; called on
-        the record of B only, so that it is at that record's scale; (B^1)^+
-        is the `pinv` part."""
-        if j == 1:
-            return self.pinv
-        return _pinv_from(self._svd(self.power(j)), self._smax ** j, self.tol)
 
     @property
     def unit(self) -> "_Analysis":
@@ -239,20 +268,20 @@ class _Analysis(_Derived):
     @_once
     def _smax(self) -> float:
         """sigma_max(B), on the record of B."""
-        s = self._sigma(1)
-        return float(s[0]) if s.size else 0.0
+        return float(self._s1[0]) if self._s1.size else 0.0
 
-    def _power_rank(self, j: int, scale: float) -> int:
-        """rank(B^j), its cutoff referenced to max(sigma_max(B^j), scale)."""
-        return _rank_from(self._sigma(j), self.a.shape, scale, self.tol)
+    def _form_power(self, j: int) -> np.ndarray:
+        return mat_pow(self.a, j)
 
-    @_part(0)
-    def rank(self) -> int:
-        return self._power_rank(1, 0.0)
+    def _read_rank(self, j: int) -> int:
+        return _rank_from(self._sigma(j), self.a.shape, self._smax ** j, self.tol)
 
-    @_part(-1)
-    def pinv(self) -> np.ndarray:
-        return _pinv_from(self.factors, 0.0, self.tol)
+    def _invert_power(self, j: int) -> np.ndarray:
+        res = self.factors if j == 1 else self._svd(self.power(j))
+        return _pinv_from(res, self._smax ** j, self.tol)
+
+    def _equal(self, x: np.ndarray, y: np.ndarray) -> bool:
+        return approx_eq(x, y, self.tol)
 
     @_once
     def hs(self) -> HSDecomp:
@@ -267,20 +296,6 @@ class _Analysis(_Derived):
         """C^(k+1) B^k, C the core-EP inverse of B."""
         k = self.index
         return mat_pow(self.core_ep, k + 1) @ self.power(k)
-
-    @_part(-1)
-    def core_ep(self) -> np.ndarray:
-        """C = B^k (B^(k+1))^+, the core-EP inverse of B."""
-        k = self.index
-        return self.power(k) @ self.power_pinv(k + 1)
-
-    def _rank_of_power(self, j: int) -> int:
-        """rank(B^j): the `rank` part at j = 1, else read from the singular
-        values of B^j with the cutoff referenced to sigma_max(B)**j."""
-        return self.rank if j == 1 else self._power_rank(j, self._smax ** j)
-
-    def _equal(self, x: np.ndarray, y: np.ndarray) -> bool:
-        return approx_eq(x, y, self.tol)
 
 
 def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False) -> _Analysis:

@@ -8,23 +8,22 @@ one when neither factor has an imaginary part. Row reduction is
 fraction-free Gauss-Jordan (Bareiss 1968) on lists of Python int rows:
 over the integers when the matrix has no imaginary part, over the
 Gaussian integers otherwise; a matrix is inverted by repeating the row
-operations of its reduction on I. Each inverse inverts one r x r matrix
-of a full-rank factorization, or A^j itself when it is square of full
-rank; at index 0 all eight inverses are read from A^-1.
+operations of its reduction on I.
 
-One record per matrix (`_ExactAnalysis`) keeps A^j and (A^j)^+ by j and
-each reduction by its input, so the index search and all eight inverses
-share them. It shares only definitions with the float record, through
-`drazin._Derived`: the index search, core(A), the DMP, MPD, CMP, MPDMP
-and CCE inverses as products of A, A^+, A^D and A^(core-EP), and the EP,
-core-EP and k-EP verdicts. What makes it an oracle stays its own: exact
-arithmetic, ranks read from exact reductions, equality of stored forms,
-and its own A^+ (MacDuffee) and A^D (Cline), checked against the general
-expressions in `tests/test_exact.py`. The integers grow with n and with
-the index: the eight inverses, each from its own record, of a matrix
-with entries in [-3, 3] take about 1.5-4 ms when it is nonsingular and
-4-13 ms at index 1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to
-8) on a 2-core x86-64 host."""
+One record per matrix (`_ExactAnalysis`) keeps each reduction by its
+input, so the index search and all eight inverses share them. Through
+`drazin._Derived` it shares with the float record the algebra of powers
+(A^j, (A^j)^+, rank(A^j), A^+ and the core-EP inverse A^k (A^(k+1))^+)
+and the index search, core(A), the composite inverses and the class
+verdicts. What makes it an oracle stays its own: exact arithmetic, ranks
+read from exact reductions, equality of stored forms, (A^j)^+ as the
+inverse of a full-rank A^j or else by MacDuffee, and A^D by Cline, read
+as A^-1 at index 0; all are checked against the general expressions in
+`tests/test_exact.py`. The integers grow with n and with the index: the
+eight inverses, each from its own record, of a matrix with entries in
+[-3, 3] take about 1.5-4 ms when it is nonsingular and 4-13 ms at index
+1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to 8) on a 2-core
+x86-64 host."""
 
 from __future__ import annotations
 
@@ -284,7 +283,7 @@ def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) ->
 
 
 def exact_rank(a: RMatrix) -> int:
-    return len(_ExactAnalysis(a)._reduce(a)[1])
+    return _ExactAnalysis(a).rank
 
 
 def exact_inv(a: RMatrix) -> RMatrix:
@@ -294,27 +293,22 @@ def exact_inv(a: RMatrix) -> RMatrix:
 
 @dataclass(frozen=True)
 class _ExactAnalysis(_Derived):
-    """The exact record: the base parts by the oracle's own algorithms,
-    and the parts of `drazin._Derived` on A itself (`_exp` = 0), with the
-    rank of A^j the pivot count of its RREF and equality that of stored
-    forms. Each power is formed and inverted once, and no matrix is
-    reduced twice: an idempotent power included, and a nonsingular A,
-    whose inverse replays the reduction that read its rank."""
+    """The exact record: the parts of `drazin._Derived` on A itself (`_exp`
+    = 0), from A^j = A^(j-1) A with A^0 = I, rank(A^j) the pivot count of
+    its RREF, (A^j)^+ its inverse or by MacDuffee, and equality of stored
+    forms; and its own A^D (Cline). No matrix is reduced twice: an
+    idempotent power included, and a nonsingular A, whose inverse replays
+    the reduction that read its rank."""
 
     a: RMatrix
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
-    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
     _exp = 0
 
-    def power(self, j: int) -> RMatrix:
-        """A^j, with A^0 = I."""
-        if j == 1:
-            return self.a
-        if j not in self._powers:
-            self._powers[j] = (RMatrix.identity(self.a.shape[0]) if j == 0
-                               else self.power(j - 1) @ self.a)
-        return self._powers[j]
+    def _form_power(self, j: int) -> RMatrix:
+        return RMatrix.identity(self.a.shape[0]) if j == 0 else self.power(j - 1) @ self.a
 
     def _reduce(self, m: RMatrix):
         """(RREF, pivot columns, replay) of m; see `_rref`."""
@@ -322,7 +316,7 @@ class _ExactAnalysis(_Derived):
             self._reduced[m] = _rref(m)
         return self._reduced[m]
 
-    def _rank_of_power(self, j: int) -> int:
+    def _read_rank(self, j: int) -> int:
         return len(self._reduce(self.power(j))[1])
 
     _equal = staticmethod(operator.eq)  # on the one stored form of each matrix
@@ -348,24 +342,16 @@ class _ExactAnalysis(_Derived):
         red, pivots, _ = self._reduce(self.power(j))
         return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
 
-    def power_pinv(self, j: int) -> RMatrix:
+    def _invert_power(self, j: int) -> RMatrix:
         """(A^j)^+: the inverse of A^j when it is square of full rank, else
         g* (f* A^j g*)^-1 f* for A^j = f g (MacDuffee; Ben-Israel & Greville
         2003); rank 0 gives zeros."""
-        if j not in self._pinvs:
-            aj = self.power(j)
-            pivots = self._reduce(aj)[1]
-            if len(pivots) == aj.shape[0] == aj.shape[1]:
-                self._pinvs[j] = self._inv(aj)
-            else:
-                f, g = self._factors(j)
-                gs, fs = g.conj_t(), f.conj_t()
-                self._pinvs[j] = gs @ self._inv(fs @ aj @ gs) @ fs
-        return self._pinvs[j]
-
-    @_once
-    def pinv(self) -> RMatrix:
-        return self.power_pinv(1)
+        aj = self.power(j)
+        if self._rank_of_power(j) == aj.shape[0] == aj.shape[1]:
+            return self._inv(aj)
+        f, g = self._factors(j)
+        gs, fs = g.conj_t(), f.conj_t()
+        return gs @ self._inv(fs @ aj @ gs) @ fs
 
     @_once
     def drazin(self) -> RMatrix:
@@ -375,14 +361,6 @@ class _ExactAnalysis(_Derived):
             return self.pinv
         f, g = self._factors(self.index)
         return f @ self._inv(g @ self.a @ f) @ g
-
-    @_once
-    def core_ep(self) -> RMatrix:
-        """A^D A^k (A^k)^+, which is A^D = A^-1 at index 0."""
-        k = self.index
-        if not k:
-            return self.drazin
-        return self.drazin @ self.power(k) @ self.power_pinv(k)
 
 
 def exact_pinv(a: RMatrix) -> RMatrix:

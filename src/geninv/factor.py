@@ -138,7 +138,8 @@ def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> in
     """
     from .drazin import _analyse
 
-    return _analyse(a, tol, square=False, values_only=True)._power_rank(1, scale)
+    rec = _analyse(a, tol, square=False, values_only=True)
+    return _rank_from(rec._sigma(1), rec.a.shape, scale, tol)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -208,7 +208,7 @@ def test_record_of_a_reads_every_part_scaled_from_b(kind, e, a1):
     assert rec.factors.u is b.factors.u and rec.factors.v is b.factors.v
     assert np.array_equal(rec.factors.s, b.factors.s * f)
     assert np.array_equal(rec.hs.sigma, b.hs.sigma * f)
-    assert rec._svds == {} and rec._powers == {}
+    assert rec._svds == {} and rec._powers == {} and rec._pinvs == {} and rec._ranks == {}
 
 
 def test_no_record_outlives_its_call(a1):
