@@ -128,7 +128,7 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
     rec = _analyse(a, tol).unit
     conditions, residuals = {}, {}
     for label, sides in _CORE_EP_CONDITIONS:
-        conditions[label], residuals[label] = _check(sides(rec), tol)
+        conditions[label], residuals[label] = _check(sides(rec), rec._compare)
 
     core_ep = conditions["defining_commutation"]
     flags = [
@@ -138,8 +138,8 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
     ]
 
     block = {}
-    if np.any(rec.a != 0):
-        ca, cb, cc = core_ep_block_conditions(rec.hs, tol)
+    if rec.rank:
+        ca, cb, cc = core_ep_block_conditions(rec.hs, rec.tol)
         block = {"a": ca, "b": cb, "c": cc}
         if (ca and cb and cc) != core_ep:
             flags.append("block conditions disagree with the defining core-EP test")
@@ -190,7 +190,7 @@ def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     delta_tilde P = 0; a positive result also implies that delta_tilde
     commutes with PP* and QQ* and equals Q qtilde^+ qtilde Q*."""
     holds, pairs = _block_ep(h, 3, tol)
-    if holds and not _check(pairs, tol)[0]:
+    if holds and not all(approx_eq(x, y, tol) for x, y in pairs):
         raise InternalCheckError(
             "CCE EP-criterion consequences failed on a positive result"
         )

@@ -253,7 +253,7 @@ def cmd_order(args) -> int:
     kinds = list(OrderKind) if args.relation == "all" else [OrderKind(args.relation)]
     out = {}
     for kind in kinds:
-        rep = leq(rec, b, kind, tol)
+        rep = leq(rec, b, kind)
         out[kind.value] = {
             "holds": rep.holds,
             "left_residual": rep.left_residual,

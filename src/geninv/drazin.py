@@ -24,7 +24,7 @@ import numpy as np
 from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
                      _singular_values, svd)
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _exponent,
-                     _guarded, _ldexp, approx_eq, conj_transpose, mat_pow)
+                     _compare, _guarded, _ldexp, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -94,8 +94,9 @@ class _Derived:
     part and power is read from `unit`, the record of B = 2^-e A), the memo
     dicts `_powers`, `_pinvs` and `_ranks`, and four primitives:
     `_form_power(j)` (j != 1), `_read_rank(j)` and `_invert_power(j)` for
-    A^j, rank(A^j) and (A^j)^+, and `_equal(x, y)`. The float record
-    (`_Analysis`) and the exact one (`exact._ExactAnalysis`) inherit it."""
+    A^j, rank(A^j) and (A^j)^+, and `_compare(x, y) -> (holds, residual)`,
+    the judge of x = y in the verdicts and in `kernel._check`. The float
+    record (`_Analysis`) and the exact (`exact._ExactAnalysis`) inherit it."""
 
     def power(self, j: int):
         """A^j, formed once per j; A^1 is A. On a record with e != 0, read as
@@ -179,18 +180,18 @@ class _Derived:
     @_part(0)
     def is_ep(self) -> bool:
         """A commutes with A^+."""
-        return self._equal(self.a @ self.pinv, self.pinv @ self.a)
+        return self._compare(self.a @ self.pinv, self.pinv @ self.a)[0]
 
     @_part(0)
     def is_core_ep(self) -> bool:
         """A^+ commutes with the core part of A."""
-        return self._equal(self.pinv @ self.core, self.core @ self.pinv)
+        return self._compare(self.pinv @ self.core, self.core @ self.pinv)[0]
 
     @_part(0)
     def is_k_ep(self) -> bool:
         """A^k commutes with A^+, k the index."""
         ak = self.power(self.index)
-        return self._equal(ak @ self.pinv, self.pinv @ ak)
+        return self._compare(ak @ self.pinv, self.pinv @ ak)[0]
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ class _Analysis(_Derived):
     there, and forms no SVD or power of its own. Beside svd(A), the block
     factorization and A^D, it gives `_Derived` B^j by `mat_pow`, its rank
     and pseudoinverse with the cutoff referenced to sigma_max(B)**j, and
-    verdicts by `approx_eq` under `tol`.
+    judges pairs by `kernel._compare` under `tol`.
 
     Every rank reads its singular values through `_sigma`. A record built
     with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
@@ -280,8 +281,8 @@ class _Analysis(_Derived):
         res = self.factors if j == 1 else self._svd(self.power(j))
         return _pinv_from(res, self._smax ** j, self.tol)
 
-    def _equal(self, x: np.ndarray, y: np.ndarray) -> bool:
-        return approx_eq(x, y, self.tol)
+    def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
+        return _compare(x, y, self.tol)
 
     @_once
     def hs(self) -> HSDecomp:

@@ -16,14 +16,15 @@ input, so the index search and all eight inverses share them. Through
 (A^j, (A^j)^+, rank(A^j), A^+ and the core-EP inverse A^k (A^(k+1))^+)
 and the index search, core(A), the composite inverses and the class
 verdicts. What makes it an oracle stays its own: exact arithmetic, ranks
-read from exact reductions, equality of stored forms, (A^j)^+ as the
-inverse of a full-rank A^j or else by MacDuffee, and A^D by Cline, read
-as A^-1 at index 0; all are checked against the general expressions in
-`tests/test_exact.py`. The integers grow with n and with the index: the
-eight inverses, each from its own record, of a matrix with entries in
-[-3, 3] take about 1.5-4 ms when it is nonsingular and 4-13 ms at index
-1-4 up to n = 6, and 30-55 ms at n = 10-12 (index up to 8) on a 2-core
-x86-64 host."""
+read from exact reductions, (A^j)^+ as the inverse of a full-rank A^j or
+else by MacDuffee, and A^D by Cline, read as A^-1 at index 0; all are
+checked against the general expressions in `tests/test_exact.py`. It
+judges x = y, in its verdicts and in the identity tables of `verify`, by
+equality of stored forms; `RMatrix` has numpy's `conj()` and `T` for those
+tables. The integers grow with n and with the index: the eight inverses,
+each from its own record, of a matrix with entries in [-3, 3] take about
+1.5-4 ms when it is nonsingular and 4-13 ms at index 1-4 up to n = 6, and
+30-55 ms at n = 10-12 (index up to 8) on a 2-core x86-64 host."""
 
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .drazin import _Derived, _once
+from .kernel import fro_norm
 
 __all__ = [
     "QC", "RMatrix", "exact_pinv", "exact_index", "exact_drazin", "exact_core_part",
@@ -189,8 +191,13 @@ class RMatrix:
             return RMatrix._of(re, np.zeros(re.shape, dtype=object), self._den * o._den)
         return RMatrix._of(a.dot(c) - b.dot(d), a.dot(d) + b.dot(c), self._den * o._den)
 
+    def conj(self) -> "RMatrix":
+        return RMatrix._of(self._re, -self._im, self._den)
+
+    T = property(lambda self: RMatrix._of(self._re.T, self._im.T, self._den))
+
     def conj_t(self) -> "RMatrix":
-        return RMatrix._of(self._re.T, -self._im.T, self._den)
+        return self.conj().T
 
     def power(self, k: int) -> "RMatrix":
         out = RMatrix.identity(self.shape[0])
@@ -295,10 +302,10 @@ def exact_inv(a: RMatrix) -> RMatrix:
 class _ExactAnalysis(_Derived):
     """The exact record: the parts of `drazin._Derived` on A itself (`_exp`
     = 0), from A^j = A^(j-1) A with A^0 = I, rank(A^j) the pivot count of
-    its RREF, (A^j)^+ its inverse or by MacDuffee, and equality of stored
-    forms; and its own A^D (Cline). No matrix is reduced twice: an
-    idempotent power included, and a nonsingular A, whose inverse replays
-    the reduction that read its rank."""
+    its RREF, (A^j)^+ its inverse or by MacDuffee, and `_compare` by
+    equality of stored forms; and its own A^D (Cline). No matrix is reduced
+    twice: an idempotent power included, and a nonsingular A, whose inverse
+    replays the reduction that read its rank."""
 
     a: RMatrix
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
@@ -319,7 +326,9 @@ class _ExactAnalysis(_Derived):
     def _read_rank(self, j: int) -> int:
         return len(self._reduce(self.power(j))[1])
 
-    _equal = staticmethod(operator.eq)  # on the one stored form of each matrix
+    def _compare(self, x: RMatrix, y: RMatrix) -> tuple[bool, float]:
+        # each matrix has one stored form, so equal ones are not subtracted
+        return (True, 0.0) if x == y else (False, fro_norm((x - y).to_complex()))
 
     def _inv(self, m: RMatrix) -> RMatrix:
         """m^-1: the reduction of m replayed on I, so that a matrix whose

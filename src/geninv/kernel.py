@@ -193,28 +193,34 @@ def _threshold(norm_a: float, norm_b: float, tol: Tolerance) -> float:
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ||a - b||_F <= eq_abs + eq_rel * (1 + ||a||_F + ||b||_F)."""
-    return _check((a, b), tol)[0]
+    return _compare(a, b, tol)[0]
 
 
-def _check(sides, tol: Tolerance) -> tuple[bool, float]:
-    """(holds, residual) of one identity, given what its sides returned.
+def _compare(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[bool, float]:
+    """(holds, residual) of a = b by `approx_eq`'s rule, ||a - b|| formed
+    once. ||a|| and ||b|| are read only past eq_abs + eq_rel: as rounding is
+    monotone, no threshold falls below that (a NaN residual reads them)."""
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    d = a - b
+    with np.errstate(over="ignore"):
+        residual = _fro_norm(d)
+        if residual <= tol.eq_abs + tol.eq_rel:
+            return True, residual
+        return residual <= _threshold(_fro_norm(a), _fro_norm(b), tol), residual
 
-    Two matrices (L, R) must be equal; the residual is ||L - R||_F, formed
-    once. A list holds if each of its members does, with the largest
-    residual. Any other tuple lists statements, each a boolean or a matrix
-    pair, whose truth values must all agree (two make a biconditional);
-    its residual is 0.
-    """
+
+def _check(sides, compare) -> tuple[bool, float]:
+    """(holds, residual) of one identity, given what its sides returned and
+    `compare(x, y) -> (holds, residual)`, a record's `_compare`, as the judge
+    of two matrices (L, R), which must be equal. A list holds if each of its
+    members does, with the largest residual. Any other tuple lists
+    statements, each a boolean or a matrix pair, whose truth values must all
+    agree (two make a biconditional); its residual is 0."""
     if isinstance(sides, list):
-        checks = [_check(s, tol) for s in sides]
+        checks = [_check(s, compare) for s in sides]
         return all(ok for ok, _ in checks), max(r for _, r in checks)
-    if isinstance(sides[0], np.ndarray):
-        a, b = sides
-        if a.shape != b.shape:
-            raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-        d = a - b
-        with np.errstate(over="ignore"):
-            residual, norm_a, norm_b = _fro_norm(d), _fro_norm(a), _fro_norm(b)
-        return residual <= _threshold(norm_a, norm_b, tol), residual
-    truths = {_check(s, tol)[0] if isinstance(s, tuple) else s for s in sides}
+    if not isinstance(sides[0], (bool, np.bool_, tuple)):
+        return compare(*sides)
+    truths = {_check(s, compare)[0] if isinstance(s, tuple) else s for s in sides}
     return len(truths) == 1, 0.0

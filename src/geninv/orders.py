@@ -3,7 +3,7 @@ and their equivalent characterizations.
 
 A <= B under inverse g of A means g A = g B and A g = B g. The relations
 are evaluated exactly as defined, on the pair (2^-e A, 2^-e B) with e as
-in `svd` of A; no order axioms are assumed.
+in `svd` of A, and judged by A's record; no order axioms are assumed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
     rec, b = _check_pair(a, b, tol)
     kind = OrderKind(kind)
     (left, left_residual), (right, right_residual) = (
-        _check(sides, tol) for sides in _order_sides(rec, b, kind))
+        _check(sides, rec._compare) for sides in _order_sides(rec, b, kind))
     return OrderReport(
         kind=kind,
         holds=left and right,
@@ -85,7 +85,7 @@ def leq(a: np.ndarray, b: np.ndarray, kind: OrderKind,
 def core_upper_bound_check(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """a <= core(a) under all four relations; each report must hold."""
     rec = _analyse(a, tol)
-    return tuple(leq(rec, rec.core, kind, tol) for kind in OrderKind)
+    return tuple(leq(rec, rec.core, kind) for kind in OrderKind)
 
 
 # The three equivalent tests of a <= b under the DMP and the MPD inverse:
@@ -108,7 +108,7 @@ def _forms(rows, a, b, tol: Tolerance) -> tuple[bool, ...]:
     """Whether each row's pairs are equal for a and b."""
     rec, b = _check_pair(a, b, tol)
     ak = rec.power(rec.index)
-    return tuple(_check(sides(rec, b, ak), tol)[0] for _, sides in rows)
+    return tuple(_check(sides(rec, b, ak), rec._compare)[0] for _, sides in rows)
 
 
 def dmp_order_characterizations(a: np.ndarray, b: np.ndarray,

@@ -6,7 +6,7 @@ satisfy every equation, and random perturbations of it must break at least
 one equation each. Suites test biconditionals in both directions (boolean
 agreement per sample); one-directional results are tested one way only.
 Both are tables, `_SYSTEMS` and `_SUITES`, of (label, sides) identities,
-each evaluated by `kernel._check`.
+each judged by `kernel._check` with the `_compare` of the subject's record.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .kernel import (
     PreconditionError,
     Tolerance,
     _check,
-    approx_eq,
     conj_transpose,
     diff_norm,
 )
@@ -172,7 +171,7 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     x = solution(rec)
     report = VerificationReport(suite=f"system:{system}")
     for label, sides in eqs:
-        report.record(label, *_check(sides(rec, x), tol))
+        report.record(label, *_check(sides(rec, x), rec._compare))
     report.samples = 1
 
     rng = np.random.default_rng(seed)
@@ -210,7 +209,7 @@ def solution_family(a: np.ndarray, f: np.ndarray, which: str,
         x, (_, sides), law = rec.dmp + (eye - p @ a) @ f, _AX_EQ_CORE_MP, "core(a) a^+ = a x"
     else:
         raise ValueError(f"unknown family {which!r}; use 'q1' or 'q2'")
-    if not _check(sides(rec, x), tol)[0]:
+    if not _check(sides(rec, x), rec._compare)[0]:
         raise InternalCheckError(f"family member violates {law}")
     return x
 
@@ -249,16 +248,12 @@ def _kep_pairs(specs, tol):
 class _Suite(NamedTuple):
     """An identity suite: its identities (label, sides(subject)), the skip
     rules (note, applies(subject)) tried in order before them, and the
-    source (specs, tol) -> (samples, subjects). A subject is a record, which
-    carries its tolerance, or a pair whose first member is a record."""
+    source (specs, tol) -> (samples, subjects). A subject is a record, or a
+    pair whose first member is a record; that record judges the identities."""
 
     identities: tuple
     skips: tuple = ()
     source: Callable = _drawn
-
-
-def _eye(r):
-    return np.eye(r.a.shape[0], dtype=np.complex128)
 
 
 def _iff_core_ep(sides):
@@ -275,7 +270,7 @@ def _dmp_pinv_commutes(r):
 def _cce_hypothesis_fails(r):
     """The core-EP and Drazin inverses of the core block SQ differ."""
     core = _core_blocks(r.hs, r.tol)[0]
-    return not approx_eq(core.core_ep, core.drazin, r.tol)
+    return not core._compare(core.core_ep, core.drazin)[0]
 
 
 def _cmp_ep_iff_cce_commutes(r):
@@ -285,8 +280,9 @@ def _cmp_ep_iff_cce_commutes(r):
 
 
 _NOT_CORE_EP = ("not_core_ep_skipped", lambda r: not r.is_core_ep)
-_ZERO = ("zero_skipped", lambda r: not np.any(r.a != 0))
+_ZERO = ("zero_skipped", lambda r: r.rank == 0)
 
+# A^0 = I and A - A, a zero matrix with +0.0 entries, on either record
 _SUITES = {
     "core_ep_equiv": _Suite(tuple(
         (label, _iff_core_ep(sides)) for label, sides in _CORE_EP_CONDITIONS)),
@@ -314,7 +310,7 @@ _SUITES = {
          lambda r: ((r.cmp, r.mpd @ r.dmp), (r.power(r.index + 1), r.power(r.index)))),
         ("idempotent_power_iff_range",
          lambda r: ((r.power(r.index + 1), r.power(r.index)),
-                    ((_eye(r) - r.a) @ r.a @ r.core_ep, np.zeros_like(r.a)))),
+                    ((r.power(0) - r.a) @ r.a @ r.core_ep, r.a - r.a))),
     )),
     "five_way_mp": _Suite(skips=(_ZERO,), identities=(
         ("dmp_pinv_commutes", _dmp_pinv_commutes),
@@ -332,10 +328,10 @@ _SUITES = {
     "five_way_core": _Suite((
         ("dmp_core_commute_iff_null",
          lambda r: ((r.dmp @ r.core, r.core @ r.dmp),
-                    (r.power(r.index) @ (_eye(r) - r.a @ r.pinv), np.zeros_like(r.a)))),
+                    (r.power(r.index) @ (r.power(0) - r.a @ r.pinv), r.a - r.a))),
         ("mpd_core_commute_iff_range",
          lambda r: ((r.mpd @ r.core, r.core @ r.mpd),
-                    ((_eye(r) - r.pinv @ r.a) @ r.power(r.index), np.zeros_like(r.a)))),
+                    ((r.power(0) - r.pinv @ r.a) @ r.power(r.index), r.a - r.a))),
         ("core_fixed_by_dmp_iff_idempotent_power",
          lambda r: ((r.core, r.dmp @ r.core), (r.power(r.index), r.power(r.index + 1)))),
         ("core_fixed_by_mpd_iff_mp_fixes_power",
@@ -354,13 +350,13 @@ _SUITES = {
         for kind in OrderKind)),
     "adf": _Suite(source=_adf_pairs, identities=(
         ("dmp_characterizations_agree",
-         lambda pair: dmp_order_characterizations(*pair, pair[0].tol)),
+         lambda pair: dmp_order_characterizations(*pair)),
         ("mpd_characterizations_agree",
-         lambda pair: mpd_order_characterizations(*pair, pair[0].tol)),
+         lambda pair: mpd_order_characterizations(*pair)),
     )),
     "orders_kep": _Suite(source=_kep_pairs, identities=(
         ("four_relations_agree",
-         lambda pair: tuple(leq(*pair, kind, pair[0].tol).holds for kind in OrderKind)),
+         lambda pair: tuple(leq(*pair, kind).holds for kind in OrderKind)),
     )),
     "cce_conditional": _Suite(
         skips=(_ZERO, ("hypothesis_skipped", _cce_hypothesis_fails)),
@@ -395,7 +391,8 @@ def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
         if skip is not None:
             report.note(skip)
             continue
+        compare = (subject[0] if isinstance(subject, tuple) else subject)._compare
         for label, sides in row.identities:
-            report.record(label, *_check(sides(subject), tol))
+            report.record(label, *_check(sides(subject), compare))
     report.samples = len(samples)
     return report

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from geninv import (
     PreconditionError,
+    Tolerance,
     approx_eq,
     cce_ep_criterion,
     cce_inverse,
@@ -92,9 +93,12 @@ def test_equiv_report_nonsingular(rng):
 
 
 def test_equiv_report_zero_matrix():
-    rep = core_ep_equiv_report(np.zeros((3, 3), dtype=complex))
-    assert rep.is_core_ep
-    assert rep.block_conditions == {}
+    # a nonzero matrix of numerical rank 0 has no block factorization either
+    for a, tol in ((np.zeros((3, 3), dtype=complex), Tolerance()),
+                   (np.ones((3, 3), dtype=complex), Tolerance(rank_rel=2.0))):
+        rep = core_ep_equiv_report(a, tol)
+        assert rep.is_core_ep
+        assert rep.block_conditions == {}
 
 
 def _constructed_samples(n=4, count=8):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import exact
 from geninv.drazin import _analyse
+from geninv.kernel import _check
+from geninv.verify import _SUITES
 from geninv.exact import (
     QC,
     RMatrix,
@@ -191,6 +193,8 @@ def test_arithmetic_matches_qc_arithmetic_entry_by_entry(a, data):
     assert (a + c).rows == [[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, c.rows)]
     assert (a - c).rows == [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, c.rows)]
     assert a.conj_t().rows == [[x.conj() for x in col] for col in zip(*a.rows)]
+    assert a.conj().rows == [[x.conj() for x in r] for r in a.rows]
+    assert a.T.rows == [list(col) for col in zip(*a.rows)]
     assert a == rm(a.rows) and a.is_zero() == (not any(x for r in a.rows for x in r))
     want = np.array([[complex(x) for x in r] for r in a.rows], dtype=np.complex128)
     assert a.to_complex().tobytes() == want.tobytes()
@@ -404,6 +408,44 @@ def test_exact_verdicts_equal_the_float_ones(n, entries):
         assert np.linalg.norm(rec.drazin - d) <= 1e-13 * np.linalg.norm(d), a
         classes[got] += 1
     assert classes == VERDICT_CLASSES[n, entries]
+
+
+def test_exact_record_judges_by_stored_form(monkeypatch):
+    # equal stored forms hold with residual 0 and are not subtracted;
+    # unequal ones fail with the float norm of their difference
+    rec, want, subtracted = exact._ExactAnalysis(A1), (A1 - A2).to_complex(), []
+    real = RMatrix.__sub__
+    monkeypatch.setattr(RMatrix, "__sub__", lambda x, y: subtracted.append(y) or real(x, y))
+    assert rec._compare(A1 @ A1, rec.power(2)) == (True, 0.0) and not subtracted
+    assert rec._compare(A1, A2) == (False, np.linalg.norm(want)) and subtracted == [A2]
+
+
+# the suites whose rows exact arithmetic reaches, with the one row it does not
+EXACT_SUITES = ("core_ep_equiv", "core_ep_collapse", "six_part", "ass", "five_way_mp",
+                "five_way_core", "commute_lemma")
+NOT_EXACT = ("dmp_pinv_commutes",)
+
+
+def test_exact_suite_verdicts_equal_the_float_ones():
+    # each row runs unchanged on both records of every 2 x 2 {-1, 0, 1}
+    # matrix, each record judging its own identities
+    verdicts = 0
+    for flat in itertools.product((-1, 0, 1), repeat=4):
+        a = np.array(flat).reshape(2, 2)
+        recs = (_analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a)))
+        for name in EXACT_SUITES:
+            suite = _SUITES[name]
+            fl, ex = (next((note for note, applies in suite.skips if applies(r)), None)
+                      for r in recs)
+            assert fl == ex, (name, a)
+            if ex is not None:
+                continue
+            for label, sides in suite.identities:
+                if label not in NOT_EXACT:
+                    fl, ex = (_check(sides(r), r._compare)[0] for r in recs)
+                    assert fl == ex and ex, (name, label, a)
+                    verdicts += 1
+    assert verdicts == 2607
 
 
 # ---- float against exact on integer matrices of prescribed index

@@ -18,7 +18,7 @@ from geninv import (
     mat_pow,
     matmul,
 )
-from geninv.kernel import _PLAIN_BAND, _check, _exponent, eq_scale
+from geninv.kernel import _PLAIN_BAND, _compare, _exponent, eq_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_complex = st.builds(complex, finite, finite)
@@ -218,23 +218,32 @@ def test_fro_norm_at_the_band_edges(a):
         assert _same_bits(fro_norm(x), _scaled_rule(x))
 
 
+FLOOR = Tolerance().eq_abs + Tolerance().eq_rel
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
     lambda shape: st.tuples(edge_matrices(shape), edge_matrices(shape))))
 @example((np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)))
 @example((np.zeros((0, 2), dtype=complex), np.zeros((0, 2), dtype=complex)))
 @example((2.0 ** 600 * np.eye(2, dtype=complex), 2.0 ** 600 * np.eye(2, dtype=complex)))
+# residuals at the floor eq_abs + eq_rel, under which the norms are not read,
+# one ulp above it, and just far enough above it to fail
+@example((np.full((1, 1), FLOOR, dtype=complex), np.zeros((1, 1), dtype=complex)))
+@example((np.full((1, 1), np.nextafter(FLOOR, 1.0), dtype=complex),
+          np.zeros((1, 1), dtype=complex)))
+@example((np.full((1, 1), FLOOR * (1 + 1e-6), dtype=complex), np.zeros((1, 1), dtype=complex)))
 def test_check_of_a_pair_is_diff_norm_against_eq_scale(pair):
     a, b = pair
     for x, y in ((a, b), (conj_transpose(a), conj_transpose(b)), (a, a)):
         residual = diff_norm(x, y)
-        assert _check((x, y), Tolerance()) == (residual <= eq_scale(x, y), residual)
-        assert _same_bits(_check((x, y), Tolerance())[1], residual)
+        assert _compare(x, y, Tolerance()) == (residual <= eq_scale(x, y), residual)
+        assert _same_bits(_compare(x, y, Tolerance())[1], residual)
 
 
 def test_check_of_a_pair_checks_the_shapes():
     with pytest.raises(DimensionMismatchError):
-        _check((np.ones((2, 3)), np.ones((3, 2))), Tolerance())
+        _compare(np.ones((2, 3)), np.ones((3, 2)), Tolerance())
 
 
 @pytest.mark.parametrize("field", ("eq_abs", "eq_rel", "rank_rel"))

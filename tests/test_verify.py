@@ -93,7 +93,7 @@ def test_solution_family_members_pass_the_cmp_rows(which, label, a1, a3, rng):
         rec = _analyse(a, DEFAULT_TOL)
         for _ in range(5):
             x = solution_family(a, random_complex(rng, 3, 3) / fro_norm(a), which)
-            assert _check(sides(rec, x), DEFAULT_TOL)[0]
+            assert _check(sides(rec, x), rec._compare)[0]
 
 
 def test_solution_family_rejects_unknown_kind(a1):

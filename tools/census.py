@@ -7,7 +7,13 @@ For every 3x3 matrix with entries in {-1, 0, 1} (19,683) and every 4x4
 class of the exact record, the number of matrices whose float rank,
 index or verdicts differ from the exact ones, the worst relative
 Frobenius error of the float Drazin inverse against the exact one, and
-the wall time. Imports geninv from the `src` beside this script.
+the wall time. It then runs the rows of the seven suites that exact
+arithmetic reaches on both records of every matrix, each record judging
+its own identities, and prints per suite the verdict count, the float
+verdicts that differ from the exact ones, the exact verdicts that fail
+and the skip rules that differ. Float misses no rank at this size, so
+the census certifies the identities and the exact path, not the float
+cutoffs. Imports geninv from the `src` beside this script.
 """
 
 from __future__ import annotations
@@ -30,14 +36,40 @@ import numpy as np  # noqa: E402
 from geninv import DEFAULT_TOL  # noqa: E402
 from geninv.drazin import _analyse  # noqa: E402
 from geninv.exact import RMatrix, _ExactAnalysis  # noqa: E402
+from geninv.kernel import _check  # noqa: E402
+from geninv.verify import _SUITES  # noqa: E402
 
 SETS = ((3, (-1, 0, 1)), (4, (0, 1)))
 VERDICTS = ("index", "is_ep", "is_core_ep", "is_k_ep")
+# the suites whose rows exact arithmetic reaches, with the one row it does not
+SUITES = ("core_ep_equiv", "core_ep_collapse", "six_part", "ass", "five_way_mp",
+          "five_way_core", "commute_lemma")
+NOT_EXACT = ("dmp_pinv_commutes",)
+SUITE_COUNTS = ("verdicts", "differences", "exact failures", "skip differences")
+
+
+def suite_verdicts(recs, counts: dict) -> None:
+    """Run the rows of SUITES on the float and the exact record `recs` of
+    one matrix, each judged by its own record, and count into `counts`."""
+    for name in SUITES:
+        suite, count = _SUITES[name], counts[name]
+        fl, ex = (next((note for note, applies in suite.skips if applies(r)), None)
+                  for r in recs)
+        count["skip differences"] += fl != ex
+        if fl is not None or ex is not None:
+            continue
+        for label, sides in suite.identities:
+            if label not in NOT_EXACT:
+                fl, ex = (_check(sides(r), r._compare)[0] for r in recs)
+                count["verdicts"] += 1
+                count["differences"] += fl != ex
+                count["exact failures"] += not ex
 
 
 def census(n: int, entries: tuple) -> None:
     start = time.perf_counter()
     classes, differ, worst = Counter(), Counter(), 0.0
+    counts = {name: dict.fromkeys(SUITE_COUNTS, 0) for name in SUITES}
     for flat in itertools.product(entries, repeat=n * n):
         a = np.array(flat).reshape(n, n)
         rec, ex = _analyse(a.astype(complex), DEFAULT_TOL), _ExactAnalysis(RMatrix(a))
@@ -49,12 +81,17 @@ def census(n: int, entries: tuple) -> None:
         d = ex.drazin.to_complex()
         err, ref = np.linalg.norm(rec.drazin - d), np.linalg.norm(d)
         worst = max(worst, err / ref if ref else (0.0 if err == 0 else np.inf))
+        suite_verdicts((rec, ex), counts)
     print(f"{n}x{n}, entries in {{{', '.join(map(str, entries))}}}: {sum(classes.values()):,} matrices")
     print("  (index, EP, core-EP, k-EP): count")
     for cls, count in sorted(classes.items()):
         print(f"    {cls}: {count:,}")
     print("  float/exact differences: " + ", ".join(f"{k} {v}" for k, v in differ.items()))
     print(f"  worst relative Drazin error: {worst:.2g}")
+    print("  suite: " + ", ".join(SUITE_COUNTS))
+    for name, count in counts.items():
+        print(f"    {name}: " + ", ".join(f"{v:,}" for v in count.values()))
+    print(f"    all: {sum(c['verdicts'] for c in counts.values()):,} verdicts")
     print(f"  wall time: {time.perf_counter() - start:.1f} s", flush=True)
 
 
