@@ -23,8 +23,8 @@ import numpy as np
 
 from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
                      _singular_values, svd)
-from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _exponent,
-                     _compare, _guarded, _ldexp, conj_transpose, mat_pow)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _compare, _guarded,
+                     _ldexp, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -204,7 +204,9 @@ class _Analysis(_Derived):
     there, and forms no SVD or power of its own. Beside svd(A), the block
     factorization and A^D, it gives `_Derived` B^j by `mat_pow`, its rank
     and pseudoinverse with the cutoff referenced to sigma_max(B)**j, and
-    judges pairs by `kernel._compare` under `tol`.
+    judges pairs by `kernel._compare` under `tol`. Its e (`_exp`) is given
+    at construction: by the input guard, which finds it in the scan that
+    tests finiteness, and as 0 for the record of B.
 
     Every rank reads its singular values through `_sigma`. A record built
     with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
@@ -215,6 +217,7 @@ class _Analysis(_Derived):
 
     a: np.ndarray
     tol: Tolerance
+    _exp: int
     _values_only: bool = False
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
@@ -243,10 +246,6 @@ class _Analysis(_Derived):
     def _s1(self) -> np.ndarray:
         return self._svd(self.a) if self._values_only else self.factors.s
 
-    @_once
-    def _exp(self) -> int:
-        return _exponent(self.a)
-
     @property
     def unit(self) -> "_Analysis":
         """The record of B = 2^-e A, its largest real or imaginary part in
@@ -255,7 +254,7 @@ class _Analysis(_Derived):
 
     @_once
     def _unit(self) -> "_Analysis":
-        return _Analysis(_ldexp(self.a, -self._exp), self.tol, self._values_only)
+        return _Analysis(_ldexp(self.a, -self._exp), self.tol, 0, self._values_only)
 
     @_once
     def factors(self) -> SVDResult:
@@ -300,13 +299,18 @@ class _Analysis(_Derived):
 
 
 def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False) -> _Analysis:
-    """The record of `a`, through the input guard (`kernel._guarded`); when
-    `square`, an input that is not square raises DimensionMismatchError.
-    Public functions take a matrix or, from inside the package, a record,
-    which passes through with its own `tol`, so each call analyses each
-    matrix once. `values_only` builds a record that reads singular values
-    alone, for a call whose answer is a rank or an index."""
-    rec = a if isinstance(a, _Analysis) else _Analysis(_guarded(a), tol, values_only)
+    """The record of `a`, through the input guard (`kernel._guarded`), which
+    also gives its e; when `square`, an input that is not square raises
+    DimensionMismatchError. Public functions take a matrix or, from inside
+    the package, a record, which passes through with its own `tol`, so each
+    call analyses each matrix once. `values_only` builds a record that
+    reads singular values alone, for a call whose answer is a rank or an
+    index."""
+    if isinstance(a, _Analysis):
+        rec = a
+    else:
+        a, e = _guarded(a)
+        rec = _Analysis(a, tol, e, values_only)
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
     return rec
@@ -317,7 +321,7 @@ def _operand(rec: _Analysis, b) -> np.ndarray:
     `rec`, as an array, through the input guard and with the same shape
     (DimensionMismatchError otherwise). A record passes as its matrix; no
     record is built for `b`."""
-    b = b.a if isinstance(b, _Analysis) else _guarded(b)
+    b = b.a if isinstance(b, _Analysis) else _guarded(b)[0]
     if rec.a.shape != b.shape:
         raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
     return b

@@ -4,11 +4,13 @@ A matrix is two numpy object arrays of Python ints, its real and imaginary
 parts, over one positive denominator, all three divided by their gcd, so
 each matrix has one stored form; a matrix of integers is stored as it is,
 with no Fraction per entry. A product is four integer matrix products, or
-one when neither factor has an imaginary part. Row reduction is
-fraction-free Gauss-Jordan (Bareiss 1968) on lists of Python int rows:
-over the integers when the matrix has no imaginary part, over the
-Gaussian integers otherwise; a matrix is inverted by repeating the row
-operations of its reduction on I.
+one when neither factor has an imaginary part; such a matrix is also
+normalized on its real part alone. Row reduction is fraction-free
+Gauss-Jordan (Bareiss 1968) on lists of Python int rows: over the
+integers when the matrix has no imaginary part, over the Gaussian
+integers otherwise; a matrix is inverted by repeating the row operations
+of its reduction on I, and its reduced form is built only where a
+full-rank factorization reads it.
 
 One record per matrix (`_ExactAnalysis`) keeps each reduction by its
 input, so the index search and all eight inverses share them. Through
@@ -23,8 +25,9 @@ judges x = y, in its verdicts and in the identity tables of `verify`, by
 equality of stored forms; `RMatrix` has numpy's `conj()` and `T` for those
 tables. The integers grow with n and with the index: the eight inverses,
 each from its own record, of a matrix with entries in [-3, 3] take about
-1.5-4 ms when it is nonsingular and 4-13 ms at index 1-4 up to n = 6, and
-30-55 ms at n = 10-12 (index up to 8) on a 2-core x86-64 host."""
+0.5-2.5 ms when it is nonsingular and 1.7-7 ms at index 1-4 up to n = 6,
+and 15-48 ms at n = 10-12 (index up to 8) on a shared 2-core x86-64
+host, whose speed varies by about 1.7 times."""
 
 from __future__ import annotations
 
@@ -110,6 +113,8 @@ class QC:
 class RMatrix:
     """Dense matrix over the Gaussian rationals: (re + i im) / den."""
 
+    _hash = None  # set on first use: a matrix is never changed in place
+
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         m, n = len(rows), len(rows[0]) if rows else 0
@@ -119,27 +124,39 @@ class RMatrix:
             # integer entries (int, bool, numpy integers) are their own
             # numerators; operator.index returns a Python int, never a
             # fixed-width numpy integer that would wrap around in a product
-            re, im, den = [[operator.index(x) for x in r] for r in rows], [[0] * n] * m, 1
+            re, im, den = [[operator.index(x) for x in r] for r in rows], None, 1
         except TypeError:
             qc = [[QC.of(x) for x in r] for r in rows]
             # over the lcm of the reduced parts' denominators no factor is common
             den = math.lcm(*(p.denominator for r in qc for x in r for p in (x.re, x.im)))
             re = [[int(x.re * den) for x in r] for r in qc]
             im = [[int(x.im * den) for x in r] for r in qc]
-        self._re, self._im = (np.array(x, dtype=object).reshape(m, n) for x in (re, im))
+        self._re = np.array(re, dtype=object).reshape(m, n)
+        self._im = (np.zeros((m, n), dtype=object) if im is None
+                    else np.array(im, dtype=object).reshape(m, n))
         self._den = den
 
     @staticmethod
     def _of(re, im, den=1) -> "RMatrix":
-        """The matrix (re + i im) / den in its stored form."""
-        g = math.gcd(den, *re.flat, *im.flat)
+        """The matrix (re + i im) / den in its stored form; im is None for a
+        matrix with no imaginary part, which is normalized on re alone and
+        stores the zero array as its im. A gcd of 1 divides nothing."""
         out = RMatrix.__new__(RMatrix)
-        out._re, out._im, out._den = re // g, im // g, den // g
+        if im is None:
+            g, out._im = math.gcd(den, *re.flat), np.zeros(re.shape, dtype=object)
+        else:
+            g = math.gcd(den, *re.flat, *im.flat)
+            out._im = im // g if g > 1 else im
+        out._re, out._den = (re // g, den // g) if g > 1 else (re, den)
         return out
+
+    def _real(self) -> bool:
+        """Whether no entry has an imaginary part."""
+        return not any(self._im.flat)
 
     def _sub(self, i, j) -> "RMatrix":
         """The submatrix at numpy index [i, j]."""
-        return RMatrix._of(self._re[i, j], self._im[i, j], self._den)
+        return RMatrix._of(self._re[i, j], None if self._real() else self._im[i, j], self._den)
 
     @property
     def rows(self):
@@ -152,11 +169,11 @@ class RMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RMatrix":
-        return cls._of(np.eye(n, dtype=int).astype(object), np.zeros((n, n), dtype=object))
+        return cls._of(np.eye(n, dtype=int).astype(object), None)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "RMatrix":
-        return cls._of(np.zeros((m, n), dtype=object), np.zeros((m, n), dtype=object))
+        return cls._of(np.zeros((m, n), dtype=object), None)
 
     def __getitem__(self, ij):
         return QC(Fraction(self._re[ij], self._den), Fraction(self._im[ij], self._den))
@@ -166,7 +183,9 @@ class RMatrix:
                 and np.array_equal(self._re, o._re) and np.array_equal(self._im, o._im))
 
     def __hash__(self):
-        return hash((self.shape, self._den, *self._re.flat, *self._im.flat))
+        if self._hash is None:
+            self._hash = hash((self.shape, self._den, *self._re.flat, *self._im.flat))
+        return self._hash
 
     def _combine(self, o, sign: int) -> "RMatrix":
         """self + sign * o, over the least common denominator."""
@@ -174,7 +193,8 @@ class RMatrix:
             raise ValueError(f"shape mismatch {self.shape} vs {o.shape}")
         d = math.lcm(self._den, o._den)
         s, t = d // self._den, sign * (d // o._den)
-        return RMatrix._of(self._re * s + o._re * t, self._im * s + o._im * t, d)
+        im = None if self._real() and o._real() else self._im * s + o._im * t
+        return RMatrix._of(self._re * s + o._re * t, im, d)
 
     def __add__(self, o):
         return self._combine(o, 1)
@@ -186,15 +206,15 @@ class RMatrix:
         if self.shape[1] != o.shape[0]:
             raise ValueError(f"cannot multiply {self.shape} by {o.shape}")
         a, b, c, d = self._re, self._im, o._re, o._im  # (a + bi)(c + di)
-        if not (b.any() or d.any()):
-            re = a.dot(c)
-            return RMatrix._of(re, np.zeros(re.shape, dtype=object), self._den * o._den)
+        if self._real() and o._real():
+            return RMatrix._of(a.dot(c), None, self._den * o._den)
         return RMatrix._of(a.dot(c) - b.dot(d), a.dot(d) + b.dot(c), self._den * o._den)
 
     def conj(self) -> "RMatrix":
-        return RMatrix._of(self._re, -self._im, self._den)
+        return self if self._real() else RMatrix._of(self._re, -self._im, self._den)
 
-    T = property(lambda self: RMatrix._of(self._re.T, self._im.T, self._den))
+    T = property(lambda self: RMatrix._of(self._re.T, None if self._real() else self._im.T,
+                                          self._den))
 
     def conj_t(self) -> "RMatrix":
         return self.conj().T
@@ -217,18 +237,16 @@ class RMatrix:
         return "RMatrix(" + repr([[repr(x) for x in r] for r in self.rows]) + ")"
 
 
-def _rref(a: RMatrix):
-    """Reduced row echelon form; returns (rref, pivot columns, replay). On
-    the numerator M, each pivot p = M[r, c] turns every other row i into
-    (p M[i] - M[i, c] M[r]) / q, q the previous pivot (1 at first): an exact
-    division that makes every earlier pivot p too, so the RREF is M / p.
-    The rows are lists of Python ints; a matrix with no imaginary part is
-    reduced on its real rows alone. replay(re, im) applies the same row
-    operations to the rows re + i im (as many as a has) and returns them
-    over the last pivot, which is the right half of the RREF of [a | rows]
-    when a is square and nonsingular: on I, the inverse of a."""
-    (m, n), re, im = a.shape, a._re.tolist(), a._im.tolist()
-    step = _step_gaussian if a._im.any() else _step_real
+def _rref(a: RMatrix) -> "_Reduction":
+    """The reduction of a to reduced row echelon form, as a `_Reduction`,
+    which unpacks as (rref, pivot columns, replay). On the numerator M,
+    each pivot p = M[r, c] turns every other row i into (p M[i] - M[i, c]
+    M[r]) / q, q the previous pivot (1 at first): an exact division that
+    makes every earlier pivot p too, so the RREF is M / p. The rows are
+    lists of Python ints; a matrix with no imaginary part is reduced on its
+    real rows alone."""
+    (m, n), re, im, real = a.shape, a._re.tolist(), a._im.tolist(), a._real()
+    step = _step_real if real else _step_gaussian
     pivots, steps, q = [], [], (1, 0)
     for c in range(n):
         r = len(pivots)
@@ -243,26 +261,55 @@ def _rref(a: RMatrix):
         step(re, im, *steps[-1])
         q = fr[r], fi[r]
         pivots.append(c)
-
-    def replay(re: list, im: list) -> RMatrix:
-        for args in steps:
-            step(re, im, *args)
-        return _over(re, im, q, len(re[0]))
-
-    return _over(re, im, q, n), pivots, replay
+    return _Reduction(pivots, steps, step, q, re, None if real else im, n)
 
 
-def _over(re: list, im: list, q, n: int) -> RMatrix:
-    """(re + i im) / q for int rows of length n and a Gaussian integer q =
-    (qr, qi): (re + i im) conj(q) / |q|^2."""
-    (qr, qi), (re, im) = q, (np.array(x, dtype=object).reshape(len(x), n) for x in (re, im))
+class _Reduction:
+    """One reduction by `_rref`: its pivot columns, `replay`, and its RREF,
+    formed on first read (by `_ExactAnalysis._factors`), so that a
+    full-rank matrix needs only its pivots and the replay onto I."""
+
+    def __init__(self, pivots, steps, step, q, re, im, n):
+        self.pivots, self._steps, self._step, self._q = pivots, steps, step, q
+        self._rows, self._n = (re, im), n
+
+    @_once
+    def rref(self) -> RMatrix:
+        return _over(*self._rows, self._q, self._n)
+
+    def replay(self, re: list) -> RMatrix:
+        """The row operations of the reduction applied to the integer rows
+        `re` (as many as the matrix has), returned over its last pivot: the
+        right half of the RREF of [a | re] when a is square and nonsingular;
+        on I, the inverse of a."""
+        im = None if self._rows[1] is None else [[0] * len(r) for r in re]
+        for args in self._steps:
+            self._step(re, im, *args)
+        return _over(re, im, self._q, len(re[0]))
+
+    def __iter__(self):
+        """Unpacks as (rref, pivot columns, replay)."""
+        return iter((self.rref, self.pivots, self.replay))
+
+
+def _over(re: list, im: list | None, q, n: int) -> RMatrix:
+    """(re + i im) / q for int rows of length n (im None for none) and a
+    Gaussian integer q = (qr, qi): over |qr| when q is real, else
+    (re + i im) conj(q) / |q|^2."""
+    (qr, qi), re = q, np.array(re, dtype=object).reshape(len(re), n)
+    if im is not None:
+        im = np.array(im, dtype=object).reshape(len(im), n)
+    if not qi:
+        if qr < 0:
+            re, im, qr = -re, None if im is None else -im, -qr
+        return RMatrix._of(re, im, qr)
     return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi)
 
 
-def _step_real(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> None:
-    """One step of `_rref` on integer rows `re`, in place (`im`, all zero,
-    and `fi` are unused): swap rows r and s, then turn each row i != r
-    into (p re[i] - fr[i] re[r]) / q, p = fr[r]."""
+def _step_real(re: list, im, r: int, s: int, fr: list, fi: list, q) -> None:
+    """One step of `_rref` on integer rows `re`, in place (`im` and `fi`,
+    all zero or None, are unused): swap rows r and s, then turn each row
+    i != r into (p re[i] - fr[i] re[r]) / q, p = fr[r]."""
     re[r], re[s] = re[s], re[r]
     top, p, q = re[r], fr[r], q[0]
     for i, row in enumerate(re):
@@ -273,8 +320,9 @@ def _step_real(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> Non
 
 def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> None:
     """The step of `_step_real` on Gaussian-integer rows re + i im, with
-    pivot fr[r] + i fi[r] and multipliers fr[i] + i fi[i]. Dividing by q is
-    multiplying by conj(q) and dividing by |q|^2."""
+    pivot fr[r] + i fi[r] and multipliers fr[i] + i fi[i]. Dividing by a
+    real q is dividing by it, by any other q multiplying by conj(q) and
+    dividing by |q|^2."""
     for rows in (re, im):
         rows[r], rows[s] = rows[s], rows[r]
     (qr, qi), tr, ti, pr, pi = q, re[r], im[r], fr[r], fi[r]
@@ -285,8 +333,11 @@ def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) ->
         gr, gi = fr[i], fi[i]
         xr = [pr * x - pi * y - gr * u + gi * v for x, y, u, v in zip(re[i], im[i], tr, ti)]
         xi = [pr * y + pi * x - gr * v - gi * u for x, y, u, v in zip(re[i], im[i], tr, ti)]
-        re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
-        im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
+        if not qi:
+            re[i], im[i] = [x // qr for x in xr], [y // qr for y in xi]
+        else:
+            re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
+            im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
 
 
 def exact_rank(a: RMatrix) -> int:
@@ -317,14 +368,15 @@ class _ExactAnalysis(_Derived):
     def _form_power(self, j: int) -> RMatrix:
         return RMatrix.identity(self.a.shape[0]) if j == 0 else self.power(j - 1) @ self.a
 
-    def _reduce(self, m: RMatrix):
-        """(RREF, pivot columns, replay) of m; see `_rref`."""
-        if m not in self._reduced:
-            self._reduced[m] = _rref(m)
-        return self._reduced[m]
+    def _reduce(self, m: RMatrix) -> _Reduction:
+        """The reduction of m; see `_rref`."""
+        red = self._reduced.get(m)
+        if red is None:
+            red = self._reduced[m] = _rref(m)
+        return red
 
     def _read_rank(self, j: int) -> int:
-        return len(self._reduce(self.power(j))[1])
+        return len(self._reduce(self.power(j)).pivots)
 
     def _compare(self, x: RMatrix, y: RMatrix) -> tuple[bool, float]:
         # each matrix has one stored form, so equal ones are not subtracted
@@ -339,17 +391,17 @@ class _ExactAnalysis(_Derived):
             raise ValueError("inverse of non-square matrix")
         if n == 0:  # the r x r matrix of a rank-0 factorization
             return m
-        _, pivots, replay = self._reduce(m)
-        if len(pivots) < n:
+        red = self._reduce(m)
+        if len(red.pivots) < n:
             raise ValueError("matrix is singular")
-        return replay([[m._den if i == j else 0 for j in range(n)] for i in range(n)],
-                      [[0] * n for _ in range(n)])
+        return red.replay([[m._den if i == j else 0 for j in range(n)] for i in range(n)])
 
     def _factors(self, j: int):
         """Full-rank factorization A^j = f @ g: f the pivot columns of A^j,
         g the nonzero rows of its RREF."""
-        red, pivots, _ = self._reduce(self.power(j))
-        return self.power(j)._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
+        red = self._reduce(self.power(j))
+        return (self.power(j)._sub(slice(None), red.pivots),
+                red.rref._sub(slice(len(red.pivots)), slice(None)))
 
     def _invert_power(self, j: int) -> RMatrix:
         """(A^j)^+: the inverse of A^j when it is square of full rank, else

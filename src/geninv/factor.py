@@ -4,11 +4,12 @@ factorization A = U [[SQ, SP], [0, 0]] U* with QQ* + PP* = I_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Tolerance, _exponent, _ldexp, conj_transpose
+from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, conj_transpose
 
 __all__ = [
     "SvdConvergenceError",
@@ -55,17 +56,19 @@ class SVDResult:
         return self.u @ smat @ conj_transpose(self.v)
 
 
-def _prepared(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+def _prepared(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """(b, e, order): b = 2**-e a with its largest real or imaginary part in
     [0.5, 1) and its rows sorted by decreasing norm, row i of b being row
-    order[i] of 2**-e a."""
-    b = np.ascontiguousarray(a, dtype=np.complex128)
-    exp = _exponent(b)
+    order[i] of 2**-e a, a through the input guard (`kernel._guarded`),
+    which gives e. The norms have the bits of np.linalg.norm(b, axis=1),
+    and the sort, stable, gives np.argsort(-norms, kind="stable")."""
+    b, exp = _guarded(a)
+    b = np.ascontiguousarray(b)
     if exp:
         b = _ldexp(b, -exp)
-    # the row norms of np.linalg.norm(b, axis=1), by its own ufuncs
-    order = np.argsort(-np.sqrt(np.add.reduce((b.conj() * b).real, axis=1)), kind="stable")
-    return b[order], exp, order
+    norms = [math.sqrt(x) for x in np.add.reduce((b.conj() * b).real, axis=1).tolist()]
+    order = sorted(range(len(norms)), key=norms.__getitem__, reverse=True)
+    return b.take(order, axis=0), exp, order
 
 
 def _lapack_svd(b: np.ndarray, compute_uv: bool):
@@ -79,20 +82,23 @@ def _lapack_svd(b: np.ndarray, compute_uv: bool):
 def svd(a: np.ndarray) -> SVDResult:
     """Full SVD by LAPACK (through numpy), with exact power-of-two scaling.
 
+    The input passes the package's input guard: one that is not 2-D raises
+    DimensionMismatchError, and a NaN or infinite entry PreconditionError.
     The input is first scaled by the power of two that brings its largest
     real or imaginary part into [0.5, 1), and the scaling is undone on s, so
     svd(2**e * a) is exactly 2**e times svd(a), with the same u and v. The
-    rows are sorted by decreasing norm before the Householder reduction,
-    which keeps it row-wise stable on rows of widely different size (Cox &
-    Higham 1998); u is unpermuted afterwards. The rank-only calls
+    rows are sorted by decreasing norm, rows of equal norm in their order,
+    before the Householder reduction, which keeps it row-wise stable on
+    rows of widely different size (Cox & Higham 1998); the rows of u are
+    put back in the input's order afterwards. The rank-only calls
     (`numerical_rank`, `rank_scaled`, `index`) decompose the same prepared
     input for its singular values alone.
     """
     b, exp, order = _prepared(a)
     u_sorted, s, vh = _lapack_svd(b, compute_uv=True)
-    u = np.empty_like(u_sorted)
-    u[order] = u_sorted
-    return SVDResult(u=u, s=np.ldexp(s, exp), v=conj_transpose(vh))
+    # row order[i] of u is row i of u_sorted
+    u = u_sorted.take(sorted(range(len(order)), key=order.__getitem__), axis=0)
+    return SVDResult(u=u, s=np.ldexp(s, exp) if exp else s, v=conj_transpose(vh))
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
@@ -101,7 +107,8 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     JOBZ='N'). They agree with svd(a).s to rounding, not bit for bit, and
     _singular_values(2**e * a) is exactly 2**e times _singular_values(a)."""
     b, exp, _ = _prepared(a)
-    return np.ldexp(_lapack_svd(b, compute_uv=False), exp)
+    s = _lapack_svd(b, compute_uv=False)
+    return np.ldexp(s, exp) if exp else s
 
 
 def _cutoff(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> float:
@@ -118,14 +125,15 @@ def _cutoff(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance)
 
 def _rank_from(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> int:
     """The number of singular values s of an m x n matrix above the cutoff."""
-    return int(np.count_nonzero(s > _cutoff(s, shape, scale, tol)))
+    cutoff = _cutoff(s, shape, scale, tol)
+    return sum(x > cutoff for x in s.tolist())
 
 
 def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
     """v diag(1/s) u* over the singular values above the cutoff."""
     m, n = res.u.shape[0], res.v.shape[0]
     cutoff = _cutoff(res.s, (m, n), scale, tol)
-    s_inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > cutoff)
+    s_inv = [1.0 / x if x > cutoff else 0.0 for x in res.s.tolist()]
     smat = np.zeros((n, m), dtype=np.complex128)
     smat.reshape(-1)[: len(s_inv) * (m + 1) : m + 1] = s_inv  # its diagonal
     return res.v @ smat @ conj_transpose(res.u)

@@ -73,22 +73,25 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _guarded(a) -> np.ndarray:
-    """`a` as a complex128 array, through the package's one input guard: an
-    input that is not 2-D raises DimensionMismatchError, and a non-finite
-    entry PreconditionError."""
+def _guarded(a) -> tuple[np.ndarray, int]:
+    """(`a` as a complex128 array, its `_exponent`), through the package's
+    one input guard: an input that is not 2-D raises DimensionMismatchError,
+    and a non-finite entry PreconditionError. One scan of the parts gives
+    both the finiteness test and the exponent: their largest magnitude is
+    finite unless a part is infinite or NaN."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatchError(f"2-D matrix required, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
+    largest = _largest_part(a)
+    if not math.isfinite(largest):
         raise PreconditionError("matrix has a non-finite entry")
-    return a
+    return a, math.frexp(largest)[1]
 
 
 def cmatrix(data) -> np.ndarray:
     """Coerce `data` to a new 2-D complex128 array with at least one entry
     (ValueError otherwise), all finite (see `_guarded`)."""
-    a = _guarded(np.array(data, dtype=np.complex128))
+    a = _guarded(np.array(data, dtype=np.complex128))[0]
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got {a.shape}")
     return a
@@ -115,11 +118,17 @@ def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(a, k)
 
 
+def _largest_part(a: np.ndarray) -> float:
+    """The largest magnitude of a real or imaginary part of `a`, 0.0 for an
+    empty matrix; NaN if a part is NaN."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return float(np.abs(parts).max(initial=0.0))
+
+
 def _exponent(a: np.ndarray) -> int:
     """The e for which 2**-e * a has its largest real or imaginary part in
     [0.5, 1); 0 for an empty or zero matrix."""
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return math.frexp(_largest_part(a))[1]
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:

@@ -23,12 +23,38 @@ from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 from conftest import random_complex
 
 SQUARE_ONLY = (gi.index, gi.drazin, gi.is_core_ep, gi.hs_decompose)
+EYE = np.eye(3, dtype=complex)
+# every public function that takes a matrix, called on it alone or with the
+# identity as its other operand
+GUARDED = {
+    "cmatrix": gi.cmatrix, "svd": gi.svd, "pinv": gi.pinv, "pinv_scaled": lambda a: gi.pinv_scaled(a, 1.0),
+    "numerical_rank": gi.numerical_rank, "rank_scaled": lambda a: gi.rank_scaled(a, 1.0),
+    "hs_decompose": gi.hs_decompose, "index": gi.index, "drazin": gi.drazin,
+    "group_inverse": gi.group_inverse, "core_nilpotent": gi.core_nilpotent,
+    "projectors": gi.projectors, "spectral_projector": gi.spectral_projector, "dmp": gi.dmp,
+    "mpd": gi.mpd, "cmp_inverse": gi.cmp_inverse, "mpdmp": gi.mpdmp,
+    "core_ep_inverse": gi.core_ep_inverse, "cce_inverse": gi.cce_inverse,
+    "mpdmp_pinv": gi.mpdmp_pinv, "greville_forms": gi.greville_forms,
+    "inverse_report": gi.inverse_report, "is_ep": gi.is_ep, "is_core_ep": gi.is_core_ep,
+    "is_k_ep": gi.is_k_ep, "core_ep_equiv_report": gi.core_ep_equiv_report,
+    "wqrt_criterion": gi.wqrt_criterion, "core_upper_bound_check": gi.core_upper_bound_check,
+    "leq": lambda a: gi.leq(a, EYE, gi.OrderKind.DMP),
+    "leq_b": lambda b: gi.leq(EYE, b, gi.OrderKind.DMP),
+    "dmp_order": lambda a: gi.dmp_order_characterizations(a, EYE),
+    "dmp_order_b": lambda b: gi.dmp_order_characterizations(EYE, b),
+    "mpd_order": lambda a: gi.mpd_order_characterizations(a, EYE),
+    "mpd_order_b": lambda b: gi.mpd_order_characterizations(EYE, b),
+    "verify_system": lambda a: gi.verify_system(a, gi.SYSTEM_IDS[0]),
+    "solution_family": lambda a: gi.solution_family(a, EYE, "q1"),
+    "solution_family_f": lambda f: gi.solution_family(EYE, f, "q1"),
+}
 
 
-@pytest.mark.parametrize("func", (gi.pinv,) + SQUARE_ONLY)
-@pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0, -np.inf)))
+@pytest.mark.parametrize("func", GUARDED.values(), ids=GUARDED)
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(0, -np.inf),
+                                 complex(1, np.nan)))
 def test_non_finite_entry_rejected(func, bad):
-    a = np.eye(3, dtype=complex)
+    a = EYE.copy()
     a[1, 2] = bad
     with pytest.raises(PreconditionError):
         func(a)
@@ -44,10 +70,11 @@ def test_pinv_takes_rectangular():
     assert gi.pinv(np.ones((2, 3), dtype=complex)).shape == (3, 2)
 
 
-@pytest.mark.parametrize("func", (gi.pinv, gi.numerical_rank, gi.drazin, gi.index))
+@pytest.mark.parametrize("func", GUARDED.values(), ids=GUARDED)
 @pytest.mark.parametrize("shape", ((), (3,), (2, 2, 2)))
 def test_non_matrix_rejected(func, shape):
-    with pytest.raises(DimensionMismatchError):
+    want = f"^2-D matrix required, got ndim={len(shape)}$"
+    with pytest.raises(DimensionMismatchError, match=want):
         func(np.ones(shape))
 
 

@@ -313,6 +313,52 @@ def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
     assert tuple(got) == counts
 
 
+# RREF matrices formed by each exact_* call on the matrices of RREF_COUNTS,
+# in the order of RREF_FUNCS: only those that `_factors` reads, so that a
+# nonsingular matrix forms none
+RREF_FORMED = (
+    (0, 1, 1, 1, 2, 2, 2, 2, 1, 2),  # A1
+    (0, 1, 1, 1, 2, 2, 2, 2, 1, 2),  # J3
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # int5
+    (0, 1, 1, 1, 1, 1, 1, 1, 1, 2),  # gaussian
+    (0, 1, 1, 1, 1, 1, 1, 1, 1, 1),  # idempotent
+    (0, 1, 1, 1, 1, 1, 1, 1, 1, 1),  # projector
+)
+
+
+@pytest.mark.parametrize("a, formed", [(a, f) for (a, _), f in zip(RREF_COUNTS, RREF_FORMED)],
+                         ids=["A1", "J3", "int5", "gaussian", "idempotent", "projector"])
+def test_exact_record_forms_only_what_it_reads(monkeypatch, a, formed):
+    # `_over` forms each RREF and each inverse, one per `_inv` of a nonempty
+    # matrix; a stored form is normalized on its real part alone whenever
+    # its imaginary part is all zero
+    counts, over, of, inv = Counter(), exact._over, RMatrix._of, exact._ExactAnalysis._inv
+
+    def over_spy(*args):
+        counts["over"] += 1
+        return over(*args)
+
+    def of_spy(re, im, den=1):
+        counts["zero im"] += im is not None and not any(im.flat)
+        return of(re, im, den)
+
+    def inv_spy(rec, m):
+        counts["inverse"] += m.shape[0] > 0
+        return inv(rec, m)
+
+    monkeypatch.setattr(exact, "_over", over_spy)
+    monkeypatch.setattr(RMatrix, "_of", staticmethod(of_spy))
+    monkeypatch.setattr(exact._ExactAnalysis, "_inv", inv_spy)
+    got, zero_im = [], []
+    for name in RREF_FUNCS:
+        counts.clear()
+        getattr(exact, name)(a)
+        got.append(counts["over"] - counts["inverse"])
+        zero_im.append(counts["zero im"])
+    assert tuple(got) == formed
+    assert zero_im == [0] * len(RREF_FUNCS)
+
+
 @pytest.mark.parametrize("a", [a for a, _ in RREF_COUNTS],
                          ids=["A1", "J3", "int5", "gaussian", "idempotent", "projector"])
 def test_exact_verdicts_reduce_nothing_after_the_inverses(monkeypatch, a):

@@ -24,6 +24,7 @@ from geninv import (
 )
 from geninv.drazin import drazin, index
 from geninv.ensembles import EnsembleSpec, gen
+from geninv.factor import _prepared, _singular_values
 
 from conftest import random_complex
 
@@ -291,15 +292,22 @@ def _subnormal_coupling():
     return a
 
 
-def _reference_svd(a):
-    """(u, s, v) by the contract of `svd`: B = 2^-e a with its largest real
-    or imaginary part in [0.5, 1), the rows of B sorted by decreasing norm,
-    np.linalg.svd of the sorted B, u unpermuted and s scaled back."""
+def _reference_prepared(a):
+    """(B[order], e, order): B = 2^-e a with its largest real or imaginary
+    part in [0.5, 1), and order the stable argsort of its row norms,
+    decreasing."""
     parts = np.array(a, dtype=np.complex128, order="C").view(np.float64)
     e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
     b = np.ldexp(parts, -e).view(np.complex128)
     order = np.argsort(-np.linalg.norm(b, axis=1), kind="stable")
-    u_sorted, s, vh = np.linalg.svd(b[order])
+    return b[order], e, order
+
+
+def _reference_svd(a):
+    """(u, s, v) by the contract of `svd`: np.linalg.svd of the sorted B of
+    `_reference_prepared`, u unpermuted and s scaled back."""
+    b, e, order = _reference_prepared(a)
+    u_sorted, s, vh = np.linalg.svd(b)
     u = np.empty_like(u_sorted)
     u[order] = u_sorted
     return u, np.ldexp(s, e), vh.conj().T, e
@@ -335,7 +343,12 @@ def _input_forms(rng):
             "single": np.array([[0.75]]),
             # squared row norms 0.25 and 0.25 + 2^-54 have the same square
             # root, so the stable sort keeps the rows in place
-            "tied": np.array([[0.5, 0], [0.5, 2.0 ** -27]], dtype=complex)}
+            "tied": np.array([[0.5, 0], [0.5, 2.0 ** -27]], dtype=complex),
+            # rows of equal norm: a permutation, repeated rows, zero rows
+            "permutation": np.eye(5, dtype=complex)[[3, 0, 4, 1, 2]] * (1 - 1j),
+            "repeated": a[[1, 0, 1, 2, 0, 1]], "zero_rows": np.vstack([a[:2], 0 * a[:2], a[2:]]),
+            # largest parts near 2^1000 and 2^-1000
+            "huge": 2.0 ** 1000 * a, "minute": 2.0 ** -1000 * a}
 
 
 FORM_NAMES = tuple(_input_forms(np.random.default_rng(0)))
@@ -348,6 +361,15 @@ def test_svd_input_contract(form, rng):
     u, s, v, _ = _reference_svd(a)
     for got, want in ((res.u, u), (res.s, s), (res.v, v)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", FORM_NAMES)
+def test_singular_values_input_contract(form, rng):
+    a = _input_forms(rng)[form]
+    b, e, order = _reference_prepared(a)
+    assert _prepared(a)[2] == order.tolist()
+    assert _singular_values(a).tobytes() == np.ldexp(np.linalg.svd(b, compute_uv=False),
+                                                     e).tobytes()
 
 
 @pytest.mark.parametrize("form", FORM_NAMES)

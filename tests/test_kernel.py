@@ -18,7 +18,7 @@ from geninv import (
     mat_pow,
     matmul,
 )
-from geninv.kernel import _PLAIN_BAND, _compare, _exponent, eq_scale
+from geninv.kernel import _PLAIN_BAND, _compare, _exponent, _guarded, eq_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_complex = st.builds(complex, finite, finite)
@@ -48,6 +48,28 @@ def test_cmatrix_rejects_non_matrix_as_dimension_mismatch(data):
 def test_cmatrix_rejects_non_finite_entries(bad):
     with pytest.raises(PreconditionError):
         cmatrix([[1, 2], [bad, 4]])
+
+
+_TINIEST = float(np.nextafter(0.0, 1.0))
+_LARGEST = float(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((2, 3)), np.zeros((2, 0)), np.array([[_TINIEST, 0], [0, -3 * _TINIEST * 1j]]),
+    np.array([[2.0 ** -1060, 1j * 2.0 ** -1030], [0, -2.0 ** -1040]]),
+    np.array([[2.0 ** -1022 * (1 - 1j)]]), np.array([[1e-310 + 3e-320j, 0.75]]),
+    np.array([[_LARGEST, -_LARGEST * 1j], [1, 0]]), np.array([[2.0 ** 1023, 0], [0, -1j]]),
+    np.array([[1e307 - 1.5e308j, 3.0]]), np.array([[0.5, -1.0], [2.0, 3j]]),
+], ids=["zero", "empty", "subnormal", "subnormal_mixed", "least_normal", "subnormal_beside_0.75",
+        "largest", "2^1023", "near_overflow", "ordinary"])
+def test_guard_gives_the_exponent_of_its_input(a):
+    # the guard reads e in the scan that tests finiteness
+    b, e = _guarded(a)
+    assert b.dtype == np.complex128 and np.array_equal(b, a)
+    assert e == _exponent(a)
+    if b.size and b.any():
+        top = np.abs(np.ldexp(b.view(np.float64), -e)).max()
+        assert 0.5 <= top < 1.0
 
 
 def test_conj_transpose_examples():
