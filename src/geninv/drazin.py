@@ -23,8 +23,8 @@ import numpy as np
 
 from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
                      _singular_values, svd)
-from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _compare, _guarded,
-                     _ldexp, conj_transpose, mat_pow)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError, Tolerance,
+                     _compare, _guarded, _ldexp, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -224,12 +224,19 @@ class _Analysis(_Derived):
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _svd(self, m: np.ndarray):
-        """svd(m), or its singular values alone on a `_values_only` record,
-        decomposed once per input (shape and bytes)."""
+    def _svd(self, j: int):
+        """svd(A^j), or its singular values alone on a `_values_only` record,
+        decomposed once per input (shape and bytes). A is finite, so a
+        non-finite A^j is a power that overflowed: `svd`'s input guard finds
+        it, and PreconditionError names the power, not the input."""
+        m = self.power(j)
         key = (m.shape, m.tobytes())
         if key not in self._svds:
-            self._svds[key] = _singular_values(m) if self._values_only else svd(m)
+            try:
+                self._svds[key] = _singular_values(m) if self._values_only else svd(m)
+            except PreconditionError:
+                raise PreconditionError(f"power {j} of the matrix, scaled to parts below 1, "
+                                        "overflows float64") from None
         return self._svds[key]
 
     def _sigma(self, j: int) -> np.ndarray:
@@ -239,12 +246,12 @@ class _Analysis(_Derived):
             return np.ldexp(self.unit._sigma(j), self._exp * j)
         if j == 1:
             return self._s1
-        res = self._svd(self.power(j))
+        res = self._svd(j)
         return res if self._values_only else res.s
 
     @_once
     def _s1(self) -> np.ndarray:
-        return self._svd(self.a) if self._values_only else self.factors.s
+        return self._svd(1) if self._values_only else self.factors.s
 
     @property
     def unit(self) -> "_Analysis":
@@ -261,7 +268,7 @@ class _Analysis(_Derived):
         """svd(A), read from svd(B): `svd` scales its input by 2^-e first,
         so the two differ only in s, by 2^e."""
         if not self._exp:
-            return self._svd(self.a)
+            return self._svd(1)
         res = self.unit.factors
         return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
@@ -277,7 +284,7 @@ class _Analysis(_Derived):
         return _rank_from(self._sigma(j), self.a.shape, self._smax ** j, self.tol)
 
     def _invert_power(self, j: int) -> np.ndarray:
-        res = self.factors if j == 1 else self._svd(self.power(j))
+        res = self.factors if j == 1 else self._svd(j)
         return _pinv_from(res, self._smax ** j, self.tol)
 
     def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:

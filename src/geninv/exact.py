@@ -25,8 +25,8 @@ judges x = y, in its verdicts and in the identity tables of `verify`, by
 equality of stored forms; `RMatrix` has numpy's `conj()` and `T` for those
 tables. The integers grow with n and with the index: the eight inverses,
 each from its own record, of a matrix with entries in [-3, 3] take about
-0.5-2.5 ms when it is nonsingular and 1.7-7 ms at index 1-4 up to n = 6,
-and 15-48 ms at n = 10-12 (index up to 8) on a shared 2-core x86-64
+0.5-2.5 ms when it is nonsingular and 2-7 ms at index 1-4 up to n = 6,
+and 17-54 ms at n = 10-12 (index up to 8) on a shared 2-core x86-64
 host, whose speed varies by about 1.7 times."""
 
 from __future__ import annotations
@@ -113,8 +113,6 @@ class QC:
 class RMatrix:
     """Dense matrix over the Gaussian rationals: (re + i im) / den."""
 
-    _hash = None  # set on first use: a matrix is never changed in place
-
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         m, n = len(rows), len(rows[0]) if rows else 0
@@ -140,14 +138,14 @@ class RMatrix:
     def _of(re, im, den=1) -> "RMatrix":
         """The matrix (re + i im) / den in its stored form; im is None for a
         matrix with no imaginary part, which is normalized on re alone and
-        stores the zero array as its im. A gcd of 1 divides nothing."""
+        stores the zero array as its im."""
         out = RMatrix.__new__(RMatrix)
         if im is None:
             g, out._im = math.gcd(den, *re.flat), np.zeros(re.shape, dtype=object)
         else:
             g = math.gcd(den, *re.flat, *im.flat)
-            out._im = im // g if g > 1 else im
-        out._re, out._den = (re // g, den // g) if g > 1 else (re, den)
+            out._im = im // g
+        out._re, out._den = re // g, den // g
         return out
 
     def _real(self) -> bool:
@@ -183,9 +181,7 @@ class RMatrix:
                 and np.array_equal(self._re, o._re) and np.array_equal(self._im, o._im))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.shape, self._den, *self._re.flat, *self._im.flat))
-        return self._hash
+        return hash((self.shape, self._den, *self._re.flat, *self._im.flat))
 
     def _combine(self, o, sign: int) -> "RMatrix":
         """self + sign * o, over the least common denominator."""
@@ -238,13 +234,12 @@ class RMatrix:
 
 
 def _rref(a: RMatrix) -> "_Reduction":
-    """The reduction of a to reduced row echelon form, as a `_Reduction`,
-    which unpacks as (rref, pivot columns, replay). On the numerator M,
-    each pivot p = M[r, c] turns every other row i into (p M[i] - M[i, c]
-    M[r]) / q, q the previous pivot (1 at first): an exact division that
-    makes every earlier pivot p too, so the RREF is M / p. The rows are
-    lists of Python ints; a matrix with no imaginary part is reduced on its
-    real rows alone."""
+    """The reduction of a to reduced row echelon form, as a `_Reduction`:
+    its RREF, pivot columns and replay. On the numerator M, each pivot p =
+    M[r, c] turns every other row i into (p M[i] - M[i, c] M[r]) / q, q the
+    previous pivot (1 at first): an exact division that makes every earlier
+    pivot p too, so the RREF is M / p. The rows are lists of Python ints; a
+    matrix with no imaginary part is reduced on its real rows alone."""
     (m, n), re, im, real = a.shape, a._re.tolist(), a._im.tolist(), a._real()
     step = _step_real if real else _step_gaussian
     pivots, steps, q = [], [], (1, 0)
@@ -287,22 +282,15 @@ class _Reduction:
             self._step(re, im, *args)
         return _over(re, im, self._q, len(re[0]))
 
-    def __iter__(self):
-        """Unpacks as (rref, pivot columns, replay)."""
-        return iter((self.rref, self.pivots, self.replay))
-
 
 def _over(re: list, im: list | None, q, n: int) -> RMatrix:
-    """(re + i im) / q for int rows of length n (im None for none) and a
-    Gaussian integer q = (qr, qi): over |qr| when q is real, else
-    (re + i im) conj(q) / |q|^2."""
+    """(re + i im) / q for int rows of length n and a Gaussian integer q =
+    (qr, qi): (re + i im) conj(q) / |q|^2. Rows with no imaginary part (im
+    None) come from a real reduction, whose q is real: they are re / qr."""
     (qr, qi), re = q, np.array(re, dtype=object).reshape(len(re), n)
-    if im is not None:
-        im = np.array(im, dtype=object).reshape(len(im), n)
-    if not qi:
-        if qr < 0:
-            re, im, qr = -re, None if im is None else -im, -qr
-        return RMatrix._of(re, im, qr)
+    if im is None:
+        return RMatrix._of(-re if qr < 0 else re, None, abs(qr))
+    im = np.array(im, dtype=object).reshape(len(im), n)
     return RMatrix._of(re * qr + im * qi, im * qr - re * qi, qr * qr + qi * qi)
 
 
@@ -320,9 +308,8 @@ def _step_real(re: list, im, r: int, s: int, fr: list, fi: list, q) -> None:
 
 def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) -> None:
     """The step of `_step_real` on Gaussian-integer rows re + i im, with
-    pivot fr[r] + i fi[r] and multipliers fr[i] + i fi[i]. Dividing by a
-    real q is dividing by it, by any other q multiplying by conj(q) and
-    dividing by |q|^2."""
+    pivot fr[r] + i fi[r] and multipliers fr[i] + i fi[i]. Dividing by q is
+    multiplying by conj(q) and dividing by |q|^2."""
     for rows in (re, im):
         rows[r], rows[s] = rows[s], rows[r]
     (qr, qi), tr, ti, pr, pi = q, re[r], im[r], fr[r], fi[r]
@@ -333,11 +320,8 @@ def _step_gaussian(re: list, im: list, r: int, s: int, fr: list, fi: list, q) ->
         gr, gi = fr[i], fi[i]
         xr = [pr * x - pi * y - gr * u + gi * v for x, y, u, v in zip(re[i], im[i], tr, ti)]
         xi = [pr * y + pi * x - gr * v - gi * u for x, y, u, v in zip(re[i], im[i], tr, ti)]
-        if not qi:
-            re[i], im[i] = [x // qr for x in xr], [y // qr for y in xi]
-        else:
-            re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
-            im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
+        re[i] = [(x * qr + y * qi) // qq for x, y in zip(xr, xi)]
+        im[i] = [(y * qr - x * qi) // qq for x, y in zip(xr, xi)]
 
 
 def exact_rank(a: RMatrix) -> int:

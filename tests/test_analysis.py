@@ -60,6 +60,21 @@ def test_non_finite_entry_rejected(func, bad):
         func(a)
 
 
+@pytest.mark.parametrize("values_only", (False, True))
+def test_overflowing_power_is_named_not_the_input(values_only):
+    # B = 0.9 J, J the 100 x 100 matrix of ones, is finite, but B^160 =
+    # 0.9^160 100^159 J overflows float64: the error names that power
+    rec = _analyse(0.9 * np.ones((100, 100)), gi.DEFAULT_TOL, values_only=values_only)
+    want = "^power 160 of the matrix, scaled to parts below 1, overflows float64$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError, match=want):
+            rec._rank_of_power(160)
+        if not values_only:
+            with pytest.raises(PreconditionError, match=want):
+                rec.power_pinv(160)
+    assert rec._rank_of_power(2) == 1
+
+
 @pytest.mark.parametrize("func", SQUARE_ONLY)
 def test_non_square_rejected(func):
     with pytest.raises(DimensionMismatchError):

@@ -235,9 +235,9 @@ def test_real_rows_reduce_as_gaussian_rows(a):
     assume(not a._im.any())
     ia = rm([[QC(0, 1) * x for x in r] for r in a.rows])
     assert ia._im.any() or a.is_zero()
-    (red, pivots, _), (ired, ipivots, _) = _rref(a), _rref(ia)
-    assert red == ired
-    assert pivots == ipivots
+    red, ired = _rref(a), _rref(ia)
+    assert red.rref == ired.rref
+    assert red.pivots == ired.pivots
 
 
 # ---- regression: every exact value stays the same, bit for bit
@@ -394,8 +394,8 @@ def test_product_equals_the_four_dot_product(x, y):
 
 def _full_rank_factors(m):
     """m = f g: f the pivot columns of m, g the nonzero rows of its RREF."""
-    red, pivots, _ = _rref(m)
-    return m._sub(slice(None), pivots), red._sub(slice(len(pivots)), slice(None))
+    red = _rref(m)
+    return m._sub(slice(None), red.pivots), red.rref._sub(slice(len(red.pivots)), slice(None))
 
 
 def _macduffee(m):
