@@ -1,8 +1,9 @@
 """Command-line front end: matrix I/O, inverse computation, classification,
 relation testing, and suite running, with JSON reports on stdout.
 
-Exit codes: 0 ok, 2 malformed input, 3 precondition failure, 4 shape
-mismatch, 5 unknown identifier, 6 internal failure (a self-check or the SVD).
+Exit codes: 0 ok, 2 malformed input, 3 precondition failure or a result
+beyond the float range, 4 shape mismatch, 5 unknown identifier, 6 internal
+failure (a self-check or the SVD).
 """
 
 from __future__ import annotations
@@ -132,16 +133,35 @@ def load_matrix(path: str) -> np.ndarray:
     return matrix_from_obj(obj)
 
 
-def save_matrix(path: str, a: np.ndarray) -> None:
+_OVERFLOWED = "the result overflowed: an entry is beyond the float64 range"
+
+
+def _json(obj, pretty: bool = False) -> str:
+    """`obj` as JSON text. JSON has no inf or NaN, so a result with an entry
+    beyond the float range raises PreconditionError (exit 3) here, before
+    any file is opened."""
+    try:
+        return json.dumps(obj, indent=2 if pretty else None, allow_nan=False)
+    except ValueError:
+        raise PreconditionError(_OVERFLOWED) from None
+
+
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(json.dumps(matrix_to_obj(a)) + "\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 
 
+def save_matrix(path: str, a: np.ndarray) -> None:
+    """Write `a` as a MatrixFile; one with a non-finite entry raises
+    PreconditionError and writes nothing."""
+    _write(path, _json(matrix_to_obj(a)))
+
+
 def _dump(obj, pretty: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None))
+    print(_json(obj, pretty))
 
 
 def _tolerance(args) -> Tolerance:
@@ -231,10 +251,11 @@ def cmd_compute(args) -> int:
         sidecar["index"] = rec.index
         sidecar["rank"] = rec.rank
     if args.output:
+        report = _json(sidecar, args.pretty)
         save_matrix(args.output, x)
-        _dump(sidecar, args.pretty)
     else:
-        _dump({"matrix": matrix_to_obj(x), **sidecar}, args.pretty)
+        report = _json({"matrix": matrix_to_obj(x), **sidecar}, args.pretty)
+    print(report)
     return EXIT_OK
 
 
@@ -302,12 +323,11 @@ def cmd_hs(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
     h = rec.hs
-    der = hs_derived(h, tol)
-    outdir = Path(args.output or ".")
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise MatrixFileError(f"cannot write {outdir}: {exc}") from exc
+        der = hs_derived(h, tol)
+    except PreconditionError:  # A is finite: a block derived from it overflowed
+        raise PreconditionError(_OVERFLOWED) from None
+    outdir = Path(args.output or ".")
     blocks = {
         "U": h.u,
         "Sigma": h.sigma_mat,
@@ -320,21 +340,27 @@ def cmd_hs(args) -> int:
         "DeltaHat": der.delta_hat,
         "DeltaTilde": der.delta_tilde,
     }
-    files = {}
-    for name, block in blocks.items():
-        path = outdir / f"{name}.json"
-        save_matrix(str(path), block)
-        files[name] = str(path)
+    # every text is formed before the directory or any file is made, so a
+    # block beyond the float range leaves no file behind
+    texts = {str(outdir / f"{name}.json"): _json(matrix_to_obj(block))
+             for name, block in blocks.items()}
     eye_r = np.eye(h.r, dtype=np.complex128)
-    _dump({
+    report = _json({
         "rank": h.r,
-        "files": files,
+        "files": dict(zip(blocks, texts)),
         "residuals": {
             "reconstruction": diff_norm(hs_reconstruct(h), rec.a),
             "qq_pp_identity": fro_norm(
                 h.q @ conj_transpose(h.q) + h.p @ conj_transpose(h.p) - eye_r),
         },
     }, args.pretty)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {outdir}: {exc}") from exc
+    for path, text in texts.items():
+        _write(path, text)
+    print(report)
     return EXIT_OK
 
 

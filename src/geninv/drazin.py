@@ -208,12 +208,13 @@ class _Analysis(_Derived):
     at construction: by the input guard, which finds it in the scan that
     tests finiteness, and as 0 for the record of B.
 
-    Every rank reads its singular values through `_sigma`. A record built
-    with `_values_only` (by `index`, `numerical_rank` and `rank_scaled`,
-    whose answers are ranks alone) takes them from values-only
-    decompositions and so forms no singular vectors; it is never asked for
-    a part that needs them. Any other record reads them from the full SVD
-    that its pseudoinverses also use."""
+    Every rank, `rank_scaled`'s too, reads the singular values of B^j
+    through `_sigma`, asked of the record of B only. A record built with
+    `_values_only` (by `index`, `numerical_rank` and `rank_scaled`, whose
+    answers are ranks alone) takes them from values-only decompositions and
+    so forms no singular vectors; it is never asked for a part that needs
+    them. Any other record reads them from the full SVD that its
+    pseudoinverses, `pinv_scaled`'s too, also use."""
 
     a: np.ndarray
     tol: Tolerance
@@ -240,10 +241,8 @@ class _Analysis(_Derived):
         return self._svds[key]
 
     def _sigma(self, j: int) -> np.ndarray:
-        """The singular values of A^j, read as 2^(e j) those of B^j from the
-        record of B; those of B are looked up once (`_s1`)."""
-        if self._exp:
-            return np.ldexp(self.unit._sigma(j), self._exp * j)
+        """The singular values of B^j, asked of the record of B only; those
+        of B are looked up once (`_s1`)."""
         if j == 1:
             return self._s1
         res = self._svd(j)

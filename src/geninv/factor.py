@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, conj_transpose
+from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, _ldexp_scalar, conj_transpose
 
 __all__ = [
     "SvdConvergenceError",
@@ -140,14 +140,13 @@ def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
 
 
 def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with the singular-value cutoff referenced to max(sigma_max, scale).
-
-    Reads the singular values alone: no singular vectors are formed.
-    """
+    """Rank with the singular-value cutoff referenced to max(sigma_max, scale),
+    read like every rank from the singular values alone of B = 2^-e A, here
+    against 2^-e scale (inf beyond the float range): no sigma of A is formed."""
     from .drazin import _analyse
 
     rec = _analyse(a, tol, square=False, values_only=True)
-    return _rank_from(rec._sigma(1), rec.a.shape, scale, tol)
+    return _rank_from(rec.unit._sigma(1), rec.a.shape, _ldexp_scalar(scale, -rec._exp), tol)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -159,10 +158,13 @@ def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 def pinv_scaled(a: np.ndarray, scale: float,
                 tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with the cutoff referenced to
-    max(sigma_max, scale); see rank_scaled for when that matters."""
+    max(sigma_max, scale), read as 2^-e B^+ with B^+ from svd(B), as
+    rank_scaled reads rank(B): an entry beyond the float range is +-inf."""
     from .drazin import _analyse
 
-    return _pinv_from(_analyse(a, tol, square=False).factors, scale, tol)
+    rec = _analyse(a, tol, square=False)
+    x = _pinv_from(rec.unit.factors, _ldexp_scalar(scale, -rec._exp), tol)
+    return _ldexp(x, -rec._exp) if rec._exp else x
 
 
 def pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -242,13 +244,12 @@ def _core_blocks(h: HSDecomp, tol: Tolerance):
 
 
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
-    """All six derived blocks of the factorization."""
-    _, qhat, sigma_tilde, qtilde = _core_blocks(h, tol)
-    return HSDerived(
-        qhat=qhat,
-        sigma_tilde=sigma_tilde,
-        qtilde=qtilde,
-        delta=qhat @ pinv(qhat, tol),
-        delta_hat=sigma_tilde @ pinv(sigma_tilde, tol),
-        delta_tilde=qtilde @ pinv(qtilde, tol),
-    )
+    """All six derived blocks; blocks equal in shape and bytes (qhat = qtilde for
+    a nonsingular SQ, qhat = sigma_tilde = 0 for a nilpotent one) share a projector."""
+    blocks = _core_blocks(h, tol)[1:]
+    deltas = {}
+    for x in blocks:
+        key = (x.shape, x.tobytes())
+        if key not in deltas:
+            deltas[key] = x @ pinv(x, tol)
+    return HSDerived(*blocks, *(deltas[x.shape, x.tobytes()] for x in blocks))

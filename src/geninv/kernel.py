@@ -131,6 +131,15 @@ def _exponent(a: np.ndarray) -> int:
     return math.frexp(_largest_part(a))[1]
 
 
+def _ldexp_scalar(x: float, e: int) -> float:
+    """2**e * x for a float, +-inf beyond the float range: unlike
+    `math.ldexp` it does not raise, and unlike `np.ldexp` it does not warn."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     """2**e * a for a complex matrix, exact unless an entry leaves the
     normal float range."""

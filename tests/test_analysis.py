@@ -193,9 +193,25 @@ def _run_cli(argv, a1, b3, tmp_path):
         json.loads(out.getvalue())
 
 
-@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv))
-def test_cli_decomposes_each_svd_input_once(argv, a1, b3, tmp_path, svd_inputs):
-    _run_cli(argv, a1, b3, tmp_path)
+def _ep_singular():
+    u = np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0]
+    return u @ np.diag([2.0, 1 + 1j, 0.5j, 0.0]) @ u.conj().T
+
+
+# `hs` derives qhat, sigma_tilde and qtilde from the core SQ; they repeat
+# when SQ is nonsingular (qhat = qtilde, as for every EP matrix) or
+# nilpotent (qhat = sigma_tilde = 0), and each is decomposed once
+CLI_CASES = {" ".join(argv): (argv, None) for argv in CLI_RUNS}
+CLI_CASES.update({
+    "hs ep": (["hs"], _ep_singular()),
+    "hs nonsingular": (["hs"], random_complex(np.random.default_rng(4), 4, 4) + 3 * np.eye(4)),
+    "hs nilpotent": (["hs"], np.array([[0, 1, 2], [0, 0, 1j], [0, 0, 0]])),
+})
+
+
+@pytest.mark.parametrize("argv, matrix", CLI_CASES.values(), ids=CLI_CASES)
+def test_cli_decomposes_each_svd_input_once(argv, matrix, a1, b3, tmp_path, svd_inputs):
+    _run_cli(argv, a1 if matrix is None else matrix, b3, tmp_path)
     assert svd_inputs
     assert len(svd_inputs) == len(set(svd_inputs))
 

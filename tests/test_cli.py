@@ -179,6 +179,42 @@ def _fresh_interpreter(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+
+# diag(5e-324, 0) is 2^-1073 B, B = diag(1/2, 0): A^+ and A^D are 2^1073 B^+
+# = diag(2^1074, 0), beyond the float range. The blocks of `hs` overflow
+# for it, and for 2^1022 J (J the 4 x 4 ones matrix), whose sigma is 2^1024.
+BEYOND_RANGE = {
+    "compute drazin": ("tiny", ["compute", "--which", "drazin"]),
+    "compute mp": ("tiny", ["compute", "--which", "mp"]),
+    "compute mp -o": ("tiny", ["compute", "--which", "mp", "-o", "{out}/x.json"]),
+    "compute drazin -o": ("tiny", ["compute", "--which", "drazin", "-o", "{out}/x.json"]),
+    "hs -o": ("tiny", ["hs", "-o", "{out}/hs"]),
+    "hs -o sigma": ("huge", ["hs", "-o", "{out}/hs"]),
+}
+
+
+@pytest.mark.parametrize("matrix, argv", BEYOND_RANGE.values(), ids=BEYOND_RANGE.keys())
+def test_result_beyond_the_float_range_exits_three_and_writes_nothing(matrix, argv, tmp_path):
+    # JSON has no inf: the CLI names the overflow instead of printing
+    # Infinity or NaN, and leaves no file, empty or partial, behind
+    a = {"tiny": np.diag([5e-324, 0.0]), "huge": np.full((4, 4), 2.0 ** 1022)}[matrix]
+    src, out = tmp_path / "a.json", tmp_path / "out"
+    save_matrix(str(src), a)
+    out.mkdir()
+    code, stdout, stderr = _fresh_interpreter([arg.format(out=out) for arg in argv]
+                                              + ["-i", str(src)])
+    assert (code, stdout) == (3, "")
+    assert "error: the result overflowed: an entry is beyond the float64 range" in stderr
+    assert "Traceback" not in stderr
+    assert list(out.iterdir()) == []
+
+
+def test_save_matrix_of_a_non_finite_matrix_writes_nothing(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(geninv.PreconditionError, match="overflowed"):
+        save_matrix(str(path), np.array([[1.0, np.inf]]))
+    assert not path.exists()
+
 VERIFY = ["verify", "--suite", "ew2", "--size", "3", "--count", "2"]
 BAD_INPUT = {
     # name: (argv, GENINV_SEED or None, exit code)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from geninv import (
     hs_decompose,
     hs_derived,
     hs_reconstruct,
+    inverse_report,
     is_core_ep,
     numerical_rank,
     pinv,
+    pinv_scaled,
     rank_scaled,
     svd,
 )
@@ -426,3 +429,82 @@ def test_svd_of_finite_input_is_finite_or_raises(a):
     except SvdConvergenceError:
         return
     assert all(np.isfinite(x).all() for x in (res.u, res.s, res.v))
+
+
+# rank(A) and A^+ are read at unit scale, on the record of B = 2^-e A, as
+# every other part is; the A-level formulas below are the earlier route,
+# kept as the reference inside the float range.
+
+def _a_level_rank(a, scale, tol=Tolerance()):
+    """Singular values of A itself counted against the cutoff referenced to
+    max(sigma_max(A), scale)."""
+    s = _singular_values(a)
+    cutoff = tol.rank_cutoff(*np.shape(a)) * max(float(s[0]) if len(s) else 0.0, scale)
+    return sum(x > cutoff for x in s.tolist())
+
+
+def _a_level_pinv(a, scale, tol=Tolerance()):
+    """v diag(1/s) u* from svd(A) itself, over the s above the cutoff
+    referenced to max(sigma_max(A), scale)."""
+    res = svd(a)
+    m, n = res.u.shape[0], res.v.shape[0]
+    cutoff = tol.rank_cutoff(m, n) * max(float(res.s[0]) if len(res.s) else 0.0, scale)
+    smat = np.zeros((n, m), dtype=complex)
+    k = len(res.s)
+    smat[:k, :k] = np.diag([1.0 / x if x > cutoff else 0.0 for x in res.s.tolist()])
+    return res.v @ smat @ conj_transpose(res.u)
+
+
+def _seeded_inputs(seed):
+    rng = np.random.default_rng(seed)
+    low_rank = random_complex(rng, 6, 2) @ random_complex(rng, 2, 5)
+    graded = random_complex(rng, 4, 4) * 2.0 ** np.arange(0, -40, -10)[:, None]
+    return {"square": random_complex(rng, 5, 5), "wide": random_complex(rng, 3, 6),
+            "low_rank": low_rank, "graded": graded, "real": rng.standard_normal((4, 3)),
+            "zero": np.zeros((3, 2))}
+
+
+@pytest.mark.parametrize("e", (-300, 0, 300))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_rank_and_pinv_read_at_unit_scale_match_the_a_level_formulas(seed, e):
+    for name, a in _seeded_inputs(seed).items():
+        a = 2.0 ** e * a
+        top = float(np.abs(a).max()) or 2.0 ** e
+        # references below, between and above the singular values of A
+        for scale in (0.0, 1e-6 * top, 1e-15 * top, 100.0 * top):
+            assert rank_scaled(a, scale) == _a_level_rank(a, scale), (name, scale)
+            assert pinv_scaled(a, scale).tobytes() == _a_level_pinv(a, scale).tobytes()
+        assert numerical_rank(a) == _a_level_rank(a, 0.0)
+        assert pinv(a).tobytes() == _a_level_pinv(a, 0.0).tobytes()
+
+
+def test_rank_where_sigma_of_a_overflows():
+    # sigma_max(A) = 4 2^1022 = 2^1024 is beyond the float range; that of
+    # B = A / 2^1023 is 2, and every route reads rank 1
+    a = np.full((4, 4), 2.0 ** 1022)
+    assert numerical_rank(a) == index(a) == inverse_report(a).rank == 1
+    assert rank_scaled(a, 0.0) == 1
+
+
+def test_pinv_where_an_entry_overflows_is_inf_not_nan():
+    # A^+ = diag(1/5e-324, 0) = diag(2^1074, 0): its entry is +inf, the
+    # same as the record's A^+, with numpy's overflow warning; the zero
+    # entries stay zero
+    a = np.diag([5e-324, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        x, report = pinv(a), inverse_report(a)
+    want = np.array([[np.inf, 0], [0, 0]], dtype=complex)
+    assert x.tobytes() == report.mp.tobytes() == want.tobytes()
+    assert numerical_rank(a) == report.rank == 1
+
+
+def test_reference_beyond_the_float_range_reads_rank_zero_without_a_warning():
+    # 1e300 against B = 2^999 A is beyond the float range: the reference
+    # reads as inf, so no singular value passes, and neither raises nor warns
+    a = 2.0 ** -1000 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_scaled(a, 1e300) == 0
+        x = pinv_scaled(a, 1e300)
+    assert x.tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+    assert rank_scaled(a, -1e300) == numerical_rank(a) == 2

@@ -3,12 +3,13 @@
     python tools/ab.py PARENT CHANGE --workload W --rounds N [--seed S]
 
 Starts three worker processes: two for PARENT and one for CHANGE. Each
-imports its tree's `src/geninv` and
-`bench/workloads.py`, changing neither, with BLAS on one thread, and
-builds workload W at seed S. The workers run one at a time, in one work
-directory. Each first runs one whole cycle and hashes the op digests, as
-`tools/op_digests.py` does; if PARENT and CHANGE differ, the tool exits 1
-before any timing. Then each round runs one whole cycle on every worker,
+imports its tree's `src/geninv` and `bench/workloads.py`, changing
+neither, with BLAS on one thread, and builds workload W at seed S. The
+workers run one at a time, in one work directory. Each first hashes the
+op digests of one whole cycle with `op_digests.cycle_digest`, the function
+whose hash `tools/op_digests.py` prints, so ab prints the hash that
+op_digests prints for (S, W); if PARENT and CHANGE differ, the tool exits
+1 before any timing. Then each round runs one whole cycle on every worker,
 in an order rotated by one each round, and sums the `op.run()` times of
 the cycle. It prints, for CHANGE, the median ratio of its cycle time to
 the mean of the two PARENT workers' in the same round (below 1 is
@@ -16,14 +17,13 @@ faster), the interquartile range of the ratios and the rounds won; and
 the same for the second PARENT worker against the first, the A/A null,
 which shows the noise floor of the run itself, a per-process offset
 included. Judging CHANGE against the mean of two PARENT processes halves
-that offset's weight in its ratio. This adds evidence; `bench/run.py` and `BENCHMARK.json` stay the
-benchmark's contract.
+that offset's weight in its ratio. This adds evidence; `bench/run.py` and
+`BENCHMARK.json` stay the benchmark's contract.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shutil
 import subprocess
@@ -39,12 +39,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from op_digests import cycle_digest  # noqa: E402  (beside this file)
+
 
 def worker(tree: str, workload: str, seed: int, workdir: str) -> None:
     """Build and warm the workload, answer `ready`, then serve one command
-    per line of stdin: `digest` runs a cycle and answers the sha256 of its
-    op digests, `time` runs a cycle and answers the sum of its `op.run()`
-    times in seconds."""
+    per line of stdin: `digest` answers `op_digests.cycle_digest` for the
+    workload and seed, `time` runs a cycle and answers the sum of its
+    `op.run()` times in seconds."""
     tree_path = Path(tree).resolve()
     sys.path[:0] = [str(tree_path / "src"), str(tree_path / "bench")]
     import geninv
@@ -57,20 +59,20 @@ def worker(tree: str, workload: str, seed: int, workdir: str) -> None:
     reply = sys.stdout
     print("ready", file=reply, flush=True)
     for command in sys.stdin:
-        digest, total, h = command.strip() == "digest", 0.0, hashlib.sha256()
+        if command.strip() == "digest":
+            print(cycle_digest(workloads, workload, seed), file=reply, flush=True)
+            continue
+        total = 0.0
         for j in range(wl.cycle):
             op = wl.op(j)
             start = time.perf_counter()
             try:
-                out = op.run()
-            except Exception as exc:  # an operation that raises is an output too
-                out = exc
+                op.run()
+            except Exception:  # an operation that raises is timed too
+                pass
             total += time.perf_counter() - start
-            if digest:
-                h.update((f"{type(out).__name__}: {out}" if isinstance(out, Exception)
-                          else op.digest(out)).encode())
             op.cleanup()
-        print(h.hexdigest() if digest else repr(total), file=reply, flush=True)
+        print(repr(total), file=reply, flush=True)
 
 
 class Worker:
@@ -132,7 +134,7 @@ def main(argv: list[str]) -> int:
             print(f"error: op digests differ: parent {digests['parent']}, "
                   f"change {digests['change']}", file=sys.stderr)
             return 1
-        print(f"{args.workload} seed {args.seed}: op digests agree ({digests['parent'][:16]})")
+        print(f"{args.workload} seed {args.seed}: op digests agree ({digests['parent']})")
         times = {name: [] for name in names}
         start = time.perf_counter()
         for r in range(args.rounds):

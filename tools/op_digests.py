@@ -32,6 +32,28 @@ SEEDS = (0, 401)
 WORK = Path(tempfile.gettempdir()) / "geninv-op-digests"
 
 
+def cycle_digest(workloads, name: str, seed: int) -> str:
+    """The sha256 over the op digests of one full cycle of workload `name`
+    of the `workloads` module at `seed`, built fresh in the fixed work
+    directory WORK and run without warming. An operation that raises
+    hashes its exception type and message. `tools/ab.py` checks its trees
+    with this function too, so both tools print the same hash for one
+    (seed, workload)."""
+    shutil.rmtree(WORK, ignore_errors=True)
+    wl, h = workloads.WORKLOADS[name](seed, WORK), hashlib.sha256()
+    try:
+        for j in range(wl.cycle):
+            op = wl.op(j)
+            try:
+                h.update(op.digest(op.run()).encode())
+            except Exception as exc:  # an operation that raises is an output too
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+            op.cleanup()
+    finally:
+        shutil.rmtree(WORK, ignore_errors=True)
+    return h.hexdigest()
+
+
 def compare(parent: str, change: str) -> int:
     """Print the lines of both trees side by side: 1 if any pair differs,
     2 if either run fails."""
@@ -62,19 +84,8 @@ def main(argv: list[str]) -> int:
         sys.exit(f"error: imported geninv from {geninv.__file__}, not {tree}")
     for seed in SEEDS:
         for name, cls in workloads.WORKLOADS.items():
-            shutil.rmtree(WORK, ignore_errors=True)
-            wl, h = cls(seed, WORK), hashlib.sha256()
-            try:
-                for j in range(wl.cycle):
-                    op = wl.op(j)
-                    try:
-                        h.update(op.digest(op.run()).encode())
-                    except Exception as exc:  # an operation that raises is an output too
-                        h.update(f"{type(exc).__name__}: {exc}".encode())
-                    op.cleanup()
-            finally:
-                shutil.rmtree(WORK, ignore_errors=True)
-            print(f"seed {seed:3d} {name:14s} {wl.cycle:4d} ops {h.hexdigest()}", flush=True)
+            digest = cycle_digest(workloads, name, seed)
+            print(f"seed {seed:3d} {name:14s} {cls.cycle:4d} ops {digest}", flush=True)
     return 0
 
 
