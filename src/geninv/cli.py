@@ -323,10 +323,7 @@ def cmd_hs(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
     h = rec.hs
-    try:
-        der = hs_derived(h, tol)
-    except PreconditionError:  # A is finite: a block derived from it overflowed
-        raise PreconditionError(_OVERFLOWED) from None
+    der = hs_derived(h, tol)  # names a derived block that overflows
     outdir = Path(args.output or ".")
     blocks = {
         "U": h.u,

@@ -23,8 +23,8 @@ import numpy as np
 
 from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
                      _singular_values, svd)
-from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError, Tolerance,
-                     _compare, _guarded, _ldexp, conj_transpose, mat_pow)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _compare, _guarded,
+                     _ldexp, _named_overflow, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -227,17 +227,13 @@ class _Analysis(_Derived):
 
     def _svd(self, j: int):
         """svd(A^j), or its singular values alone on a `_values_only` record,
-        decomposed once per input (shape and bytes). A is finite, so a
-        non-finite A^j is a power that overflowed: `svd`'s input guard finds
-        it, and PreconditionError names the power, not the input."""
+        decomposed once per input (shape and bytes); a power that overflowed
+        is named (`kernel._named_overflow`)."""
         m = self.power(j)
         key = (m.shape, m.tobytes())
         if key not in self._svds:
-            try:
-                self._svds[key] = _singular_values(m) if self._values_only else svd(m)
-            except PreconditionError:
-                raise PreconditionError(f"power {j} of the matrix, scaled to parts below 1, "
-                                        "overflows float64") from None
+            self._svds[key] = _named_overflow(f"power {j} of the matrix, scaled to parts below 1,",
+                                              _singular_values if self._values_only else svd, m)
         return self._svds[key]
 
     def _sigma(self, j: int) -> np.ndarray:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, _ldexp_scalar, conj_transpose
+from .kernel import (DEFAULT_TOL, Tolerance, _guarded, _ldexp, _ldexp_scalar, _named_overflow,
+                     conj_transpose)
 
 __all__ = [
     "SvdConvergenceError",
@@ -238,7 +239,7 @@ def _core_blocks(h: HSDecomp, tol: Tolerance):
     record."""
     from .drazin import _analyse
 
-    core = _analyse(h.core, tol)
+    core = _named_overflow("the core block SQ of the factorization", _analyse, h.core, tol)
     qhat = h.q @ core.drazin
     return core, qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
 
@@ -248,8 +249,8 @@ def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
     a nonsingular SQ, qhat = sigma_tilde = 0 for a nilpotent one) share a projector."""
     blocks = _core_blocks(h, tol)[1:]
     deltas = {}
-    for x in blocks:
+    for name, x in zip(("qhat", "sigma_tilde", "qtilde"), blocks):
         key = (x.shape, x.tobytes())
         if key not in deltas:
-            deltas[key] = x @ pinv(x, tol)
+            deltas[key] = x @ _named_overflow(f"the derived block {name}", pinv, x, tol)
     return HSDerived(*blocks, *(deltas[x.shape, x.tobytes()] for x in blocks))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .drazin import _analyse
 from .factor import _block_form, _core_blocks, pinv
-from .kernel import DEFAULT_TOL, Tolerance, approx_eq
+from .kernel import DEFAULT_TOL, PreconditionError, Tolerance, _guarded, _ldexp, _named_overflow
 
 __all__ = [
     "ClosedFormMismatchError",
@@ -81,17 +81,19 @@ def cce_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of the MPDMP matrix, cross-checked against the
-    block closed form U [[st^+ Q, st^+ P], [0, 0]] U*."""
+    """Moore-Penrose inverse of the MPDMP matrix, cross-checked on B = 2^-e a,
+    where it is 2^(-3e) times that of a, against the block closed form
+    U [[st^+ Q, st^+ P], [0, 0]] U* of B, judged by the record of B."""
     rec = _analyse(a, tol)
-    x = pinv(rec.mpdmp, tol)
-    h = rec.hs
+    b, e3 = rec.unit, 3 * rec._exp
+    x = _named_overflow("the MPDMP matrix", pinv, rec.mpdmp, tol)
+    h = b.hs
     st_pinv = pinv(_core_blocks(h, tol)[2], tol)
     closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))
-    if not approx_eq(x, closed, tol):
-        raise ClosedFormMismatchError(
-            "MPDMP pseudoinverse disagrees with its block closed form"
-        )
+    if not b._compare(_ldexp(x, -e3), closed)[0]:
+        if _guarded(closed)[1] + e3 > 1024:  # x is that of an underflowed MPDMP matrix
+            raise PreconditionError("the pseudoinverse of the MPDMP matrix overflows float64")
+        raise ClosedFormMismatchError("MPDMP pseudoinverse disagrees with its block closed form")
     return x
 
 

@@ -88,6 +88,15 @@ def _guarded(a) -> tuple[np.ndarray, int]:
     return a, math.frexp(largest)[1]
 
 
+def _named_overflow(block: str, form, *args):
+    """form(*args), which forms `block` from a finite matrix or guards one so
+    formed: a non-finite entry is an overflow, and the error names the block."""
+    try:
+        return form(*args)
+    except PreconditionError:
+        raise PreconditionError(f"{block} overflows float64") from None
+
+
 def cmatrix(data) -> np.ndarray:
     """Coerce `data` to a new 2-D complex128 array with at least one entry
     (ValueError otherwise), all finite (see `_guarded`)."""

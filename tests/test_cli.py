@@ -182,19 +182,24 @@ def _fresh_interpreter(argv):
 
 # diag(5e-324, 0) is 2^-1073 B, B = diag(1/2, 0): A^+ and A^D are 2^1073 B^+
 # = diag(2^1074, 0), beyond the float range. The blocks of `hs` overflow
-# for it, and for 2^1022 J (J the 4 x 4 ones matrix), whose sigma is 2^1024.
+# for it, and for 2^1022 J (J the 4 x 4 ones matrix), whose sigma is 2^1024:
+# the error names the first derived block that does.
+OVERFLOWED = "the result overflowed: an entry is beyond the float64 range"
 BEYOND_RANGE = {
-    "compute drazin": ("tiny", ["compute", "--which", "drazin"]),
-    "compute mp": ("tiny", ["compute", "--which", "mp"]),
-    "compute mp -o": ("tiny", ["compute", "--which", "mp", "-o", "{out}/x.json"]),
-    "compute drazin -o": ("tiny", ["compute", "--which", "drazin", "-o", "{out}/x.json"]),
-    "hs -o": ("tiny", ["hs", "-o", "{out}/hs"]),
-    "hs -o sigma": ("huge", ["hs", "-o", "{out}/hs"]),
+    "compute drazin": ("tiny", ["compute", "--which", "drazin"], OVERFLOWED),
+    "compute mp": ("tiny", ["compute", "--which", "mp"], OVERFLOWED),
+    "compute mp -o": ("tiny", ["compute", "--which", "mp", "-o", "{out}/x.json"], OVERFLOWED),
+    "compute drazin -o": ("tiny", ["compute", "--which", "drazin", "-o", "{out}/x.json"],
+                          OVERFLOWED),
+    "hs -o": ("tiny", ["hs", "-o", "{out}/hs"], "the derived block qhat overflows float64"),
+    "hs -o sigma": ("huge", ["hs", "-o", "{out}/hs"],
+                    "the core block SQ of the factorization overflows float64"),
 }
 
 
-@pytest.mark.parametrize("matrix, argv", BEYOND_RANGE.values(), ids=BEYOND_RANGE.keys())
-def test_result_beyond_the_float_range_exits_three_and_writes_nothing(matrix, argv, tmp_path):
+@pytest.mark.parametrize("matrix, argv, message", BEYOND_RANGE.values(), ids=BEYOND_RANGE.keys())
+def test_result_beyond_the_float_range_exits_three_and_writes_nothing(matrix, argv, message,
+                                                                       tmp_path):
     # JSON has no inf: the CLI names the overflow instead of printing
     # Infinity or NaN, and leaves no file, empty or partial, behind
     a = {"tiny": np.diag([5e-324, 0.0]), "huge": np.full((4, 4), 2.0 ** 1022)}[matrix]
@@ -204,7 +209,7 @@ def test_result_beyond_the_float_range_exits_three_and_writes_nothing(matrix, ar
     code, stdout, stderr = _fresh_interpreter([arg.format(out=out) for arg in argv]
                                               + ["-i", str(src)])
     assert (code, stdout) == (3, "")
-    assert "error: the result overflowed: an entry is beyond the float64 range" in stderr
+    assert f"error: {message}" in stderr
     assert "Traceback" not in stderr
     assert list(out.iterdir()) == []
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import exact
 from geninv.drazin import _analyse
-from geninv.kernel import _check
-from geninv.verify import _SUITES
+from geninv.verify import _exact_reach
 from geninv.exact import (
     QC,
     RMatrix,
@@ -466,31 +465,22 @@ def test_exact_record_judges_by_stored_form(monkeypatch):
     assert rec._compare(A1, A2) == (False, np.linalg.norm(want)) and subtracted == [A2]
 
 
-# the suites whose rows exact arithmetic reaches, with the one row it does not
-EXACT_SUITES = ("core_ep_equiv", "core_ep_collapse", "six_part", "ass", "five_way_mp",
-                "five_way_core", "commute_lemma")
-NOT_EXACT = ("dmp_pinv_commutes",)
-
-
 def test_exact_suite_verdicts_equal_the_float_ones():
-    # each row runs unchanged on both records of every 2 x 2 {-1, 0, 1}
-    # matrix, each record judging its own identities
+    # each suite that exact arithmetic reaches is judged unchanged on both
+    # records of every 2 x 2 {-1, 0, 1} matrix, each record judging its own
+    # identities
     verdicts = 0
     for flat in itertools.product((-1, 0, 1), repeat=4):
         a = np.array(flat).reshape(2, 2)
         recs = (_analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a)))
-        for name in EXACT_SUITES:
-            suite = _SUITES[name]
-            fl, ex = (next((note for note, applies in suite.skips if applies(r)), None)
-                      for r in recs)
+        for name, suite in _exact_reach().items():
+            # a skip note, or the truth value of each identity
+            fl, ex = (j if isinstance(j, str) else [h for _, h, _ in j]
+                      for j in map(suite.judge, recs))
             assert fl == ex, (name, a)
-            if ex is not None:
-                continue
-            for label, sides in suite.identities:
-                if label not in NOT_EXACT:
-                    fl, ex = (_check(sides(r), r._compare)[0] for r in recs)
-                    assert fl == ex and ex, (name, label, a)
-                    verdicts += 1
+            if not isinstance(ex, str):
+                assert all(ex), (name, a)
+                verdicts += len(ex)
     assert verdicts == 2607
 
 

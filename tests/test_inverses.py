@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from geninv import (
+    ClosedFormMismatchError,
+    PreconditionError,
     approx_eq,
     cce_inverse,
     cmp_inverse,
@@ -12,6 +15,7 @@ from geninv import (
     drazin,
     greville_forms,
     hs_decompose,
+    hs_derived,
     index,
     inverse_report,
     mat_pow,
@@ -107,6 +111,36 @@ def test_mpdmp_pinv_dual_path_on_ensembles():
         for a in gen(spec):
             x = mpdmp_pinv(a)  # raises on closed-form mismatch
             assert approx_eq(x, pinv(mpdmp(a)))
+
+
+@pytest.mark.parametrize("e", (-40, -2, 2, 40))
+def test_mpdmp_pinv_scales_exactly(e):
+    a = gen(EnsembleSpec(size=4, count=1, seed=3, kind="core_ep"))[0]
+    assert np.array_equal(mpdmp_pinv(2.0 ** e * a), 2.0 ** (3 * e) * mpdmp_pinv(a))
+
+
+@pytest.mark.xfail(raises=ClosedFormMismatchError, strict=True,
+                   reason="FOUND 25: misses its closed form on a matrix with cond 647")
+@pytest.mark.parametrize("e", (0, -20))
+def test_mpdmp_pinv_closed_form_check_at_every_scale(e):
+    # judged on B = 2^-e a, not where eq_abs swamps a result that scales by 2^(3e)
+    mpdmp_pinv(2.0 ** e * gen(EnsembleSpec(5, 6, 11, "generic"))[3])
+
+
+TINY, HUGE = np.diag([5e-324, 0.0]), np.full((4, 4), 2.0 ** 1022)
+
+
+@pytest.mark.parametrize("func, a, block", (
+    (lambda a: hs_derived(hs_decompose(a)), TINY, "the derived block qhat"),
+    (lambda a: hs_derived(hs_decompose(a)), HUGE, "the core block SQ of the factorization"),
+    (mpdmp_pinv, TINY, "the MPDMP matrix"),
+    (mpdmp_pinv, HUGE, "the pseudoinverse of the MPDMP matrix"),
+), ids=("hs_derived tiny", "hs_derived huge", "mpdmp_pinv tiny", "mpdmp_pinv huge"))
+def test_overflowed_block_is_named_not_the_input(func, a, block):
+    # A is finite, but (SQ)^D = 2^1074 for TINY and Sigma = 2^1024 for HUGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError, match=f"^{block} overflows float64$"):
+            func(a)
 
 
 def test_greville_forms(a1, a3):

@@ -20,6 +20,7 @@ from geninv.kernel import DEFAULT_TOL, _check
 from geninv.verify import (
     SUITE_IDS,
     SYSTEM_IDS,
+    _SUITES,
     run_suite,
     solution_family,
     verify_system,
@@ -221,6 +222,22 @@ def test_cce_conditional_reports_qualified_count():
                     [EnsembleSpec(size=4, count=6, seed=46, kind="ep"),
                      EnsembleSpec(size=4, count=6, seed=47, kind="generic")])
     assert rep.breakdown["qualified"]["samples"] >= 6
+
+
+@pytest.mark.parametrize("suite, spec, note", (
+    ("core_ep_collapse", EnsembleSpec(5, 6, 0, "fixed_rank", rank=2), "not_core_ep_skipped"),
+    ("five_way_mp", EnsembleSpec(4, 3, 0, "fixed_rank", rank=0), "zero_skipped")))
+def test_skip_rule_notes_each_sample_and_judges_no_identity(suite, spec, note):
+    rep = run_suite(suite, spec)
+    assert rep.samples == spec.count and rep.passed
+    assert [(label, e["samples"]) for label, e in rep.breakdown.items()] == [(note, spec.count)]
+
+
+def test_cce_hypothesis_skip():
+    # index 2 and not core-EP, so (SQ)^CE != (SQ)^D; no ensemble kind draws one
+    rec = _analyse(np.array([[-1, -1, -1], [-1, -1, -1], [-1, 1, 0]]), DEFAULT_TOL)
+    assert (rec.index, rec.is_core_ep) == (2, False)
+    assert _SUITES["cce_conditional"].judge(rec) == "hypothesis_skipped"
 
 
 def test_verify_system_accepts_complex_fixture():

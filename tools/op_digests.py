@@ -10,11 +10,13 @@ whose lines agree give bit-identical outputs on every benchmark operation.
 With two, runs each tree in its own interpreter, one after the other,
 prints their lines side by side and exits 1 if any pair differs, 2 if
 either run fails. The work directory is fixed, since `geninv hs` prints
-the paths it writes.
+the paths it writes; a run holds a lock on it for each cycle, so runs
+started at once wait for each other.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import os
@@ -30,27 +32,31 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SEEDS = (0, 401)
 WORK = Path(tempfile.gettempdir()) / "geninv-op-digests"
+LOCK = WORK.with_name(WORK.name + ".lock")
 
 
 def cycle_digest(workloads, name: str, seed: int) -> str:
     """The sha256 over the op digests of one full cycle of workload `name`
     of the `workloads` module at `seed`, built fresh in the fixed work
-    directory WORK and run without warming. An operation that raises
+    directory WORK and run without warming, under an exclusive lock on
+    LOCK, so that two runs at once take turns. An operation that raises
     hashes its exception type and message. `tools/ab.py` checks its trees
     with this function too, so both tools print the same hash for one
     (seed, workload)."""
-    shutil.rmtree(WORK, ignore_errors=True)
-    wl, h = workloads.WORKLOADS[name](seed, WORK), hashlib.sha256()
-    try:
-        for j in range(wl.cycle):
-            op = wl.op(j)
-            try:
-                h.update(op.digest(op.run()).encode())
-            except Exception as exc:  # an operation that raises is an output too
-                h.update(f"{type(exc).__name__}: {exc}".encode())
-            op.cleanup()
-    finally:
+    with open(LOCK, "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # a second run waits: WORK is shared
         shutil.rmtree(WORK, ignore_errors=True)
+        wl, h = workloads.WORKLOADS[name](seed, WORK), hashlib.sha256()
+        try:
+            for j in range(wl.cycle):
+                op = wl.op(j)
+                try:
+                    h.update(op.digest(op.run()).encode())
+                except Exception as exc:  # an operation that raises is an output too
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+                op.cleanup()
+        finally:
+            shutil.rmtree(WORK, ignore_errors=True)
     return h.hexdigest()
 
 
