@@ -3,11 +3,14 @@ canonical projectors.
 
 The core-EP and Drazin inverses come from the two powers the index search
 ends on: c = a^k (a^(k+1))^+ is the core-EP inverse and a^D = c^(k+1) a^k,
-with k the index of a. Ranks and pseudoinverses of powers use cutoffs
-referenced to sigma_max(a)**power: a computed power of a numerically
-nilpotent matrix is noise at that level, never exactly zero, and a
-relative cutoff would mistake the noise for signal. At power 1 that is the
-relative cutoff, so a^1 is a, with the rank and a^+ of a.
+with k the index of a. Each rank of a power b^j is decided once, in
+`_Analysis._read_rank`, against max(sigma_max(b), ref)**j, with ref fixed
+when the record is built (0, 2**-e scale for `rank_scaled` and
+`pinv_scaled`, or sigma_max(A) for the core block SQ of A), and the
+pseudoinverse of b^j keeps exactly that rank: a computed power of a
+numerically nilpotent matrix is noise at sigma_max(b)**j, never exactly
+zero, which a relative cutoff would read as signal. At power 1 and ref 0
+that is the relative cutoff, so a^1 is a, with the rank and a^+ of a.
 
 Every part is computed from b = 2**-e a, with e the exponent the SVD
 scales by, so that neither b^j nor sigma_max(b)**j leaves the float range
@@ -24,7 +27,7 @@ import numpy as np
 from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
                      _singular_values, svd)
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _compare, _guarded,
-                     _ldexp, _named_overflow, conj_transpose, mat_pow)
+                     _ldexp, _ldexp_scalar, _named_overflow, conj_transpose, mat_pow)
 
 __all__ = [
     "IndexTooLargeError",
@@ -203,10 +206,12 @@ class _Analysis(_Derived):
     once; the record of A reads every part, svd(A) and A^j scaled from
     there, and forms no SVD or power of its own. Beside svd(A), the block
     factorization and A^D, it gives `_Derived` B^j by `mat_pow`, its rank
-    and pseudoinverse with the cutoff referenced to sigma_max(B)**j, and
-    judges pairs by `kernel._compare` under `tol`. Its e (`_exp`) is given
-    at construction: by the input guard, which finds it in the scan that
-    tests finiteness, and as 0 for the record of B.
+    with the cutoff referenced to max(sigma_max(B), ref)**j, its
+    pseudoinverse over the singular values that rank keeps, and judges
+    pairs by `kernel._compare` under `tol`. Its e (`_exp`) and its
+    reference (`_ref`, A's; 0 unless given) are fixed at construction: e by
+    the input guard, which finds it in the scan that tests finiteness, and
+    as 0 for the record of B, whose reference is 2^-e that of A.
 
     Every rank, `rank_scaled`'s too, reads the singular values of B^j
     through `_sigma`, asked of the record of B only. A record built with
@@ -220,6 +225,7 @@ class _Analysis(_Derived):
     tol: Tolerance
     _exp: int
     _values_only: bool = False
+    _ref: float = 0.0
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
@@ -256,7 +262,8 @@ class _Analysis(_Derived):
 
     @_once
     def _unit(self) -> "_Analysis":
-        return _Analysis(_ldexp(self.a, -self._exp), self.tol, 0, self._values_only)
+        return _Analysis(_ldexp(self.a, -self._exp), self.tol, 0, self._values_only,
+                         _ldexp_scalar(self._ref, -self._exp))
 
     @_once
     def factors(self) -> SVDResult:
@@ -276,11 +283,12 @@ class _Analysis(_Derived):
         return mat_pow(self.a, j)
 
     def _read_rank(self, j: int) -> int:
-        return _rank_from(self._sigma(j), self.a.shape, self._smax ** j, self.tol)
+        """rank(B^j), the one rank decision; in this order a NaN ref reads as none."""
+        return _rank_from(self._sigma(j), self.a.shape, max(self._smax, self._ref) ** j, self.tol)
 
     def _invert_power(self, j: int) -> np.ndarray:
-        res = self.factors if j == 1 else self._svd(j)
-        return _pinv_from(res, self._smax ** j, self.tol)
+        """(B^j)^+ over the rank(B^j) largest singular values it was read from."""
+        return _pinv_from(self.factors if j == 1 else self._svd(j), self._rank_of_power(j))
 
     def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
         return _compare(x, y, self.tol)
@@ -300,19 +308,20 @@ class _Analysis(_Derived):
         return mat_pow(self.core_ep, k + 1) @ self.power(k)
 
 
-def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False) -> _Analysis:
+def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False,
+             ref: float = 0.0) -> _Analysis:
     """The record of `a`, through the input guard (`kernel._guarded`), which
     also gives its e; when `square`, an input that is not square raises
     DimensionMismatchError. Public functions take a matrix or, from inside
-    the package, a record, which passes through with its own `tol`, so each
-    call analyses each matrix once. `values_only` builds a record that
-    reads singular values alone, for a call whose answer is a rank or an
-    index."""
+    the package, a record, which passes through with its own `tol` and
+    reference, so each call analyses each matrix once. `values_only` builds
+    a record that reads singular values alone, for a call whose answer is a
+    rank or an index; `ref` is the reference of its ranks."""
     if isinstance(a, _Analysis):
         rec = a
     else:
         a, e = _guarded(a)
-        rec = _Analysis(a, tol, e, values_only)
+        rec = _Analysis(a, tol, e, values_only, float(ref))
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
     return rec

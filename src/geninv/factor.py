@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (DEFAULT_TOL, Tolerance, _guarded, _ldexp, _ldexp_scalar, _named_overflow,
-                     conj_transpose)
+from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, _named_overflow, conj_transpose
 
 __all__ = [
     "SvdConvergenceError",
@@ -112,42 +111,28 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.ldexp(s, exp) if exp else s
 
 
-def _cutoff(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> float:
-    """The cutoff for the singular values s of an m x n matrix (`shape`),
-    referenced to max(sigma_max, scale).
-
-    Matrix powers computed in floating point carry a noise floor set by the
-    norm of the base matrix, so their rank must be measured against
-    sigma_max(base)**k rather than the power's own largest singular value.
-    """
-    ref = max(float(s[0]) if len(s) else 0.0, float(scale))
-    return tol.rank_cutoff(*shape) * ref
-
-
 def _rank_from(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> int:
-    """The number of singular values s of an m x n matrix above the cutoff."""
-    cutoff = _cutoff(s, shape, scale, tol)
+    """The number of singular values s of an m x n matrix (`shape`) above the
+    cutoff, referenced to max(sigma_max, scale)."""
+    cutoff = tol.rank_cutoff(*shape) * max(float(s[0]) if len(s) else 0.0, scale)
     return sum(x > cutoff for x in s.tolist())
 
 
-def _pinv_from(res: SVDResult, scale: float, tol: Tolerance) -> np.ndarray:
-    """v diag(1/s) u* over the singular values above the cutoff."""
+def _pinv_from(res: SVDResult, r: int) -> np.ndarray:
+    """v diag(1/s) u* over the r largest singular values s."""
     m, n = res.u.shape[0], res.v.shape[0]
-    cutoff = _cutoff(res.s, (m, n), scale, tol)
-    s_inv = [1.0 / x if x > cutoff else 0.0 for x in res.s.tolist()]
     smat = np.zeros((n, m), dtype=np.complex128)
-    smat.reshape(-1)[: len(s_inv) * (m + 1) : m + 1] = s_inv  # its diagonal
+    smat.reshape(-1)[: r * (m + 1) : m + 1] = [1.0 / x for x in res.s[:r].tolist()]  # its diagonal
     return res.v @ smat @ conj_transpose(res.u)
 
 
 def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with the singular-value cutoff referenced to max(sigma_max, scale),
-    read like every rank from the singular values alone of B = 2^-e A, here
-    against 2^-e scale (inf beyond the float range): no sigma of A is formed."""
+    """Rank with the singular-value cutoff referenced to max(sigma_max, scale):
+    the `rank` of the record with reference `scale`, read from the singular
+    values alone of B = 2^-e A against 2^-e scale (inf beyond the float range)."""
     from .drazin import _analyse
 
-    rec = _analyse(a, tol, square=False, values_only=True)
-    return _rank_from(rec.unit._sigma(1), rec.a.shape, _ldexp_scalar(scale, -rec._exp), tol)
+    return _analyse(a, tol, square=False, values_only=True, ref=scale).rank
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -156,16 +141,13 @@ def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     return rank_scaled(a, 0.0, tol)
 
 
-def pinv_scaled(a: np.ndarray, scale: float,
-                tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse with the cutoff referenced to
-    max(sigma_max, scale), read as 2^-e B^+ with B^+ from svd(B), as
-    rank_scaled reads rank(B): an entry beyond the float range is +-inf."""
+def pinv_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose inverse with the cutoff referenced to max(sigma_max, scale):
+    the `pinv` of the record with reference `scale`, 2^-e B^+ over the singular
+    values that rank(B) keeps; an entry beyond the float range is +-inf."""
     from .drazin import _analyse
 
-    rec = _analyse(a, tol, square=False)
-    x = _pinv_from(rec.unit.factors, _ldexp_scalar(scale, -rec._exp), tol)
-    return _ldexp(x, -rec._exp) if rec._exp else x
+    return _analyse(a, tol, square=False, ref=scale).pinv
 
 
 def pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -236,12 +218,16 @@ def hs_reconstruct(h: HSDecomp) -> np.ndarray:
 
 def _core_blocks(h: HSDecomp, tol: Tolerance):
     """(record of the core SQ, qhat, sigma_tilde, qtilde), from that one
-    record."""
+    record, formed with overflow ignored (`hs_derived` names a derived block
+    that overflows). SQ = U1* A U1, so sigma_i(SQ) <= sigma_i(A): the record
+    reads its ranks against sigma_max(A), not the noise SQ is if A^2 = 0."""
     from .drazin import _analyse
 
-    core = _named_overflow("the core block SQ of the factorization", _analyse, h.core, tol)
-    qhat = h.q @ core.drazin
-    return core, qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = _named_overflow("the core block SQ of the factorization",
+                               lambda: _analyse(h.core, tol, ref=h.sigma[0]))
+        qhat = h.q @ core.drazin
+        return core, qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
 
 
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:

@@ -86,7 +86,9 @@ def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     U [[st^+ Q, st^+ P], [0, 0]] U* of B, judged by the record of B."""
     rec = _analyse(a, tol)
     b, e3 = rec.unit, 3 * rec._exp
-    x = _named_overflow("the MPDMP matrix", pinv, rec.mpdmp, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rec.mpdmp  # named, not warned of, if it overflows
+    x = _named_overflow("the MPDMP matrix", pinv, m, tol)
     h = b.hs
     st_pinv = pinv(_core_blocks(h, tol)[2], tol)
     closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))

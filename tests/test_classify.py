@@ -17,6 +17,7 @@ from geninv import (
     dmp_pinv_commute_criterion,
     drazin,
     hs_decompose,
+    hs_derived,
     is_core_ep,
     is_ep,
     is_k_ep,
@@ -201,6 +202,19 @@ def test_six_identities_on_core_ep_samples():
         q_a = p @ a
         assert approx_eq(q_a @ core, core)
         assert approx_eq(core @ q_a, core)
+
+
+@pytest.mark.parametrize("e", (0, 40, -40, 300, -300))
+def test_core_block_of_a_square_zero_matrix_is_read_against_sigma_max(e):
+    # A^2 = 0 != A: SQ = U1* A U1 is 0, computed as rounding noise, which
+    # its record reads against sigma_max(A) as rank 0, so (SQ)^D = 0 and
+    # the block tests agree with the direct ones (A^D = 0, and the CMP,
+    # MPDMP and CCE inverses are 0, which is EP)
+    a = np.array([[-1, -1, -1], [0, 0, 0], [1, 1, 1]], dtype=complex)
+    assert core_ep_equiv_report(2.0 ** e * a).flags == ()
+    h = hs_decompose(2.0 ** e * np.array([[1, 1j], [1j, -1]]))
+    assert cmp_ep_criterion(h) and mpdmp_ep_criterion(h) and cce_ep_criterion(h)
+    assert not np.any(hs_derived(h).qhat)
 
 
 @st.composite

@@ -137,10 +137,10 @@ TINY, HUGE = np.diag([5e-324, 0.0]), np.full((4, 4), 2.0 ** 1022)
     (mpdmp_pinv, HUGE, "the pseudoinverse of the MPDMP matrix"),
 ), ids=("hs_derived tiny", "hs_derived huge", "mpdmp_pinv tiny", "mpdmp_pinv huge"))
 def test_overflowed_block_is_named_not_the_input(func, a, block):
-    # A is finite, but (SQ)^D = 2^1074 for TINY and Sigma = 2^1024 for HUGE
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PreconditionError, match=f"^{block} overflows float64$"):
-            func(a)
+    # A is finite, but (SQ)^D = 2^1074 for TINY and Sigma = 2^1024 for HUGE;
+    # the named error comes first, with no overflow warning before it
+    with pytest.raises(PreconditionError, match=f"^{block} overflows float64$"):
+        func(a)
 
 
 def test_greville_forms(a1, a3):
