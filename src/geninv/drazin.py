@@ -274,17 +274,17 @@ class _Analysis(_Derived):
         res = self.unit.factors
         return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
-    @_once
-    def _smax(self) -> float:
-        """sigma_max(B), on the record of B."""
-        return float(self._s1[0]) if self._s1.size else 0.0
-
     def _form_power(self, j: int) -> np.ndarray:
         return mat_pow(self.a, j)
 
     def _read_rank(self, j: int) -> int:
-        """rank(B^j), the one rank decision; in this order a NaN ref reads as none."""
-        return _rank_from(self._sigma(j), self.a.shape, max(self._smax, self._ref) ** j, self.tol)
+        """rank(B^j), the one rank decision, against max(sigma_max(B), ref)**j;
+        a power beyond the float range reads as inf, which keeps no value."""
+        try:
+            scale = max(float(self._s1.max(initial=0.0)), self._ref) ** j
+        except OverflowError:
+            scale = np.inf
+        return _rank_from(self._sigma(j), self.a.shape, scale, self.tol)
 
     def _invert_power(self, j: int) -> np.ndarray:
         """(B^j)^+ over the rank(B^j) largest singular values it was read from."""
@@ -321,7 +321,7 @@ def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False,
         rec = a
     else:
         a, e = _guarded(a)
-        rec = _Analysis(a, tol, e, values_only, float(ref))
+        rec = _Analysis(a, tol, e, values_only, float(ref) if ref > 0 else 0.0)  # NaN: 0
     if square and rec.a.shape[0] != rec.a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {rec.a.shape}")
     return rec

@@ -215,6 +215,16 @@ def test_core_block_of_a_square_zero_matrix_is_read_against_sigma_max(e):
     h = hs_decompose(2.0 ** e * np.array([[1, 1j], [1j, -1]]))
     assert cmp_ep_criterion(h) and mpdmp_ep_criterion(h) and cce_ep_criterion(h)
     assert not np.any(hs_derived(h).qhat)
+    # SQ about 1e-160 sigma_max(A): the square of its reference, sigma_max(A)
+    # in the scale of SQ, is beyond the float range and reads as inf, so
+    # rank 0, and (SQ)^D = 0 as A^D = 0
+    a = 2.0 ** e * np.array([[1e-160, 1], [0, 0]], dtype=complex)
+    h = hs_decompose(a)
+    derived = hs_derived(h)
+    assert not np.any(derived.qhat) and not np.any(derived.sigma_tilde) and not np.any(drazin(a))
+    assert core_ep_equiv_report(a).flags == ()
+    assert cmp_ep_criterion(h) and mpdmp_ep_criterion(h) and cce_ep_criterion(h)
+    assert dmp_pinv_commute_criterion(h)
 
 
 @st.composite

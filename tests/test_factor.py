@@ -471,15 +471,10 @@ def test_rank_and_pinv_read_at_unit_scale_match_the_a_level_formulas(seed, e):
         a = 2.0 ** e * a
         top = float(np.abs(a).max()) or 2.0 ** e
         # references below, between and above the singular values of A, and
-        # the edges: NaN and -inf read as none, +inf keeps no singular value
+        # the edges: NaN and -inf read as 0, +inf keeps no singular value
         for scale in (0.0, 1e-6 * top, 1e-15 * top, 100.0 * top, math.nan, -math.inf, math.inf):
             assert rank_scaled(a, scale) == _a_level_rank(a, scale), (name, scale)
             assert pinv_scaled(a, scale).tobytes() == _a_level_pinv(a, scale).tobytes()
-        for scale in (math.nan, -math.inf):
-            assert rank_scaled(a, scale) == rank_scaled(a, 0.0)
-            assert pinv_scaled(a, scale).tobytes() == pinv_scaled(a, 0.0).tobytes()
-        assert rank_scaled(a, math.inf) == 0
-        assert not np.any(pinv_scaled(a, math.inf))
         assert numerical_rank(a) == _a_level_rank(a, 0.0)
         assert pinv(a).tobytes() == _a_level_pinv(a, 0.0).tobytes()
 
