@@ -95,11 +95,13 @@ class _Derived:
     core(A), the DMP, MPD, CMP, MPDMP and CCE inverses, and the EP, core-EP
     and k-EP verdicts. A record gives `a`, `drazin`, `_exp` (if not 0, every
     part and power is read from `unit`, the record of B = 2^-e A), the memo
-    dicts `_powers`, `_pinvs` and `_ranks`, and four primitives:
+    dicts `_powers`, `_pinvs` and `_ranks`, and five primitives:
     `_form_power(j)` (j != 1), `_read_rank(j)` and `_invert_power(j)` for
-    A^j, rank(A^j) and (A^j)^+, and `_compare(x, y) -> (holds, residual)`,
-    the judge of x = y in the verdicts and in `kernel._check`. The float
-    record (`_Analysis`) and the exact (`exact._ExactAnalysis`) inherit it."""
+    A^j, rank(A^j) and (A^j)^+, `_compare(x, y) -> (holds, residual)`, the
+    judge of x = y in the verdicts and in `kernel._check`, and `_of(m)`, a
+    record of the same kind for a matrix m derived from A, such as its DMP
+    inverse. The float record (`_Analysis`) and the exact
+    (`exact._ExactAnalysis`) inherit it."""
 
     def power(self, j: int):
         """A^j, formed once per j; A^1 is A. On a record with e != 0, read as
@@ -293,6 +295,9 @@ class _Analysis(_Derived):
     def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
         return _compare(x, y, self.tol)
 
+    def _of(self, m: np.ndarray) -> "_Analysis":
+        return _analyse(m, self.tol)
+
     @_once
     def hs(self) -> HSDecomp:
         res, r = self.factors, self.rank
@@ -309,15 +314,16 @@ class _Analysis(_Derived):
 
 
 def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False,
-             ref: float = 0.0) -> _Analysis:
+             ref: float = 0.0) -> _Derived:
     """The record of `a`, through the input guard (`kernel._guarded`), which
     also gives its e; when `square`, an input that is not square raises
     DimensionMismatchError. Public functions take a matrix or, from inside
-    the package, a record, which passes through with its own `tol` and
-    reference, so each call analyses each matrix once. `values_only` builds
-    a record that reads singular values alone, for a call whose answer is a
-    rank or an index; `ref` is the reference of its ranks."""
-    if isinstance(a, _Analysis):
+    the package, a record of either kind, float or exact, which passes
+    through with its own `tol` and reference, so each call analyses each
+    matrix once. `values_only` builds a record that reads singular values
+    alone, for a call whose answer is a rank or an index; `ref` is the
+    reference of its ranks."""
+    if isinstance(a, _Derived):
         rec = a
     else:
         a, e = _guarded(a)

@@ -366,6 +366,9 @@ class _ExactAnalysis(_Derived):
         # each matrix has one stored form, so equal ones are not subtracted
         return (True, 0.0) if x == y else (False, fro_norm((x - y).to_complex()))
 
+    def _of(self, m: RMatrix) -> "_ExactAnalysis":
+        return _ExactAnalysis(m)
+
     def _inv(self, m: RMatrix) -> RMatrix:
         """m^-1: the reduction of m replayed on I, so that a matrix whose
         rank was read is not reduced again; ValueError unless m is square

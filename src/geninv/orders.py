@@ -63,7 +63,7 @@ def _check_pair(a, b, tol: Tolerance):
 
 def _order_sides(rec, b: np.ndarray, kind: OrderKind) -> list:
     """a <= b under inverse g of a, as sides: [(g a, g b), (a g, b g)]."""
-    g = _INVERSE_FOR_KIND[kind](rec, rec.tol)
+    g = _INVERSE_FOR_KIND[kind](rec)
     return [(g @ rec.a, g @ b), (rec.a @ g, b @ g)]
 
 

@@ -420,12 +420,13 @@ def test_suites_spectral_work(record_calls):
     # five records of 6x6 nilpotent matrices end their index search at the
     # rank-0 power B^6, and their core-EP inverse reads the rank of B^7 from
     # the SVD its pseudoinverse takes; every pseudoinverse reads the rank it
-    # keeps, also in the 30 records that read no other rank (10 each of
-    # (DMP)^+ through `pinv`, of the EP verdict of (SQ)^D and of that of
-    # CMP); a record that evaluates a row with I forms it once, as B^0
+    # keeps, also in the 30 records that read no other rank (10 each of the
+    # DMP inverse in five_way_mp and in cce_conditional, and of CMP); no
+    # record of the core block SQ is built; a record that evaluates a row
+    # with I forms it once, as B^0
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 452, "_pinv_from": 290, "svd": 452, "mat_pow": 452}
+    assert record_calls == {"_rank_from": 412, "_pinv_from": 270, "svd": 412, "mat_pow": 422}
 
 
 @pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))

@@ -481,7 +481,7 @@ def test_exact_suite_verdicts_equal_the_float_ones():
             if not isinstance(ex, str):
                 assert all(ex), (name, a)
                 verdicts += len(ex)
-    assert verdicts == 2607
+    assert verdicts == 3171
 
 
 # ---- float against exact on integer matrices of prescribed index

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from geninv import (
     UnknownSystemError,
     approx_eq,
     cmatrix,
+    dmp_pinv_commute_criterion,
     mpd,
     pinv,
     core_nilpotent,
@@ -15,12 +18,14 @@ from geninv import (
 )
 from geninv.cli import _RESIDUALS
 from geninv.drazin import _analyse
-from geninv.ensembles import KINDS, EnsembleSpec, gen
+from geninv.ensembles import KINDS, EnsembleSpec, _records, gen
+from geninv.factor import _core_blocks
 from geninv.kernel import DEFAULT_TOL, _check
 from geninv.verify import (
     SUITE_IDS,
     SYSTEM_IDS,
     _SUITES,
+    _dmp_pinv_commutes,
     run_suite,
     solution_family,
     verify_system,
@@ -163,8 +168,8 @@ def test_suites_pass_on_their_ensembles(suite):
 @pytest.mark.parametrize("suite", SUITE_IDS)
 def test_every_suite_passes_on_every_kind_at_small_n(suite, kind):
     # at n = 2 every nilpotent and fixed_index sample, and some k_ep ones,
-    # have A^2 = 0 != A, whose core block SQ is rounding noise; its ranks
-    # are read against sigma_max(A), so dmp_pinv_commutes holds there
+    # have A^2 = 0 != A, whose core block SQ is rounding noise; the suites
+    # read the DMP inverse, 0 there, in its place, so dmp_pinv_commutes holds
     failed = {}
     for n in (1, 2, 3, 4, 6):
         for seed in (0, 1):
@@ -251,11 +256,46 @@ def test_skip_rule_notes_each_sample_and_judges_no_identity(suite, spec, note):
     assert [(label, e["samples"]) for label, e in rep.breakdown.items()] == [(note, spec.count)]
 
 
-def test_cce_hypothesis_skip():
-    # index 2 and not core-EP, so (SQ)^CE != (SQ)^D; no ensemble kind draws one
-    rec = _analyse(np.array([[-1, -1, -1], [-1, -1, -1], [-1, 1, 0]]), DEFAULT_TOL)
+@pytest.mark.parametrize("e", (0, 40, -40, 300, -300))
+def test_cce_hypothesis_skip(e):
+    # index 2 and not core-EP, so (SQ)^CE != (SQ)^D; no ensemble kind draws
+    # one. The skip is read on the record of 2^-e DMP, the same at any e
+    a = np.array([[-1, -1, -1], [-1, -1, -1], [-1, 1, 0]], dtype=complex)
+    rec = _analyse(2.0 ** e * a, DEFAULT_TOL)
     assert (rec.index, rec.is_core_ep) == (2, False)
     assert _SUITES["cce_conditional"].judge(rec) == "hypothesis_skipped"
+
+
+def _block_subjects():
+    """Every nonzero 3 x 3 0-1 matrix, and every kind at n = 1-8 (seeds 0
+    and 1, 8 samples each), as records; zero samples are left out."""
+    grids = (np.array(flat).reshape(3, 3) for flat in itertools.product((0, 1), repeat=9))
+    recs = [_analyse(a.astype(complex), DEFAULT_TOL) for a in grids if a.any()]
+    for kind in KINDS:
+        for n in range(1, 9):
+            for seed in (0, 1):
+                spec = EnsembleSpec(n, 8, seed, kind, rank=1 if kind == "fixed_rank" else None,
+                                    index=min(2, n) if kind == "fixed_index" else None)
+                recs += [rec for rec in _records(spec, DEFAULT_TOL) if rec.rank]
+    return recs
+
+
+def test_block_statements_equal_their_dmp_forms():
+    # The suites read the two block statements on SQ from the record of the
+    # DMP inverse A^D A A^+ = U diag((SQ)^D, 0) U*, which rests on two
+    # identities: A^D A (I - AA^+) = U [[0, (SQ)^D SP], [0, 0]] U*, and, for
+    # any T of index k, T^CE = T^D P_R(T^k), which is T^D iff T^D is EP.
+    # The paper's block forms stay public; each must give the same answer.
+    # n stays at 8: from n = 13 the record of SQ misreads dense nilpotent
+    # blocks, and the block form then disagrees with the direct test
+    subjects, hypothesis_fails = _block_subjects(), 0
+    for rec in subjects:
+        assert dmp_pinv_commute_criterion(rec.hs) == _dmp_pinv_commutes(rec)[0], rec.a
+        core = _core_blocks(rec.hs, DEFAULT_TOL)[0]
+        fails = not core._compare(core.core_ep, core.drazin)[0]
+        assert fails == (not rec._of(rec.dmp).is_ep), rec.a
+        hypothesis_fails += fails
+    assert (len(subjects), hypothesis_fails) == (1496, 48)
 
 
 def test_verify_system_accepts_complex_fixture():

@@ -12,13 +12,11 @@ reading its parts and its suite verdicts). It then judges the suites
 that exact arithmetic reaches (`verify._exact_reach`) on both records of
 every matrix, each record judging its own identities, and prints per
 suite the verdict count, the float verdicts that differ from the exact
-ones, the exact verdicts that fail and the skip rules that differ. Float
-misses no rank at this size, so the census certifies the identities and
-the exact path, not the float cutoffs. Last, it judges the single-matrix
-suites that exact arithmetic does not wholly reach (`verify._NOT_EXACT`)
-on the float record alone, all of their rows, and prints per suite the
-verdict count, the failures per row and the count of each skip rule.
-Imports geninv from the `src` beside this script.
+ones, the exact verdicts that fail and the skip rules that differ. Every
+single-matrix suite is in that reach, so each matrix is judged in this one
+pass. Float misses no rank at this size, so the census certifies the
+identities and the exact path, not the float cutoffs. Imports geninv from
+the `src` beside this script.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np  # noqa: E402
 from geninv import DEFAULT_TOL  # noqa: E402
 from geninv.drazin import _analyse  # noqa: E402
 from geninv.exact import RMatrix, _ExactAnalysis  # noqa: E402
-from geninv.verify import _SUITES, _drawn, _exact_reach  # noqa: E402
+from geninv.verify import _exact_reach  # noqa: E402
 
 SETS = ((3, (-1, 0, 1)), (4, (0, 1)))
 VERDICTS = ("index", "is_ep", "is_core_ep", "is_k_ep")
@@ -79,33 +77,11 @@ def suite_verdicts(suites: dict, recs, counts: dict, spent: dict) -> None:
         count["exact failures"] += sum(not e[1] for e in ex)
 
 
-def float_only(reach: dict) -> dict:
-    """The single-matrix suites, all rows, that the exact `reach` leaves out
-    in whole or in part."""
-    return {name: s for name, s in _SUITES.items() if s.source is _drawn and reach.get(name) != s}
-
-
-def float_verdicts(suites: dict, rec, counts: dict) -> None:
-    """Judge each of `suites` on the float record `rec` alone, counting the
-    verdicts, each failing row and each skip rule into `counts`."""
-    for name, suite in suites.items():
-        judged, count = suite.judge(rec), counts[name]
-        if isinstance(judged, str):
-            count[judged] += 1
-            continue
-        failed = [label for label, holds, _ in judged if not holds]
-        count["verdicts"] += len(judged)
-        count["failures"] += len(failed)
-        count.update(f"failed {label}" for label in failed)
-
-
 def census(n: int, entries: tuple) -> None:
     start = time.perf_counter()
     classes, differ, worst = Counter(), Counter(), 0.0
     suites = _exact_reach()
     counts = {name: dict.fromkeys(SUITE_COUNTS, 0) for name in suites}
-    floats = float_only(suites)
-    float_counts = {name: Counter(verdicts=0, failures=0) for name in floats}
     spent = dict.fromkeys(RECORDS, 0.0)
     for flat in itertools.product(entries, repeat=n * n):
         a = np.array(flat).reshape(n, n)
@@ -118,7 +94,6 @@ def census(n: int, entries: tuple) -> None:
         err, ref = np.linalg.norm(fl[2] - d), np.linalg.norm(d)
         worst = max(worst, err / ref if ref else (0.0 if err == 0 else np.inf))
         suite_verdicts(suites, (rec, ex), counts, spent)
-        timed(spent, "float", float_verdicts, floats, rec, float_counts)
     print(f"{n}x{n}, entries in {{{', '.join(map(str, entries))}}}: {sum(classes.values()):,} matrices")
     print("  (index, EP, core-EP, k-EP): count")
     for cls, count in sorted(classes.items()):
@@ -129,9 +104,6 @@ def census(n: int, entries: tuple) -> None:
     for name, count in counts.items():
         print(f"    {name}: " + ", ".join(f"{v:,}" for v in count.values()))
     print(f"    all: {sum(c['verdicts'] for c in counts.values()):,} verdicts")
-    print("  float alone, all rows: verdicts, failures (and by row), skips")
-    for name, count in float_counts.items():
-        print(f"    {name}: " + ", ".join(f"{k} {v:,}" for k, v in count.items()))
     print(f"  wall time: {time.perf_counter() - start:.1f} s; "
           + ", ".join(f"{key} record {t:.1f} s" for key, t in spent.items()), flush=True)
 
