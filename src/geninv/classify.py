@@ -6,26 +6,24 @@ Every boolean is a residual comparison under the shared Tolerance, and the
 raw residual is reported next to it so near-threshold calls can be audited.
 The class predicates read the verdicts of the analysis record
 (`drazin._Analysis`), decided on B = 2^-e a (e as in `svd`) under the
-record's tolerance, and the block tests run on the factors with Sigma
-scaled into [0.5, 1), so they give the same answer for every power-of-two
-multiple of a.
+record's tolerance, and the block tests read that record and its own
+factors, so they give the same answer for every power-of-two multiple of a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drazin import _analyse
-from .factor import HSDecomp, _core_blocks, pinv
+from .factor import HSDecomp, _core_blocks, hs_reconstruct, pinv
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
     PreconditionError,
     Tolerance,
     _check,
-    _exponent,
     approx_eq,
     conj_transpose,
     diff_norm,
@@ -98,23 +96,20 @@ def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _analyse(a, tol).is_k_ep
 
 
-def _unit(h: HSDecomp) -> HSDecomp:
-    """h with Sigma scaled by the power of two that brings its largest
-    entry into [0.5, 1). Sigma carries all of the matrix's scale and U, Q
-    and P none, so the block tests, zero tests included, then give the
-    same answer for every power-of-two multiple of the matrix."""
-    return replace(h, sigma=np.ldexp(h.sigma, -_exponent(h.sigma)))
+def _block_conditions(rec):
+    """`core_ep_block_conditions`, read from the record `rec` and its factors."""
+    h = rec.hs
+    core_d, qhat, _, _ = _core_blocks(h, rec)
+    p_qhat, core_dsp = conj_transpose(h.p) @ qhat, core_d @ h.sigma_mat @ h.p
+    return (approx_eq(conj_transpose(h.q) @ qhat, core_d, rec.tol),
+            approx_eq(p_qhat, np.zeros_like(p_qhat), rec.tol),
+            approx_eq(core_dsp, np.zeros_like(core_dsp), rec.tol))
 
 
 def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residual tests of (a) Q* qhat = (SQ)^D, (b) P* qhat = 0,
     (c) (SQ)^D S P = 0; their conjunction characterizes core-EP."""
-    h = _unit(h)
-    core, qhat, _, _ = _core_blocks(h, tol)
-    p_qhat, core_dsp = conj_transpose(h.p) @ qhat, core.drazin @ h.sigma_mat @ h.p
-    return (approx_eq(conj_transpose(h.q) @ qhat, core.drazin, tol),
-            approx_eq(p_qhat, np.zeros_like(p_qhat), tol),
-            approx_eq(core_dsp, np.zeros_like(core_dsp), tol))
+    return _block_conditions(_analyse(hs_reconstruct(h), tol).unit)
 
 
 def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassReport:
@@ -139,7 +134,7 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
 
     block = {}
     if rec.rank:
-        ca, cb, cc = core_ep_block_conditions(rec.hs, rec.tol)
+        ca, cb, cc = _block_conditions(rec)
         block = {"a": ca, "b": cb, "c": cc}
         if (ca and cb and cc) != core_ep:
             flags.append("block conditions disagree with the defining core-EP test")
@@ -156,12 +151,13 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
 
 
 def _block_ep(h: HSDecomp, block: int, tol: Tolerance):
-    """For m the chosen block of `_core_blocks` and delta = m m^+: whether
-    Q* delta Q = m^+ m and delta P = 0, and the pairs that a positive
-    verdict makes equal: PP* and QQ* commute with delta, and
-    delta = Q m^+ m Q*."""
-    h = _unit(h)
-    m = _core_blocks(h, tol)[block]
+    """For m the chosen block of `_core_blocks`, read from the record of
+    B = 2^-e A, A the matrix h factors, and its factors, and delta = m m^+:
+    whether Q* delta Q = m^+ m and delta P = 0, and the pairs that a positive
+    verdict makes equal: PP* and QQ* commute with delta, and delta = Q m^+ m Q*."""
+    rec = _analyse(hs_reconstruct(h), tol).unit
+    h = rec.hs
+    m = _core_blocks(h, rec)[block]
     m_pinv = pinv(m, tol)
     delta = m @ m_pinv
     qq, pp = h.q @ conj_transpose(h.q), h.p @ conj_transpose(h.p)
@@ -213,10 +209,8 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     index at most 1 but SQ itself need not, so (SQ)^D S P = 0 is strictly
     weaker and is the one that matches the direct commutation test.
     """
-    h = _unit(h)
-    core_d = _core_blocks(h, tol)[0].drazin
-    return is_ep(core_d, tol) and approx_eq(core_d @ h.sigma_mat @ h.p,
-                                            np.zeros_like(h.p), tol)
+    rec = _analyse(hs_reconstruct(h), tol).unit
+    return _block_conditions(rec)[2] and is_ep(_core_blocks(rec.hs, rec)[0], tol)
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 from .classify import core_ep_equiv_report
 from .drazin import IndexTooLargeError, _analyse, drazin, group_inverse
 from .ensembles import EnsembleSpec, InvalidSpecError, KINDS
-from .factor import SvdConvergenceError, ZeroMatrixError, hs_derived, hs_reconstruct, pinv
+from .factor import SvdConvergenceError, ZeroMatrixError, _derived, hs_reconstruct, pinv
 from .inverses import cce_inverse, cmp_inverse, core_ep_inverse, dmp, mpd, mpdmp
 from .kernel import (
     DEFAULT_TOL,
@@ -323,7 +323,8 @@ def cmd_hs(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
     h = rec.hs
-    der = hs_derived(h, tol)  # names a derived block that overflows
+    rebuilt = hs_reconstruct(h)  # names Sigma if it overflows
+    der = _derived(h, rec)  # names a derived block that overflows
     outdir = Path(args.output or ".")
     blocks = {
         "U": h.u,
@@ -346,7 +347,7 @@ def cmd_hs(args) -> int:
         "rank": h.r,
         "files": dict(zip(blocks, texts)),
         "residuals": {
-            "reconstruction": diff_norm(hs_reconstruct(h), rec.a),
+            "reconstruction": diff_norm(rebuilt, rec.a),
             "qq_pp_identity": fro_norm(
                 h.q @ conj_transpose(h.q) + h.p @ conj_transpose(h.p) - eye_r),
         },

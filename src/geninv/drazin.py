@@ -4,13 +4,11 @@ canonical projectors.
 The core-EP and Drazin inverses come from the two powers the index search
 ends on: c = a^k (a^(k+1))^+ is the core-EP inverse and a^D = c^(k+1) a^k,
 with k the index of a. Each rank of a power b^j is decided once, in
-`_Analysis._read_rank`, against max(sigma_max(b), ref)**j, with ref fixed
-when the record is built (0, 2**-e scale for `rank_scaled` and
-`pinv_scaled`, or sigma_max(A) for the core block SQ of A), and the
-pseudoinverse of b^j keeps exactly that rank: a computed power of a
-numerically nilpotent matrix is noise at sigma_max(b)**j, never exactly
-zero, which a relative cutoff would read as signal. At power 1 and ref 0
-that is the relative cutoff, so a^1 is a, with the rank and a^+ of a.
+`_Analysis._read_rank`, against max(sigma_max(b), ref)**j (ref is 0 but in
+`rank_scaled` and `pinv_scaled`), and the pseudoinverse of b^j keeps that
+rank: a computed power of a numerically nilpotent matrix is noise at
+sigma_max(b)**j, never exactly zero, which a relative cutoff would read as
+signal. At power 1 and ref 0 that is the relative cutoff, so a^1 is a.
 
 Every part is computed from b = 2**-e a, with e the exponent the SVD
 scales by, so that neither b^j nor sigma_max(b)**j leaves the float range
@@ -207,13 +205,13 @@ class _Analysis(_Derived):
     which keeps SVDs by input (shape and bytes) as well, so each is formed
     once; the record of A reads every part, svd(A) and A^j scaled from
     there, and forms no SVD or power of its own. Beside svd(A), the block
-    factorization and A^D, it gives `_Derived` B^j by `mat_pow`, its rank
-    with the cutoff referenced to max(sigma_max(B), ref)**j, its
-    pseudoinverse over the singular values that rank keeps, and judges
-    pairs by `kernel._compare` under `tol`. Its e (`_exp`) and its
-    reference (`_ref`, A's; 0 unless given) are fixed at construction: e by
-    the input guard, which finds it in the scan that tests finiteness, and
-    as 0 for the record of B, whose reference is 2^-e that of A.
+    factorization and A^D, it gives `_Derived` B^j, its rank against
+    max(sigma_max(B), ref)**j, its pseudoinverse over the singular values that
+    rank keeps, and judges pairs by `kernel._compare` under `tol`. Its e
+    (`_exp`) and its reference (`_ref`, A's; 0 unless `rank_scaled` or
+    `pinv_scaled` gives it) are fixed at construction: e by the input guard,
+    which finds it in the scan that tests finiteness, and as 0 for the record
+    of B, whose reference is 2^-e that of A.
 
     Every rank, `rank_scaled`'s too, reads the singular values of B^j
     through `_sigma`, asked of the record of B only. A record built with
@@ -277,7 +275,7 @@ class _Analysis(_Derived):
         return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
 
     def _form_power(self, j: int) -> np.ndarray:
-        return mat_pow(self.a, j)
+        return np.eye(len(self.a), dtype=np.complex128) if j == 0 else mat_pow(self.a, j)
 
     def _read_rank(self, j: int) -> int:
         """rank(B^j), the one rank decision, against max(sigma_max(B), ref)**j;
@@ -321,8 +319,8 @@ def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False,
     the package, a record of either kind, float or exact, which passes
     through with its own `tol` and reference, so each call analyses each
     matrix once. `values_only` builds a record that reads singular values
-    alone, for a call whose answer is a rank or an index; `ref` is the
-    reference of its ranks."""
+    alone, for an answer that is a rank or an index; `ref`, the reference
+    of its ranks, serves `rank_scaled` and `pinv_scaled` alone."""
     if isinstance(a, _Derived):
         rec = a
     else:

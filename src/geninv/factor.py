@@ -212,31 +212,38 @@ def _block_form(h: HSDecomp, top: np.ndarray) -> np.ndarray:
 
 
 def hs_reconstruct(h: HSDecomp) -> np.ndarray:
-    """Rebuild the matrix from its factors."""
-    return _block_form(h, np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p]))
-
-
-def _core_blocks(h: HSDecomp, tol: Tolerance):
-    """(record of the core SQ, qhat, sigma_tilde, qtilde), from that one
-    record, formed with overflow ignored (`hs_derived` names a derived block
-    that overflows). SQ = U1* A U1, so sigma_i(SQ) <= sigma_i(A): the record
-    reads its ranks against sigma_max(A), not the noise SQ is if A^2 = 0."""
-    from .drazin import _analyse
-
+    """Rebuild the matrix from its factors; an entry beyond the float range is
+    named as the overflow of Sigma, which carries all of the matrix's scale."""
     with np.errstate(over="ignore", invalid="ignore"):
-        core = _named_overflow("the core block SQ of the factorization",
-                               lambda: _analyse(h.core, tol, ref=h.sigma[0]))
-        qhat = h.q @ core.drazin
-        return core, qhat, qhat @ core.drazin @ core.drazin, h.q @ core.core_ep
+        top = np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p])
+        return _named_overflow("Sigma of the factorization", _guarded, _block_form(h, top))[0]
+
+
+def _core_blocks(h: HSDecomp, rec):
+    """((SQ)^D, qhat, sigma_tilde, qtilde) from `rec`, the record of the matrix
+    A that h factors: (SQ)^D = U1* A^D U1 and (SQ)^CE = U1* A^CE U1 (Wang 2016;
+    Ferreyra, Levis & Thome 2018); at index <= 1 both are one (SQ)^-1."""
+    u1 = h.u[:, : h.r]
+    with np.errstate(over="ignore", invalid="ignore"):
+        core_ce = conj_transpose(u1) @ rec.core_ep @ u1
+        core_d = core_ce if rec.index <= 1 else conj_transpose(u1) @ rec.drazin @ u1
+        return core_d, h.q @ core_d, h.q @ core_d @ core_d @ core_d, h.q @ core_ce
 
 
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
-    """All six derived blocks; blocks equal in shape and bytes (qhat = qtilde for
-    a nonsingular SQ, qhat = sigma_tilde = 0 for a nilpotent one) share a projector."""
-    blocks = _core_blocks(h, tol)[1:]
+    """All six derived blocks in the basis of h, read from one record of the
+    matrix h factors; blocks equal in value share a projector."""
+    from .drazin import _analyse
+
+    return _derived(h, _analyse(hs_reconstruct(h), tol))
+
+
+def _derived(h: HSDecomp, rec) -> HSDerived:
+    """`hs_derived`, read from `rec`, the record of the matrix h factors."""
+    blocks = _core_blocks(h, rec)[1:]
+    keys = [(x.shape, (x + 0).tobytes()) for x in blocks]  # x + 0 turns -0 to +0
     deltas = {}
-    for name, x in zip(("qhat", "sigma_tilde", "qtilde"), blocks):
-        key = (x.shape, x.tobytes())
+    for name, x, key in zip(("qhat", "sigma_tilde", "qtilde"), blocks, keys):
         if key not in deltas:
-            deltas[key] = x @ _named_overflow(f"the derived block {name}", pinv, x, tol)
-    return HSDerived(*blocks, *(deltas[x.shape, x.tobytes()] for x in blocks))
+            deltas[key] = x @ _named_overflow(f"the derived block {name}", pinv, x, rec.tol)
+    return HSDerived(*blocks, *(deltas[key] for key in keys))

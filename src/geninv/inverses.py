@@ -90,7 +90,7 @@ def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         m = rec.mpdmp  # named, not warned of, if it overflows
     x = _named_overflow("the MPDMP matrix", pinv, m, tol)
     h = b.hs
-    st_pinv = pinv(_core_blocks(h, tol)[2], tol)
+    st_pinv = pinv(_core_blocks(h, b)[2], tol)
     closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))
     if not b._compare(_ldexp(x, -e3), closed)[0]:
         if _guarded(closed)[1] + e3 > 1024:  # x is that of an underflowed MPDMP matrix

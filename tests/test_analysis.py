@@ -198,8 +198,8 @@ def _ep_singular():
     return u @ np.diag([2.0, 1 + 1j, 0.5j, 0.0]) @ u.conj().T
 
 
-# `hs` derives qhat, sigma_tilde and qtilde from the core SQ; they repeat
-# when SQ is nonsingular (qhat = qtilde, as for every EP matrix) or
+# `hs` derives qhat, sigma_tilde and qtilde from the record of A; they
+# repeat when SQ is nonsingular (qhat = qtilde, as for every EP matrix) or
 # nilpotent (qhat = sigma_tilde = 0), and each is decomposed once
 CLI_CASES = {" ".join(argv): (argv, None) for argv in CLI_RUNS}
 CLI_CASES.update({
@@ -214,6 +214,15 @@ def test_cli_decomposes_each_svd_input_once(argv, matrix, a1, b3, tmp_path, svd_
     _run_cli(argv, a1 if matrix is None else matrix, b3, tmp_path)
     assert svd_inputs
     assert len(svd_inputs) == len(set(svd_inputs))
+
+
+def test_classify_decomposes_only_powers_of_b(a1, b3, tmp_path, svd_inputs):
+    # the block conditions read (SQ)^D from the record of B = 2^-e A, so
+    # `classify` decomposes B, B^2 and B^3 of the index search (a1 has
+    # index 2) and no block of the factorization
+    _run_cli(["classify"], a1, b3, tmp_path)
+    b = _analyse(a1, gi.DEFAULT_TOL).unit.a
+    assert svd_inputs == [_key(np.linalg.matrix_power(b, j)) for j in (1, 2, 3)]
 
 
 POWER_CALLS = {
@@ -409,11 +418,11 @@ NONSINGULAR = {
 def test_nonsingular_spectral_work(name, e, record_calls):
     # one SVD, whose rank ends the index search at 0 and whose pinv is
     # (B^1)^+; A^⊕ = B^0 (B^1)^+ and A^D = C^1 B^0 keep their general
-    # forms, whose products with I fix the signs of zeros, so the powers
-    # are B^0 and C^1
+    # forms, whose products with I fix the signs of zeros; B^0 is formed as
+    # I by np.eye, so the one power `mat_pow` forms is C^1
     rep = gi.inverse_report(2.0 ** e * NONSINGULAR[name])
     assert (rep.index, rep.rank) == (0, 4)
-    assert record_calls == {"_rank_from": 1, "_pinv_from": 1, "svd": 1, "mat_pow": 2}
+    assert record_calls == {"_rank_from": 1, "_pinv_from": 1, "svd": 1, "mat_pow": 1}
 
 
 def test_suites_spectral_work(record_calls):
@@ -423,10 +432,10 @@ def test_suites_spectral_work(record_calls):
     # keeps, also in the 30 records that read no other rank (10 each of the
     # DMP inverse in five_way_mp and in cce_conditional, and of CMP); no
     # record of the core block SQ is built; a record that evaluates a row
-    # with I forms it once, as B^0
+    # with I forms it once, as B^0, by np.eye, not by `mat_pow`
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 412, "_pinv_from": 270, "svd": 412, "mat_pow": 422}
+    assert record_calls == {"_rank_from": 412, "_pinv_from": 270, "svd": 412, "mat_pow": 382}
 
 
 @pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))

@@ -28,7 +28,7 @@ from geninv import (
     pinv,
     wqrt_criterion,
 )
-from geninv.ensembles import EnsembleSpec, gen, idempotent_core_samples
+from geninv.ensembles import EnsembleSpec, _rng_for, _sample, gen, idempotent_core_samples
 
 from conftest import random_complex
 
@@ -206,18 +206,17 @@ def test_six_identities_on_core_ep_samples():
 
 @pytest.mark.parametrize("e", (0, 40, -40, 300, -300))
 def test_core_block_of_a_square_zero_matrix_is_read_against_sigma_max(e):
-    # A^2 = 0 != A: SQ = U1* A U1 is 0, computed as rounding noise, which
-    # its record reads against sigma_max(A) as rank 0, so (SQ)^D = 0 and
-    # the block tests agree with the direct ones (A^D = 0, and the CMP,
-    # MPDMP and CCE inverses are 0, which is EP)
+    # A^2 = 0 != A: SQ = U1* A U1 is 0, computed as rounding noise. The
+    # block tests read (SQ)^D = U1* A^D U1 from the record of A, which
+    # reads A as nilpotent, so (SQ)^D = 0 and they agree with the direct
+    # ones (A^D = 0, and the CMP, MPDMP and CCE inverses are 0, which is EP)
     a = np.array([[-1, -1, -1], [0, 0, 0], [1, 1, 1]], dtype=complex)
     assert core_ep_equiv_report(2.0 ** e * a).flags == ()
     h = hs_decompose(2.0 ** e * np.array([[1, 1j], [1j, -1]]))
     assert cmp_ep_criterion(h) and mpdmp_ep_criterion(h) and cce_ep_criterion(h)
     assert not np.any(hs_derived(h).qhat)
-    # SQ about 1e-160 sigma_max(A): the square of its reference, sigma_max(A)
-    # in the scale of SQ, is beyond the float range and reads as inf, so
-    # rank 0, and (SQ)^D = 0 as A^D = 0
+    # SQ about 1e-160 sigma_max(A), and A^2 = 0 computed exactly: (SQ)^D =
+    # U1* A^D U1 = 0 as A^D = 0
     a = 2.0 ** e * np.array([[1e-160, 1], [0, 0]], dtype=complex)
     h = hs_decompose(a)
     derived = hs_derived(h)
@@ -225,6 +224,21 @@ def test_core_block_of_a_square_zero_matrix_is_read_against_sigma_max(e):
     assert core_ep_equiv_report(a).flags == ()
     assert cmp_ep_criterion(h) and mpdmp_ep_criterion(h) and cce_ep_criterion(h)
     assert dmp_pinv_commute_criterion(h)
+
+
+# (kind, n, seed, sample) of dense nilpotent blocks at n = 13-16, which are
+# numerically ill-posed: the block criteria agree with the direct tests only
+# when they read (SQ)^D from the record of A, which the direct tests read
+DENSE_NILPOTENT = (("nilpotent", 13, 1, 7), ("nilpotent", 14, 0, 7), ("k_ep", 15, 0, 0),
+                   ("k_ep", 16, 1, 0))
+
+
+@pytest.mark.parametrize("kind, n, seed, sample", DENSE_NILPOTENT)
+def test_block_criteria_read_the_record_of_a_on_dense_nilpotent_blocks(kind, n, seed, sample):
+    a = _sample(EnsembleSpec(n, 8, seed, kind), _rng_for(seed, sample))
+    d, dmp_pinv = drazin(a), pinv(dmp(a))
+    assert dmp_pinv_commute_criterion(hs_decompose(a)) == approx_eq(dmp_pinv @ d, d @ dmp_pinv)
+    assert core_ep_equiv_report(a).flags == ()
 
 
 @st.composite

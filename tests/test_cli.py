@@ -182,8 +182,8 @@ def _fresh_interpreter(argv):
 
 # diag(5e-324, 0) is 2^-1073 B, B = diag(1/2, 0): A^+ and A^D are 2^1073 B^+
 # = diag(2^1074, 0), beyond the float range. The blocks of `hs` overflow
-# for it, and for 2^1022 J (J the 4 x 4 ones matrix), whose sigma is 2^1024:
-# the error names the first derived block that does.
+# for it, and for 2^1022 J (J the 4 x 4 ones matrix), whose sigma is 2^1024
+# up to rounding: the error names Sigma or the first derived block that does.
 OVERFLOWED = "the result overflowed: an entry is beyond the float64 range"
 BEYOND_RANGE = {
     "compute drazin": ("tiny", ["compute", "--which", "drazin"], OVERFLOWED),
@@ -193,7 +193,7 @@ BEYOND_RANGE = {
                           OVERFLOWED),
     "hs -o": ("tiny", ["hs", "-o", "{out}/hs"], "the derived block qhat overflows float64"),
     "hs -o sigma": ("huge", ["hs", "-o", "{out}/hs"],
-                    "the core block SQ of the factorization overflows float64"),
+                    "Sigma of the factorization overflows float64"),
 }
 
 

@@ -16,6 +16,7 @@ from geninv import (
     greville_forms,
     hs_decompose,
     hs_derived,
+    hs_reconstruct,
     index,
     inverse_report,
     mat_pow,
@@ -132,13 +133,16 @@ TINY, HUGE = np.diag([5e-324, 0.0]), np.full((4, 4), 2.0 ** 1022)
 
 @pytest.mark.parametrize("func, a, block", (
     (lambda a: hs_derived(hs_decompose(a)), TINY, "the derived block qhat"),
-    (lambda a: hs_derived(hs_decompose(a)), HUGE, "the core block SQ of the factorization"),
+    (lambda a: hs_derived(hs_decompose(a)), HUGE, "Sigma of the factorization"),
     (mpdmp_pinv, TINY, "the MPDMP matrix"),
     (mpdmp_pinv, HUGE, "the pseudoinverse of the MPDMP matrix"),
-), ids=("hs_derived tiny", "hs_derived huge", "mpdmp_pinv tiny", "mpdmp_pinv huge"))
+    (lambda a: hs_reconstruct(hs_decompose(a)), HUGE, "Sigma of the factorization"),
+), ids=("hs_derived tiny", "hs_derived huge", "mpdmp_pinv tiny", "mpdmp_pinv huge",
+        "hs_reconstruct huge"))
 def test_overflowed_block_is_named_not_the_input(func, a, block):
-    # A is finite, but (SQ)^D = 2^1074 for TINY and Sigma = 2^1024 for HUGE;
-    # the named error comes first, with no overflow warning before it
+    # A is finite, but (SQ)^D = 2^1074 for TINY and Sigma = 2^1024, up to
+    # rounding, for HUGE; the named error comes first, with no overflow
+    # warning before it
     with pytest.raises(PreconditionError, match=f"^{block} overflows float64$"):
         func(a)
 

@@ -267,12 +267,12 @@ def test_cce_hypothesis_skip(e):
 
 
 def _block_subjects():
-    """Every nonzero 3 x 3 0-1 matrix, and every kind at n = 1-8 (seeds 0
+    """Every nonzero 3 x 3 0-1 matrix, and every kind at n = 1-12 (seeds 0
     and 1, 8 samples each), as records; zero samples are left out."""
     grids = (np.array(flat).reshape(3, 3) for flat in itertools.product((0, 1), repeat=9))
     recs = [_analyse(a.astype(complex), DEFAULT_TOL) for a in grids if a.any()]
     for kind in KINDS:
-        for n in range(1, 9):
+        for n in range(1, 13):
             for seed in (0, 1):
                 spec = EnsembleSpec(n, 8, seed, kind, rank=1 if kind == "fixed_rank" else None,
                                     index=min(2, n) if kind == "fixed_index" else None)
@@ -285,17 +285,19 @@ def test_block_statements_equal_their_dmp_forms():
     # DMP inverse A^D A A^+ = U diag((SQ)^D, 0) U*, which rests on two
     # identities: A^D A (I - AA^+) = U [[0, (SQ)^D SP], [0, 0]] U*, and, for
     # any T of index k, T^CE = T^D P_R(T^k), which is T^D iff T^D is EP.
-    # The paper's block forms stay public; each must give the same answer.
-    # n stays at 8: from n = 13 the record of SQ misreads dense nilpotent
-    # blocks, and the block form then disagrees with the direct test
+    # The paper's block forms stay public and read (SQ)^D = U1* A^D U1 and
+    # (SQ)^CE = U1* A^CE U1 from the record of A, U1 the first r columns of
+    # U; each must give the same answer
     subjects, hypothesis_fails = _block_subjects(), 0
     for rec in subjects:
-        assert dmp_pinv_commute_criterion(rec.hs) == _dmp_pinv_commutes(rec)[0], rec.a
-        core = _core_blocks(rec.hs, DEFAULT_TOL)[0]
-        fails = not core._compare(core.core_ep, core.drazin)[0]
+        h = rec.hs
+        assert dmp_pinv_commute_criterion(h) == _dmp_pinv_commutes(rec)[0], rec.a
+        u1 = h.u[:, : h.r]
+        core_ce = u1.conj().T @ rec.core_ep @ u1
+        fails = not rec._compare(core_ce, _core_blocks(h, rec)[0])[0]
         assert fails == (not rec._of(rec.dmp).is_ep), rec.a
         hypothesis_fails += fails
-    assert (len(subjects), hypothesis_fails) == (1496, 48)
+    assert (len(subjects), hypothesis_fails) == (2008, 48)
 
 
 def test_verify_system_accepts_complex_fixture():
