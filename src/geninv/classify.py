@@ -5,9 +5,9 @@ through conditions on the unitary block factorization.
 Every boolean is a residual comparison under the shared Tolerance, and the
 raw residual is reported next to it so near-threshold calls can be audited.
 The class predicates read the verdicts of the analysis record
-(`drazin._Analysis`), decided on B = 2^-e a (e as in `svd`) under the
-record's tolerance, and the block tests read that record and its own
-factors, so they give the same answer for every power-of-two multiple of a.
+(`drazin._Analysis`), decided on B = 2^-e a (e as in `svd`) under its
+tolerance, and the criteria read it, its factors and the records of what
+it derives (`_of`), judged by it: each gives one answer for all 2^k a.
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drazin import _analyse
-from .factor import HSDecomp, _core_blocks, hs_reconstruct, pinv
+from .factor import HSDecomp, _core_blocks, hs_reconstruct
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
     PreconditionError,
     Tolerance,
     _check,
-    approx_eq,
     conj_transpose,
-    diff_norm,
 )
 
 __all__ = [
@@ -101,9 +99,9 @@ def _block_conditions(rec):
     h = rec.hs
     core_d, qhat, _, _ = _core_blocks(h, rec)
     p_qhat, core_dsp = conj_transpose(h.p) @ qhat, core_d @ h.sigma_mat @ h.p
-    return (approx_eq(conj_transpose(h.q) @ qhat, core_d, rec.tol),
-            approx_eq(p_qhat, np.zeros_like(p_qhat), rec.tol),
-            approx_eq(core_dsp, np.zeros_like(core_dsp), rec.tol))
+    return (rec._compare(conj_transpose(h.q) @ qhat, core_d)[0],
+            rec._compare(p_qhat, np.zeros_like(p_qhat))[0],
+            rec._compare(core_dsp, np.zeros_like(core_dsp))[0])
 
 
 def core_ep_block_conditions(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
@@ -152,19 +150,21 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
 
 def _block_ep(h: HSDecomp, block: int, tol: Tolerance):
     """For m the chosen block of `_core_blocks`, read from the record of
-    B = 2^-e A, A the matrix h factors, and its factors, and delta = m m^+:
-    whether Q* delta Q = m^+ m and delta P = 0, and the pairs that a positive
+    B = 2^-e A, A the matrix h factors, and its factors, and delta = m m^+,
+    m^+ read from the record of m: whether Q* delta Q = m^+ m and delta P = 0,
+    and a function that judges, by the record of B, the pairs that a positive
     verdict makes equal: PP* and QQ* commute with delta, and delta = Q m^+ m Q*."""
     rec = _analyse(hs_reconstruct(h), tol).unit
     h = rec.hs
     m = _core_blocks(h, rec)[block]
-    m_pinv = pinv(m, tol)
+    m_pinv = rec._of(m).pinv
     delta = m @ m_pinv
     qq, pp = h.q @ conj_transpose(h.q), h.p @ conj_transpose(h.p)
-    holds = (approx_eq(conj_transpose(h.q) @ delta @ h.q, m_pinv @ m, tol)
-             and approx_eq(delta @ h.p, np.zeros_like(h.p), tol))
-    return holds, [(pp @ delta, delta @ pp), (qq @ delta, delta @ qq),
-                   (delta, h.q @ m_pinv @ m @ conj_transpose(h.q))]
+    holds = (rec._compare(conj_transpose(h.q) @ delta @ h.q, m_pinv @ m)[0]
+             and rec._compare(delta @ h.p, np.zeros_like(h.p))[0])
+    return holds, lambda: [rec._compare(x, y) for x, y in [
+        (pp @ delta, delta @ pp), (qq @ delta, delta @ qq),
+        (delta, h.q @ m_pinv @ m @ conj_transpose(h.q))]]
 
 
 def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -185,21 +185,19 @@ def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """CCE inverse is EP iff Q* delta_tilde Q = qtilde^+ qtilde and
     delta_tilde P = 0; a positive result also implies that delta_tilde
     commutes with PP* and QQ* and equals Q qtilde^+ qtilde Q*."""
-    holds, pairs = _block_ep(h, 3, tol)
-    if holds and not all(approx_eq(x, y, tol) for x, y in pairs):
-        raise InternalCheckError(
-            "CCE EP-criterion consequences failed on a positive result"
-        )
+    holds, consequences = _block_ep(h, 3, tol)
+    if holds and not all(ok for ok, _ in consequences()):
+        raise InternalCheckError("CCE EP-criterion consequences failed on a positive result")
     return holds
 
 
 def mpdmp_ep_consequences(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residuals of [PP*, delta_hat], [QQ*, delta_hat] and
     delta_hat - Q st^+ st Q*; requires mpdmp_ep_criterion(h)."""
-    holds, pairs = _block_ep(h, 2, tol)
+    holds, consequences = _block_ep(h, 2, tol)
     if not holds:
         raise PreconditionError("MPDMP EP criterion does not hold")
-    return tuple(diff_norm(lhs, rhs) for lhs, rhs in pairs)
+    return tuple(residual for _, residual in consequences())
 
 
 def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -210,13 +208,14 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     weaker and is the one that matches the direct commutation test.
     """
     rec = _analyse(hs_reconstruct(h), tol).unit
-    return _block_conditions(rec)[2] and is_ep(_core_blocks(rec.hs, rec)[0], tol)
+    return _block_conditions(rec)[2] and rec._of(_core_blocks(rec.hs, rec)[0]).is_ep
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """CMP inverse is EP iff (MPD)(CMP)^+ = (CMP)^+(DMP)."""
+    """CMP inverse is EP iff (MPD)(CMP)^+ = (CMP)^+(DMP), read through the
+    record of a, float or exact."""
     rec = _analyse(a, tol)
-    if not np.any(rec.a != 0):
+    if not rec.rank:
         raise PreconditionError("criterion requires a nonzero matrix")
-    c_pinv = pinv(rec.cmp, tol)
-    return approx_eq(rec.mpd @ c_pinv, c_pinv @ rec.dmp, tol)
+    c_pinv = rec._of(rec.cmp).pinv
+    return rec._compare(rec.mpd @ c_pinv, c_pinv @ rec.dmp)[0]

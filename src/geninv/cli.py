@@ -236,12 +236,12 @@ def cmd_compute(args) -> int:
     tol = _tolerance(args)
     a = load_matrix(args.input)
     rec = _analyse(a, tol, square=args.which != "mp")
-    x = _WHICH_FUNCS[args.which](rec, tol)
+    x = _WHICH_FUNCS[args.which](rec)
     # the residuals are those of B = 2^-e A and B's own inverse, as in
     # `verify_system`: the same for every power-of-two multiple of A, and
     # finite however far A^k would leave the float range
     unit = rec.unit
-    x_unit = x if unit is rec else _WHICH_FUNCS[args.which](unit, tol)
+    x_unit = x if unit is rec else _WHICH_FUNCS[args.which](unit)
     sidecar = {
         "which": args.which,
         "residuals": {label: diff_norm(*sides(unit, x_unit))
@@ -262,7 +262,7 @@ def cmd_compute(args) -> int:
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
-    rep = core_ep_equiv_report(rec, tol)
+    rep = core_ep_equiv_report(rec)
     _dump({"rank": rec.rank, "index": rec.index, **dataclasses.asdict(rep)}, args.pretty)
     return EXIT_OK
 

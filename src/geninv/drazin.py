@@ -202,16 +202,17 @@ class _Analysis(_Derived):
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
     lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
-    which keeps SVDs by input (shape and bytes) as well, so each is formed
-    once; the record of A reads every part, svd(A) and A^j scaled from
-    there, and forms no SVD or power of its own. Beside svd(A), the block
-    factorization and A^D, it gives `_Derived` B^j, its rank against
-    max(sigma_max(B), ref)**j, its pseudoinverse over the singular values that
-    rank keeps, and judges pairs by `kernel._compare` under `tol`. Its e
-    (`_exp`) and its reference (`_ref`, A's; 0 unless `rank_scaled` or
-    `pinv_scaled` gives it) are fixed at construction: e by the input guard,
-    which finds it in the scan that tests finiteness, and as 0 for the record
-    of B, whose reference is 2^-e that of A.
+    which looks each SVD up by its power j and keys it by input (shape and
+    bytes) once (`_svd`), so bitwise-equal powers share one; the record of A
+    reads every part, svd(A) and A^j scaled from there, and forms no SVD or
+    power of its own. Beside svd(A), the block factorization and A^D, it
+    gives `_Derived` B^j, its rank against max(sigma_max(B), ref)**j, its
+    pseudoinverse over the singular values that rank keeps, and judges pairs
+    by `kernel._compare` under `tol`. Its e (`_exp`) and its reference
+    (`_ref`, A's; 0 unless `rank_scaled` or `pinv_scaled` gives it) are
+    fixed at construction: e by the input guard, which finds it in the scan
+    that tests finiteness, and as 0 for the record of B, whose reference is
+    2^-e that of A.
 
     Every rank, `rank_scaled`'s too, reads the singular values of B^j
     through `_sigma`, asked of the record of B only. A record built with
@@ -227,32 +228,30 @@ class _Analysis(_Derived):
     _values_only: bool = False
     _ref: float = 0.0
     _svds: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_power: dict = field(default_factory=dict, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
     _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _svd(self, j: int):
         """svd(A^j), or its singular values alone on a `_values_only` record,
-        decomposed once per input (shape and bytes); a power that overflowed
+        looked up by j; its input key (shape and bytes) is formed once, so
+        bitwise-equal powers share one decomposition. A power that overflowed
         is named (`kernel._named_overflow`)."""
-        m = self.power(j)
-        key = (m.shape, m.tobytes())
-        if key not in self._svds:
-            self._svds[key] = _named_overflow(f"power {j} of the matrix, scaled to parts below 1,",
-                                              _singular_values if self._values_only else svd, m)
-        return self._svds[key]
+        if j not in self._by_power:
+            m = self.power(j)
+            key = (m.shape, m.tobytes())
+            if key not in self._svds:
+                self._svds[key] = _named_overflow(
+                    f"power {j} of the matrix, scaled to parts below 1,",
+                    _singular_values if self._values_only else svd, m)
+            self._by_power[j] = self._svds[key]
+        return self._by_power[j]
 
     def _sigma(self, j: int) -> np.ndarray:
-        """The singular values of B^j, asked of the record of B only; those
-        of B are looked up once (`_s1`)."""
-        if j == 1:
-            return self._s1
+        """The singular values of B^j, nonincreasing; asked of the record of B only."""
         res = self._svd(j)
         return res if self._values_only else res.s
-
-    @_once
-    def _s1(self) -> np.ndarray:
-        return self._svd(1) if self._values_only else self.factors.s
 
     @property
     def unit(self) -> "_Analysis":
@@ -278,17 +277,18 @@ class _Analysis(_Derived):
         return np.eye(len(self.a), dtype=np.complex128) if j == 0 else mat_pow(self.a, j)
 
     def _read_rank(self, j: int) -> int:
-        """rank(B^j), the one rank decision, against max(sigma_max(B), ref)**j;
-        a power beyond the float range reads as inf, which keeps no value."""
+        """rank(B^j), the one rank decision, against max(sigma_max(B), ref)**j,
+        sigma_max(B) the first of B's singular values; a power beyond the
+        float range reads as inf, which keeps no value."""
         try:
-            scale = max(float(self._s1.max(initial=0.0)), self._ref) ** j
+            scale = max(float(self._sigma(1)[:1].max(initial=0.0)), self._ref) ** j
         except OverflowError:
             scale = np.inf
         return _rank_from(self._sigma(j), self.a.shape, scale, self.tol)
 
     def _invert_power(self, j: int) -> np.ndarray:
         """(B^j)^+ over the rank(B^j) largest singular values it was read from."""
-        return _pinv_from(self.factors if j == 1 else self._svd(j), self._rank_of_power(j))
+        return _pinv_from(self._svd(j), self._rank_of_power(j))
 
     def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
         return _compare(x, y, self.tol)

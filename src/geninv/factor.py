@@ -245,5 +245,5 @@ def _derived(h: HSDecomp, rec) -> HSDerived:
     deltas = {}
     for name, x, key in zip(("qhat", "sigma_tilde", "qtilde"), blocks, keys):
         if key not in deltas:
-            deltas[key] = x @ _named_overflow(f"the derived block {name}", pinv, x, rec.tol)
+            deltas[key] = x @ _named_overflow(f"the derived block {name}", rec._of, x).pinv
     return HSDerived(*blocks, *(deltas[key] for key in keys))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drazin import _analyse
-from .factor import _block_form, _core_blocks, pinv
+from .factor import _block_form, _core_blocks
 from .kernel import DEFAULT_TOL, PreconditionError, Tolerance, _guarded, _ldexp, _named_overflow
 
 __all__ = [
@@ -88,9 +88,9 @@ def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     b, e3 = rec.unit, 3 * rec._exp
     with np.errstate(over="ignore", invalid="ignore"):
         m = rec.mpdmp  # named, not warned of, if it overflows
-    x = _named_overflow("the MPDMP matrix", pinv, m, tol)
+    x = _named_overflow("the MPDMP matrix", rec._of, m).pinv
     h = b.hs
-    st_pinv = pinv(_core_blocks(h, b)[2], tol)
+    st_pinv = b._of(_core_blocks(h, b)[2]).pinv
     closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))
     if not b._compare(_ldexp(x, -e3), closed)[0]:
         if _guarded(closed)[1] + e3 > 1024:  # x is that of an underflowed MPDMP matrix

@@ -162,6 +162,26 @@ def test_each_svd_input_decomposed_once(name, a1, svd_inputs, full_svd_inputs):
         assert full_svd_inputs == []
 
 
+class _CountedBytes(np.ndarray):
+    """An array that counts the calls of its `tobytes` in `keyed`."""
+
+    def tobytes(self, *args, **kwargs):
+        self.keyed += 1
+        return super().tobytes(*args, **kwargs)
+
+
+def test_power_keyed_once_however_often_looked_up(a1):
+    # each decomposition is looked up by its power j; the input key of B^j
+    # (shape and bytes) is formed once, when B^j is first decomposed
+    rec = _analyse(a1, gi.DEFAULT_TOL).unit
+    square = rec._powers[2] = rec.power(2).view(_CountedBytes)
+    square.keyed = 0
+    rec._svd(2), rec._sigma(2)
+    assert (rec.index, rec.drazin.shape) == (2, (3, 3))  # reads B^2 again
+    assert rec._svd(2) is rec._svd(2) and square.keyed == 1
+    assert len(rec._svds) == 3  # B, B^2 and B^3
+
+
 def test_inverse_report_svd_calls_at_most_index_plus_one(a1, svd_inputs):
     # A and the powers B^2 ... B^(k+1) of the index search; A^D and the
     # core-EP inverse need no other

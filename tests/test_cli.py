@@ -225,6 +225,7 @@ BAD_INPUT = {
     # name: (argv, GENINV_SEED or None, exit code)
     "rank parameter not an integer": (VERIFY + ["--class", "fixed_rank:abc"], None, 5),
     "index parameter not an integer": (VERIFY + ["--class", "fixed_index:2.5"], None, 5),
+    "parameter to a class that takes none": (VERIFY + ["--class", "generic:3"], None, 5),
     "seed not an integer": (VERIFY + ["--seed", "abc"], None, 2),
     "GENINV_SEED not an integer": (VERIFY, "abc", 2),
     "GENINV_SEED a float": (VERIFY, "1.5", 2),
@@ -244,11 +245,17 @@ BAD_INPUT = {
                                        "-o", "{missing}/x.json"], None, 2),
     "hs output directory an existing file": (["hs", "-i", "{a1}", "-o", "{a1}"], None, 2),
 }
+# the text that the error line of a BAD_INPUT row must contain
+ERROR_TEXT = {
+    "rank parameter not an integer": "class 'fixed_rank' takes an integer parameter, got 'abc'",
+    "index parameter not an integer": "class 'fixed_index' takes an integer parameter, got '2.5'",
+    "parameter to a class that takes none": "class 'generic' takes no parameter",
+}
 
 
-@pytest.mark.parametrize("argv, env_seed, code", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_exits_with_an_error_line(argv, env_seed, code, files, tmp_path,
-                                            monkeypatch):
+@pytest.mark.parametrize("name", BAD_INPUT)
+def test_bad_input_exits_with_an_error_line(name, files, tmp_path, monkeypatch):
+    argv, env_seed, code = BAD_INPUT[name]
     bool_dims = tmp_path / "bool_dims.json"
     bool_dims.write_text('{"rows": true, "cols": true, "data": [[[1, 2]]]}')
     monkeypatch.delenv("GENINV_SEED", raising=False)
@@ -262,6 +269,7 @@ def test_bad_input_exits_with_an_error_line(argv, env_seed, code, files, tmp_pat
     assert any(line.startswith(("error:", "geninv verify: error:", "geninv compute: error:"))
                for line in err.splitlines())
     assert "Traceback" not in err
+    assert ERROR_TEXT.get(name, "") in err
 
 
 TOL_ERROR = "error: tolerance fields must be finite and strictly positive: "

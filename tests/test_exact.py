@@ -484,6 +484,25 @@ def test_exact_suite_verdicts_equal_the_float_ones():
     assert verdicts == 3171
 
 
+def test_wqrt_criterion_exact_equals_float():
+    # the criterion reads (CMP)^+ from the record of the CMP inverse and
+    # judges through the record of A, so it runs on the exact record; the
+    # zero matrix has rank 0 on both
+    verdicts = Counter()
+    for flat in itertools.product((-1, 0, 1), repeat=4):
+        a = np.array(flat).reshape(2, 2)
+        recs = (_analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a)))
+        if not a.any():
+            for rec in recs:
+                with pytest.raises(gi.PreconditionError):
+                    gi.wqrt_criterion(rec)
+            continue
+        fl, ex = map(gi.wqrt_criterion, recs)
+        assert fl == ex, a
+        verdicts[ex] += 1
+    assert verdicts == {True: 64, False: 16}
+
+
 # ---- float against exact on integer matrices of prescribed index
 
 def _prescribed_index_matrices(seed=5):

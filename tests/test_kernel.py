@@ -18,6 +18,7 @@ from geninv import (
     mat_pow,
     matmul,
 )
+from geninv.exact import RMatrix, exact_inv
 from geninv.kernel import _PLAIN_BAND, _compare, _exponent, _guarded, eq_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -107,6 +108,27 @@ def test_matmul_fixture_product(a3, b3):
 def test_matmul_shape_check():
     with pytest.raises(DimensionMismatchError):
         matmul(np.ones((2, 3), dtype=complex), np.ones((2, 3), dtype=complex))
+
+
+SHAPE_ERRORS = {
+    "ragged rows": (lambda: RMatrix([[1, 2], [3]]), ValueError, "ragged rows"),
+    "exact product": (lambda: RMatrix([[1, 2]]) @ RMatrix([[1, 2]]), ValueError,
+                      r"cannot multiply \(1, 2\) by \(1, 2\)"),
+    "exact sum": (lambda: RMatrix([[1, 2]]) + RMatrix([[1], [2]]), ValueError,
+                  r"shape mismatch \(1, 2\) vs \(2, 1\)"),
+    "exact inverse of 1x2": (lambda: exact_inv(RMatrix([[1, 2]])), ValueError,
+                             "inverse of non-square matrix"),
+    "power of 2x3": (lambda: mat_pow(np.ones((2, 3), dtype=complex), 2),
+                     DimensionMismatchError, r"power of non-square matrix \(2, 3\)"),
+    "diff_norm of 2x2 and 2x3": (lambda: diff_norm(np.ones((2, 2)), np.ones((2, 3))),
+                                 DimensionMismatchError, r"shape mismatch \(2, 2\) vs \(2, 3\)"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS)
+def test_shape_errors_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_approx_eq_fixtures(a1, a2):

@@ -25,6 +25,7 @@ from geninv.verify import (
     SUITE_IDS,
     SYSTEM_IDS,
     _SUITES,
+    _SYSTEMS,
     _dmp_pinv_commutes,
     run_suite,
     solution_family,
@@ -46,6 +47,24 @@ def test_designated_solutions_and_refutations(system, a1, a2, a3):
         assert max(eq_residuals) <= 1e-9
         assert rep.breakdown["perturbation_refutation"]["worst_residual"] > 1e-4
         assert rep.breakdown["perturbation_refutation"]["samples"] == 10
+
+
+def test_perturbation_that_breaks_no_equation_is_a_failure(a1):
+    # with min_violation = inf no perturbation refutes the solution: all 10
+    # are failures, and the worst residual is the smallest of the violations,
+    # recomputed here from the same draws on B = a1 / 4
+    rep = verify_system(a1, "a2", seed=17, min_violation=np.inf)
+    entry = rep.breakdown["perturbation_refutation"]
+    assert (entry["samples"], entry["failures"], rep.failures) == (10, 10, 10)
+    assert not rep.passed
+    rec, (solution, eqs) = _analyse(a1 / 4, DEFAULT_TOL), _SYSTEMS["a2"]
+    x, rng, violations = solution(rec), np.random.default_rng(17), []
+    for _ in range(10):
+        e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        xp = x + 1e-2 * (e / np.linalg.norm(e))
+        violations.append(max(fro_norm(lhs - rhs) for lhs, rhs in
+                              (sides(rec, xp) for _, sides in eqs)))
+    assert entry["worst_residual"] == min(violations) == pytest.approx(4.93e-3, rel=1e-3)
 
 
 def test_projector_system_requires_core_ep(a1):
