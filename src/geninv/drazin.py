@@ -91,15 +91,22 @@ class _Derived:
     the power of 2^e it scales by: A^j, (A^j)^+ and rank(A^j), each formed
     once per j (A^1 is A); rank(A), A^+, the index, the core-EP inverse,
     core(A), the DMP, MPD, CMP, MPDMP and CCE inverses, and the EP, core-EP
-    and k-EP verdicts. A record gives `a`, `drazin`, `_exp` (if not 0, every
-    part and power is read from `unit`, the record of B = 2^-e A), the memo
-    dicts `_powers`, `_pinvs` and `_ranks`, and five primitives:
-    `_form_power(j)` (j != 1), `_read_rank(j)` and `_invert_power(j)` for
-    A^j, rank(A^j) and (A^j)^+, `_compare(x, y) -> (holds, residual)`, the
-    judge of x = y in the verdicts and in `kernel._check`, and `_of(m)`, a
-    record of the same kind for a matrix m derived from A, such as its DMP
-    inverse. The float record (`_Analysis`) and the exact
-    (`exact._ExactAnalysis`) inherit it."""
+    and k-EP verdicts; and `unit`, the record of B = 2^-e A. A record gives
+    `a`, `drazin`, `_exp` (if not 0, every part and power is read from
+    `unit`, which the record builds as `_unit`), the memo dicts `_powers`,
+    `_pinvs` and `_ranks`, and five primitives: `_form_power(j)` (j != 1),
+    `_read_rank(j)` and `_invert_power(j)` for A^j, rank(A^j) and (A^j)^+,
+    `_compare(x, y) -> (holds, residual)`, the judge of x = y in the
+    verdicts and in `kernel._check`, and `_of(m)`, a record of the same kind
+    for a matrix m derived from A, such as its DMP inverse. The float record
+    (`_Analysis`) and the exact (`exact._ExactAnalysis`) inherit it."""
+
+    @property
+    def unit(self) -> "_Derived":
+        """The record of B = 2^-e A, its largest real or imaginary part in
+        [0.5, 1); when e = 0, as always on the exact record, this record
+        itself, not stored, so none refers to itself."""
+        return self if self._exp == 0 else self._unit
 
     def power(self, j: int):
         """A^j, formed once per j; A^1 is A. On a record with e != 0, read as
@@ -205,14 +212,14 @@ class _Analysis(_Derived):
     which looks each SVD up by its power j and keys it by input (shape and
     bytes) once (`_svd`), so bitwise-equal powers share one; the record of A
     reads every part, svd(A) and A^j scaled from there, and forms no SVD or
-    power of its own. Beside svd(A), the block factorization and A^D, it
-    gives `_Derived` B^j, its rank against max(sigma_max(B), ref)**j, its
-    pseudoinverse over the singular values that rank keeps, and judges pairs
-    by `kernel._compare` under `tol`. Its e (`_exp`) and its reference
-    (`_ref`, A's; 0 unless `rank_scaled` or `pinv_scaled` gives it) are
-    fixed at construction: e by the input guard, which finds it in the scan
-    that tests finiteness, and as 0 for the record of B, whose reference is
-    2^-e that of A.
+    power of its own. Beside svd(A), the block factorization, A^D and the
+    record of B (`_unit`), it gives `_Derived` B^j, its rank against
+    max(sigma_max(B), ref)**j, its pseudoinverse over the singular values
+    that rank keeps, and judges pairs by `kernel._compare` under `tol`. Its
+    e (`_exp`) and its reference (`_ref`, A's; 0 unless `rank_scaled` or
+    `pinv_scaled` gives it) are fixed at construction: e by the input guard,
+    which finds it in the scan that tests finiteness, and as 0 for the
+    record of B, whose reference is 2^-e that of A.
 
     Every rank, `rank_scaled`'s too, reads the singular values of B^j
     through `_sigma`, asked of the record of B only. A record built with
@@ -252,12 +259,6 @@ class _Analysis(_Derived):
         """The singular values of B^j, nonincreasing; asked of the record of B only."""
         res = self._svd(j)
         return res if self._values_only else res.s
-
-    @property
-    def unit(self) -> "_Analysis":
-        """The record of B = 2^-e A, its largest real or imaginary part in
-        [0.5, 1); when e = 0 this record itself, not stored, so none refers to itself."""
-        return self if self._exp == 0 else self._unit
 
     @_once
     def _unit(self) -> "_Analysis":
@@ -331,12 +332,18 @@ def _analyse(a, tol: Tolerance, square: bool = True, values_only: bool = False,
     return rec
 
 
-def _operand(rec: _Analysis, b) -> np.ndarray:
+def _operand(rec: _Derived, b):
     """The second operand `b` of a relation or family of the matrix of
-    `rec`, as an array, through the input guard and with the same shape
-    (DimensionMismatchError otherwise). A record passes as its matrix; no
-    record is built for `b`."""
-    b = b.a if isinstance(b, _Analysis) else _guarded(b)[0]
+    `rec`: a record passes as its matrix, so none is built for `b`; on the
+    float record any other operand goes through the input guard. A matrix
+    not of `rec`'s kind raises TypeError, so float and exact never mix, and
+    one of another shape DimensionMismatchError."""
+    if isinstance(b, _Derived):
+        b = b.a
+    elif isinstance(rec, _Analysis):
+        b = _guarded(b)[0]
+    if not isinstance(b, type(rec.a)):
+        raise TypeError(f"a {type(b).__name__} operand for a record of {type(rec.a).__name__}")
     if rec.a.shape != b.shape:
         raise DimensionMismatchError(f"size mismatch {rec.a.shape} vs {b.shape}")
     return b

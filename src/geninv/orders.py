@@ -3,7 +3,8 @@ and their equivalent characterizations.
 
 A <= B under inverse g of A means g A = g B and A g = B g. The relations
 are evaluated exactly as defined, on the pair (2^-e A, 2^-e B) with e as
-in `svd` of A, and judged by A's record; no order axioms are assumed.
+in `svd` of A, and judged by A's record; no order axioms are assumed. On
+the exact record (`exact._ExactAnalysis`) e = 0, so nothing is scaled.
 """
 
 from __future__ import annotations
@@ -53,12 +54,14 @@ _INVERSE_FOR_KIND = {
 
 
 def _check_pair(a, b, tol: Tolerance):
-    """The record of 2^-e a and 2^-e b as an array, e as in `svd` of a,
-    both through the input guard. Every relation here is homogeneous in
-    (a, b) together, so it is decided on the pair scaled that way, whose
-    answer is the same for every power-of-two multiple of the pair."""
+    """The record of 2^-e a and 2^-e b, a matrix of the record's kind
+    (`drazin._operand`), e as in `svd` of a: 0 on the exact record, where
+    nothing is scaled. Every relation here is homogeneous in (a, b)
+    together, so it is decided on the pair scaled that way, whose answer is
+    the same for every power-of-two multiple of the pair."""
     rec = _analyse(a, tol)
-    return rec.unit, _ldexp(_operand(rec, b), -rec._exp)
+    b = _operand(rec, b)
+    return rec.unit, _ldexp(b, -rec._exp) if rec._exp else b
 
 
 def _order_sides(rec, b: np.ndarray, kind: OrderKind) -> list:

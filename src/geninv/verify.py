@@ -201,7 +201,7 @@ def solution_family(a: np.ndarray, f: np.ndarray, which: str,
     rec = _analyse(a, tol)
     f = _operand(rec, f)
     a, p = rec.a, rec.pinv
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = rec.power(0)
     if which == "q1":
         x, (_, sides), law = rec.mpd + f @ (eye - a @ p), _XA_EQ_MP_CORE, "x a = a^+ core(a)"
     elif which == "q2":
@@ -384,17 +384,6 @@ _SUITES = {
 }
 
 SUITE_IDS = tuple(_SUITES)
-
-# What exact arithmetic does not reach: the pair suites, whose relations
-# scale the second operand by `_ldexp` in `orders._check_pair`. `ew2` judges
-# a record and its own core part, with no second operand to scale.
-_NOT_EXACT = ("adf", "orders_kep")
-
-
-def _exact_reach() -> dict:
-    """The other suites: they run unchanged on `exact._ExactAnalysis`."""
-    return {name: s for name, s in _SUITES.items() if name not in _NOT_EXACT}
-
 
 def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
               tol: Tolerance = DEFAULT_TOL) -> VerificationReport:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import exact
 from geninv.drazin import _analyse
-from geninv.verify import _exact_reach
+from geninv.verify import _SUITES, _adf_pairs, _kep_pairs, solution_family
 from geninv.exact import (
     QC,
     RMatrix,
@@ -465,23 +465,198 @@ def test_exact_record_judges_by_stored_form(monkeypatch):
     assert rec._compare(A1, A2) == (False, np.linalg.norm(want)) and subtracted == [A2]
 
 
+def _m(code):
+    """The 2 x 2 matrix whose entries, row by row, are written in "-0+"."""
+    return np.array(["-0+".index(c) - 1 for c in code]).reshape(2, 2)
+
+
+# Every pair (a, b) of 2 x 2 {-1, 0, 1} matrices with A^D != 0 and a != b
+# that a relation holds for, "a b" in the code of `_m`, by the relations that
+# hold on the exact record: the 80 that hold one alone separate the relations.
+# tools/census.py finds them among all 6,561 pairs.
+HELD_PAIRS = {
+    ("cmp",): "--00 ---+, --00 --+-, -0-0 ---+, -0-0 -+--, -0+0 --+-, -0+0 -+++, "
+              "-+00 -+--, -+00 -+++, 0-0- --+-, 0-0- +---, 0-0+ ---+, 0-0+ +-++, "
+              "00-- -+--, 00-- +---, 00-+ ---+, 00-+ ++-+, 00+- --+-, 00+- +++-, "
+              "00++ -+++, 00++ +-++, 0+0- -+--, 0+0- +++-, 0+0+ -+++, 0+0+ ++-+, "
+              "+-00 +---, +-00 +-++, +0-0 +---, +0-0 ++-+, +0+0 +-++, +0+0 +++-, "
+              "++00 ++-+, ++00 +++-",
+    ("dmp",): "--00 --0-, --00 --0+, -+00 -+0-, -+00 -+0+, 00-- -0--, 00-- +0--, "
+              "00-+ -0-+, 00-+ +0-+, 00+- -0+-, 00+- +0+-, 00++ -0++, 00++ +0++, "
+              "+-00 +-0-, +-00 +-0+, ++00 ++0-, ++00 ++0+",
+    ("mpd",): "-0-0 -0--, -0-0 -0-+, -0+0 -0+-, -0+0 -0++, 0-0- --0-, 0-0- +-0-, "
+              "0-0+ --0+, 0-0+ +-0+, 0+0- -+0-, 0+0- ++0-, 0+0+ -+0+, 0+0+ ++0+, "
+              "+0-0 +0--, +0-0 +0-+, +0+0 +0+-, +0+0 +0++",
+    ("drazin",): "--00 -00-, -0-0 -00-, -0+0 -00-, -+00 -00-, 0-0- -00-, 0-0+ +00+, "
+                 "00-- -00-, 00-+ +00+, 00+- -00-, 00++ +00+, 0+0- -00-, 0+0+ +00+, "
+                 "+-00 +00+, +0-0 +00+, +0+0 +00+, ++00 +00+",
+    ("dmp", "mpd", "cmp", "drazin"): "-000 -00-, -000 -00+, 000- -00-, 000- +00-, "
+                                     "000+ -00+, 000+ +00+, +000 +00-, +000 +00+",
+}
+
+
+def _held_pairs():
+    """(relations, a, b) for each pair of HELD_PAIRS, a and b as codes."""
+    return [(kinds, *pair.split()) for kinds, pairs in HELD_PAIRS.items()
+            for pair in pairs.split(", ")]
+
+
+def _records_2x2():
+    """(float record, exact record) of every 2 x 2 {-1, 0, 1} matrix, by code."""
+    return {code: (_analyse(_m(code).astype(complex), gi.DEFAULT_TOL),
+                   exact._ExactAnalysis(rm(_m(code))))
+            for code in map("".join, itertools.product("-0+", repeat=4))}
+
+
 def test_exact_suite_verdicts_equal_the_float_ones():
-    # each suite that exact arithmetic reaches is judged unchanged on both
-    # records of every 2 x 2 {-1, 0, 1} matrix, each record judging its own
-    # identities
-    verdicts = 0
-    for flat in itertools.product((-1, 0, 1), repeat=4):
-        a = np.array(flat).reshape(2, 2)
-        recs = (_analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a)))
-        for name, suite in _exact_reach().items():
+    # every suite is judged unchanged on both records, each record judging
+    # its own identities: a single-matrix suite on every 2 x 2 {-1, 0, 1}
+    # matrix; a pair suite, one whose row's source draws pairs, on (a, core
+    # a) for each and on the held pairs, with the left operands k-EP where
+    # the source forces them to be
+    recs = _records_2x2()
+    pairs = [tuple((r, r.core) for r in both) for both in recs.values()] + [
+        tuple(zip(recs[a], recs[b])) for _, a, b in _held_pairs()]
+    verdicts = Counter()
+    for name, suite in _SUITES.items():
+        pairwise = suite.source in (_adf_pairs, _kep_pairs)
+        subjects = pairs if pairwise else recs.values()
+        if suite.source is _kep_pairs:
+            subjects = [s for s in pairs if s[1][0].is_k_ep]
+        for subject in subjects:
             # a skip note, or the truth value of each identity
             fl, ex = (j if isinstance(j, str) else [h for _, h, _ in j]
-                      for j in map(suite.judge, recs))
-            assert fl == ex, (name, a)
+                      for j in map(suite.judge, subject))
+            assert fl == ex, (name, subject[1])
             if not isinstance(ex, str):
-                assert all(ex), (name, a)
-                verdicts += len(ex)
-    assert verdicts == 3171
+                assert all(ex), (name, subject[1])
+                verdicts[pairwise] += len(ex)
+    assert verdicts == {False: 3171, True: 411}
+
+
+def test_relations_separate_on_exact_pairs():
+    # the pinned pairs hold exactly the relations they are listed under, on
+    # the exact record with the second operand an RMatrix, and float agrees
+    recs, held = _records_2x2(), Counter()
+    for kinds, a, b in _held_pairs():
+        fl, ex = recs[a]
+        for rec, operand in ((ex, rm(_m(b))), (fl, _m(b))):
+            assert tuple(k.value for k in gi.OrderKind
+                         if gi.leq(rec, operand, k).holds) == kinds, (a, b)
+        held[kinds] += 1
+    assert held == {("cmp",): 32, ("dmp",): 16, ("mpd",): 16, ("drazin",): 16,
+                    ("dmp", "mpd", "cmp", "drazin"): 8}
+
+
+def test_exact_record_is_its_own_unit():
+    rec = exact._ExactAnalysis(A1)
+    assert rec._exp == 0 and rec.unit is rec
+
+
+# the functions of a pair, each as (a, b) -> its verdicts; the core upper
+# bound takes a alone and judges it against its own core part
+PAIR_FUNCS = {
+    "leq": lambda a, b: tuple(gi.leq(a, b, kind).holds for kind in gi.OrderKind),
+    "dmp_order_characterizations": gi.dmp_order_characterizations,
+    "mpd_order_characterizations": gi.mpd_order_characterizations,
+    "core_upper_bound_check": lambda a, b: tuple(r.holds for r in gi.core_upper_bound_check(a)),
+}
+# a pair that only the DMP relation holds for, one only MPD, and a 3 x 3 pair
+OPERAND_PAIRS = (("--00", "--0-"), ("0-0-", "--0-"), (A1, A3))
+
+
+@pytest.mark.parametrize("name, operand", [
+    (name, kind) for name in PAIR_FUNCS for kind in ("matrix", "record")
+    if name != "core_upper_bound_check" or kind == "matrix"])
+def test_pair_functions_take_an_exact_operand(name, operand, monkeypatch):
+    # an exact record takes an RMatrix, or an exact record, as its second
+    # operand, builds no record for it and gives the float verdicts
+    built, real_init = [], exact._ExactAnalysis.__init__
+
+    def recording(self, a, *args, **kwargs):
+        built.append(a)
+        real_init(self, a, *args, **kwargs)
+
+    for a, b in OPERAND_PAIRS:
+        a, b = (rm(_m(x)) if isinstance(x, str) else x for x in (a, b))
+        rec, other = exact._ExactAnalysis(a), exact._ExactAnalysis(b) if operand == "record" else b
+        monkeypatch.setattr(exact._ExactAnalysis, "__init__", recording)
+        got = PAIR_FUNCS[name](rec, other)
+        monkeypatch.undo()
+        assert built == []
+        assert got == PAIR_FUNCS[name](a.to_complex(), b.to_complex()), (name, a, b)
+
+
+@pytest.mark.parametrize("name", [n for n in PAIR_FUNCS if n != "core_upper_bound_check"])
+def test_operand_of_the_other_kind_rejected(name):
+    # float and exact arithmetic never mix: a matrix or record of the other
+    # kind raises TypeError on either record
+    a = np.array([[1, 1], [0, 0]])
+    fl, ex = _analyse(a.astype(complex), gi.DEFAULT_TOL), exact._ExactAnalysis(rm(a))
+    for rec, operand in ((ex, a), (ex, a.astype(complex)), (ex, fl), (fl, ex)):
+        with pytest.raises(TypeError):
+            PAIR_FUNCS[name](rec, operand)
+
+
+@pytest.mark.parametrize("which", ["q1", "q2"])
+def test_solution_family_runs_on_the_exact_record(which):
+    # the member is checked exactly against its equation inside the call,
+    # and it is the float member up to rounding
+    a, f = rm([[1, 1], [0, 0]]), rm([[1, 2], [3, 4]])
+    x = solution_family(exact._ExactAnalysis(a), f, which)
+    want = solution_family(a.to_complex(), f.to_complex(), which)
+    assert isinstance(x, RMatrix)
+    assert np.linalg.norm(x.to_complex() - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _constructed_pair_classes(seed=7, per_class=25):
+    """`per_class` exact records of 3 x 3 {-1, 0, 1} matrices of each class,
+    drawn with `seed`: "core_ep", core-EP, singular and with A^D != 0; and
+    "index_1", of index 1 and not EP."""
+    rng, out = np.random.default_rng(seed), {"core_ep": [], "index_1": []}
+    while min(map(len, out.values())) < per_class:
+        rec = exact._ExactAnalysis(rm(rng.integers(-1, 2, (3, 3))))
+        if rec.is_core_ep and rec.index >= 1 and not rec.drazin.is_zero():
+            cls = "core_ep"
+        elif rec.index == 1 and not rec.is_ep:
+            cls = "index_1"
+        else:
+            continue
+        if len(out[cls]) < per_class:
+            out[cls].append(rec)
+    return out
+
+
+# B = A + L Z R, whose relation to A each (L, R) constructs: the inverse g
+# of A under that relation has g L = 0 and R g = 0, so g B = g A, B g = A g
+CONSTRUCTED = {
+    gi.OrderKind.DMP: (lambda r: r.power(0) - r.a @ r.pinv, lambda r: r.power(0) - r.drazin @ r.a),
+    gi.OrderKind.MPD: (lambda r: r.power(0) - r.a @ r.drazin, lambda r: r.power(0) - r.pinv @ r.a),
+    gi.OrderKind.CMP: (lambda r: r.power(0) - r.a @ r.pinv, lambda r: r.power(0) - r.pinv @ r.a),
+    gi.OrderKind.DRAZIN: (lambda r: r.power(0) - r.a @ r.drazin,
+                          lambda r: r.power(0) - r.drazin @ r.a),
+}
+
+
+def test_constructed_pairs_hold_their_relation_exactly():
+    # with integer Z in [-3, 3]: the chosen relation always holds; on a
+    # core-EP A, whose DMP, MPD and CMP inverses are A^D, all four hold; on
+    # an index-1 A that is not EP, only the chosen one. Draws with B = A
+    # are skipped.
+    rng, tested = np.random.default_rng(11), Counter()
+    for cls, recs in _constructed_pair_classes().items():
+        for rec in recs:
+            for kind, (left, right) in CONSTRUCTED.items():
+                b = rec.a + left(rec) @ rm(rng.integers(-3, 4, (3, 3))) @ right(rec)
+                if b == rec.a:
+                    continue
+                holds = {k for k in gi.OrderKind if gi.leq(rec, b, k).holds}
+                assert holds == (set(gi.OrderKind) if cls == "core_ep" else {kind}), (cls, kind)
+                tested[cls, kind.value] += 1
+    # of 25 draws each: the rest had L Z R = 0
+    assert tested == {("core_ep", "dmp"): 23, ("core_ep", "mpd"): 23, ("core_ep", "cmp"): 24,
+                      ("core_ep", "drazin"): 21, ("index_1", "dmp"): 21, ("index_1", "mpd"): 22,
+                      ("index_1", "cmp"): 22, ("index_1", "drazin"): 25}
 
 
 def test_wqrt_criterion_exact_equals_float():

@@ -1,4 +1,4 @@
-"""Float against exact on every small integer matrix.
+"""Float against exact on every small integer matrix and pair.
 
     python tools/census.py
 
@@ -8,19 +8,31 @@ class of the exact record, the number of matrices whose float rank,
 index or verdicts differ from the exact ones, the worst relative
 Frobenius error of the float Drazin inverse against the exact one, and
 the wall time, with the time spent in each record (building it and
-reading its parts and its suite verdicts). It then judges the suites
-that exact arithmetic reaches (`verify._exact_reach`) on both records of
-every matrix, each record judging its own identities, and prints per
-suite the verdict count, the float verdicts that differ from the exact
-ones, the exact verdicts that fail and the skip rules that differ. Every
-single-matrix suite is in that reach, so each matrix is judged in this one
-pass. Float misses no rank at this size, so the census certifies the
+reading its parts and its suite verdicts). It then judges every suite of
+`verify._SUITES` on both records of every matrix, each record judging its
+own identities: a single-matrix suite the record, a pair suite (one whose
+row's source draws pairs) the record and its core part. Per suite it
+prints the verdict count, the float verdicts that differ from the exact
+ones, the exact verdicts that fail and the skip rules that differ.
+
+The pair pass then judges every pair of 2x2 matrices with entries in
+{-1, 0, 1} (6,561) and a seeded sample of pairs of the 3x3 set on both
+records: the pair suites, with the exact failures whose left operand is
+k-EP (the domain of `orders_kep`), and `orders.leq` under each relation,
+with the pairs it holds for. It counts the held pairs with A^D != 0 and
+a != b by the relations that hold for them, and on the full 2x2 set
+tests each relation for reflexivity, transitivity over every chain of
+held pairs and antisymmetry, counting the antisymmetry failures whose two
+matrices have A^D = B^D = 0 (where g = 0 makes every relation hold).
+
+Float misses no rank at these sizes, so the census certifies the
 identities and the exact path, not the float cutoffs. Imports geninv from
 the `src` beside this script.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import sys
@@ -36,14 +48,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from geninv import DEFAULT_TOL  # noqa: E402
+from geninv import DEFAULT_TOL, OrderKind, leq  # noqa: E402
 from geninv.drazin import _analyse  # noqa: E402
 from geninv.exact import RMatrix, _ExactAnalysis  # noqa: E402
-from geninv.verify import _exact_reach  # noqa: E402
+from geninv.verify import _SUITES, _adf_pairs, _kep_pairs  # noqa: E402
 
 SETS = ((3, (-1, 0, 1)), (4, (0, 1)))
+# the pair pass: the full 2x2 set, and this many pairs of the 3x3 set
+PAIR_SETS = ((2, (-1, 0, 1), None), (3, (-1, 0, 1), 10_000))
+PAIR_SEED = 0
 VERDICTS = ("index", "is_ep", "is_core_ep", "is_k_ep")
 SUITE_COUNTS = ("verdicts", "differences", "exact failures", "skip differences")
+# a pair suite is one whose row's source draws pairs
+PAIR_SOURCES = (_adf_pairs, _kep_pairs)
+PAIR_SUITES = {name: s for name, s in _SUITES.items() if s.source in PAIR_SOURCES}
 # each record of an integer matrix, by the name its time is summed under
 RECORDS = {"float": lambda a: _analyse(a.astype(complex), DEFAULT_TOL),
            "exact": lambda a: _ExactAnalysis(RMatrix(a))}
@@ -63,25 +81,27 @@ def read(make, a):
     return rec, (tuple(getattr(rec, v) for v in VERDICTS), rec.rank, rec.drazin)
 
 
-def suite_verdicts(suites: dict, recs, counts: dict, spent: dict) -> None:
-    """Judge each of `suites` on the float and the exact record `recs` of
-    one matrix, count into `counts` and add each record's time to `spent`."""
-    for name, suite in suites.items():
-        fl, ex = (timed(spent, key, suite.judge, r) for key, r in zip(RECORDS, recs))
-        count = counts[name]
-        if isinstance(fl, str) or isinstance(ex, str):
-            count["skip differences"] += fl != ex
-            continue
-        count["verdicts"] += len(ex)
-        count["differences"] += sum(f[1] != e[1] for f, e in zip(fl, ex))
-        count["exact failures"] += sum(not e[1] for e in ex)
+def judge(suite, rec):
+    """The suite's verdicts on the subject it takes of one matrix: the
+    record, or for a pair suite the record and its core part."""
+    return suite.judge((rec, rec.core) if suite.source in PAIR_SOURCES else rec)
+
+
+def tally(count: dict, fl, ex) -> None:
+    """Count the float and the exact verdicts `fl` and `ex` on one subject,
+    each a skip note or (label, holds, ...) per identity, into `count`."""
+    if isinstance(fl, str) or isinstance(ex, str):
+        count["skip differences"] += fl != ex
+        return
+    count["verdicts"] += len(ex)
+    count["differences"] += sum(f[1] != e[1] for f, e in zip(fl, ex))
+    count["exact failures"] += sum(not e[1] for e in ex)
 
 
 def census(n: int, entries: tuple) -> None:
     start = time.perf_counter()
     classes, differ, worst = Counter(), Counter(), 0.0
-    suites = _exact_reach()
-    counts = {name: dict.fromkeys(SUITE_COUNTS, 0) for name in suites}
+    counts = {name: dict.fromkeys(SUITE_COUNTS, 0) for name in _SUITES}
     spent = dict.fromkeys(RECORDS, 0.0)
     for flat in itertools.product(entries, repeat=n * n):
         a = np.array(flat).reshape(n, n)
@@ -93,7 +113,9 @@ def census(n: int, entries: tuple) -> None:
         d = got[2].to_complex()
         err, ref = np.linalg.norm(fl[2] - d), np.linalg.norm(d)
         worst = max(worst, err / ref if ref else (0.0 if err == 0 else np.inf))
-        suite_verdicts(suites, (rec, ex), counts, spent)
+        for name, suite in _SUITES.items():
+            tally(counts[name], *(timed(spent, key, judge, suite, r)
+                                  for key, r in zip(RECORDS, (rec, ex))))
     print(f"{n}x{n}, entries in {{{', '.join(map(str, entries))}}}: {sum(classes.values()):,} matrices")
     print("  (index, EP, core-EP, k-EP): count")
     for cls, count in sorted(classes.items()):
@@ -108,6 +130,81 @@ def census(n: int, entries: tuple) -> None:
           + ", ".join(f"{key} record {t:.1f} s" for key, t in spent.items()), flush=True)
 
 
+def axioms(held: set, size: int, zero) -> tuple[int, int, int, int, int]:
+    """(reflexive matrices, chains a <= b <= c, chains with a <= c failing,
+    antisymmetry failures, those with A^D = B^D = 0) of one relation, held
+    for the pairs (i, j) in `held` of `size` matrices, zero(i) telling
+    whether A^D = 0 for matrix i; each failure of antisymmetry is an
+    unordered pair of distinct matrices that relate both ways."""
+    after = {}
+    for i, j in held:
+        after.setdefault(i, set()).add(j)
+    chains = [(i, k) for i, j in held for k in after.get(j, ())]
+    both = [(i, j) for i, j in held if i < j and (j, i) in held]
+    return (sum((i, i) in held for i in range(size)), len(chains),
+            sum((i, k) not in held for i, k in chains), len(both),
+            sum(zero(i) and zero(j) for i, j in both))
+
+
+def pair_pass(n: int, entries: tuple, sample: int | None) -> None:
+    """Judge every pair of n x n matrices over `entries`, or `sample` pairs
+    drawn with PAIR_SEED, on both records; see the module docstring."""
+    start = time.perf_counter()
+    mats = list(itertools.product(entries, repeat=n * n))
+    if sample is None:
+        pairs = list(itertools.product(range(len(mats)), repeat=2))
+    else:
+        pairs = np.random.default_rng(PAIR_SEED).integers(len(mats), size=(sample, 2)).tolist()
+
+    @functools.lru_cache(maxsize=1024)  # holds the 2x2 set; a sample seldom repeats
+    def record(key: str, i: int):
+        return RECORDS[key](np.array(mats[i]).reshape(n, n))
+
+    def zero(i: int) -> bool:
+        return record("exact", i).drazin.is_zero()
+
+    counts = {name: Counter() for name in PAIR_SUITES}
+    relations = {kind: Counter() for kind in OrderKind}
+    held = {kind: set() for kind in OrderKind}
+    for i, j in pairs:
+        fl, ex = ((record(key, i), record(key, j)) for key in RECORDS)
+        for name, suite in PAIR_SUITES.items():
+            f, e = suite.judge(fl), suite.judge(ex)
+            tally(counts[name], f, e)
+            if ex[0].is_k_ep:
+                counts[name]["k-EP left"] += sum(not v[1] for v in e)
+        for kind in OrderKind:
+            f, e = leq(*fl, kind).holds, leq(*ex, kind).holds
+            relations[kind].update(verdicts=1, differences=f != e, held=e)
+            if e:
+                held[kind].add((i, j))
+    by_relations = Counter(
+        tuple(kind.value for kind in OrderKind if (i, j) in held[kind])
+        for i, j in set().union(*held.values())
+        if i != j and not zero(i))
+    what = f"{len(pairs):,} pairs" + (f" drawn with seed {PAIR_SEED}" if sample else "")
+    print(f"{n}x{n} pairs, entries in {{{', '.join(map(str, entries))}}}: {what}")
+    print("  suite: verdicts, differences, exact failures (with a k-EP left operand)")
+    for name, c in counts.items():
+        print(f"    {name}: {c['verdicts']:,}, {c['differences']:,}, "
+              f"{c['exact failures']:,} ({c['k-EP left']:,})")
+    print("  relation: verdicts, differences, held")
+    for kind, c in relations.items():
+        print(f"    {kind.value}: {c['verdicts']:,}, {c['differences']:,}, {c['held']:,}")
+    print(f"  held with A^D != 0 and a != b: {sum(by_relations.values()):,}"
+          + "".join(f"; {' '.join(k)} {v:,}" for k, v in sorted(
+              by_relations.items(), key=lambda kv: (len(kv[0]), -kv[1], kv[0]))))
+    if sample is None:
+        print("  relation: reflexive, chains, transitivity failures, "
+              "antisymmetry failures (with A^D = B^D = 0)")
+        for kind in OrderKind:
+            r, c, t, s, z = axioms(held[kind], len(mats), zero)
+            print(f"    {kind.value}: {r:,} of {len(mats):,}, {c:,}, {t:,}, {s:,} ({z:,})")
+    print(f"  wall time: {time.perf_counter() - start:.1f} s", flush=True)
+
+
 if __name__ == "__main__":
     for n, entries in SETS:
         census(n, entries)
+    for n, entries, sample in PAIR_SETS:
+        pair_pass(n, entries, sample)
