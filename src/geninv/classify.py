@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drazin import _analyse
-from .factor import HSDecomp, _core_blocks, hs_reconstruct
+from .factor import HSDecomp, _block, hs_reconstruct
 from .kernel import (
     DEFAULT_TOL,
     InternalCheckError,
@@ -97,7 +97,7 @@ def is_k_ep(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _block_conditions(rec):
     """`core_ep_block_conditions`, read from the record `rec` and its factors."""
     h = rec.hs
-    core_d, qhat, _, _ = _core_blocks(h, rec)
+    core_d, qhat = _block(h, rec, "drazin"), _block(h, rec, "cmp")
     p_qhat, core_dsp = conj_transpose(h.p) @ qhat, core_d @ h.sigma_mat @ h.p
     return (rec._compare(conj_transpose(h.q) @ qhat, core_d)[0],
             rec._compare(p_qhat, np.zeros_like(p_qhat))[0],
@@ -130,12 +130,9 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
         if holds != core_ep
     ]
 
-    block = {}
-    if rec.rank:
-        ca, cb, cc = _block_conditions(rec)
-        block = {"a": ca, "b": cb, "c": cc}
-        if (ca and cb and cc) != core_ep:
-            flags.append("block conditions disagree with the defining core-EP test")
+    block = dict(zip("abc", _block_conditions(rec))) if rec.rank else {}
+    if block and all(block.values()) != core_ep:
+        flags.append("block conditions disagree with the defining core-EP test")
 
     return ClassReport(
         is_ep=rec.is_ep,
@@ -148,15 +145,15 @@ def core_ep_equiv_report(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ClassRe
     )
 
 
-def _block_ep(h: HSDecomp, block: int, tol: Tolerance):
-    """For m the chosen block of `_core_blocks`, read from the record of
-    B = 2^-e A, A the matrix h factors, and its factors, and delta = m m^+,
-    m^+ read from the record of m: whether Q* delta Q = m^+ m and delta P = 0,
-    and a function that judges, by the record of B, the pairs that a positive
-    verdict makes equal: PP* and QQ* commute with delta, and delta = Q m^+ m Q*."""
+def _block_ep(h: HSDecomp, inverse: str, tol: Tolerance):
+    """For m the block of the inverse `inverse` (`factor._block`) of the record
+    of B = 2^-e A, A the matrix h factors, and delta = m m^+, m^+ read from the
+    record of m: whether Q* delta Q = m^+ m and delta P = 0 (that inverse is
+    EP), and a function that judges, by the record of B, the pairs that a
+    positive verdict makes equal: PP* and QQ* commute with delta, and delta = Q m^+ m Q*."""
     rec = _analyse(hs_reconstruct(h), tol).unit
     h = rec.hs
-    m = _core_blocks(h, rec)[block]
+    m = _block(h, rec, inverse)
     m_pinv = rec._of(m).pinv
     delta = m @ m_pinv
     qq, pp = h.q @ conj_transpose(h.q), h.p @ conj_transpose(h.p)
@@ -173,19 +170,19 @@ def cmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     A third block condition is implied by these two (delta is an
     orthogonal projector), so only the two are tested.
     """
-    return _block_ep(h, 1, tol)[0]
+    return _block_ep(h, "cmp", tol)[0]
 
 
 def mpdmp_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """MPDMP matrix is EP iff Q* delta_hat Q = st^+ st and delta_hat P = 0."""
-    return _block_ep(h, 2, tol)[0]
+    return _block_ep(h, "mpdmp", tol)[0]
 
 
 def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """CCE inverse is EP iff Q* delta_tilde Q = qtilde^+ qtilde and
     delta_tilde P = 0; a positive result also implies that delta_tilde
     commutes with PP* and QQ* and equals Q qtilde^+ qtilde Q*."""
-    holds, consequences = _block_ep(h, 3, tol)
+    holds, consequences = _block_ep(h, "cce", tol)
     if holds and not all(ok for ok, _ in consequences()):
         raise InternalCheckError("CCE EP-criterion consequences failed on a positive result")
     return holds
@@ -194,7 +191,7 @@ def cce_ep_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> bool:
 def mpdmp_ep_consequences(h: HSDecomp, tol: Tolerance = DEFAULT_TOL):
     """Residuals of [PP*, delta_hat], [QQ*, delta_hat] and
     delta_hat - Q st^+ st Q*; requires mpdmp_ep_criterion(h)."""
-    holds, consequences = _block_ep(h, 2, tol)
+    holds, consequences = _block_ep(h, "mpdmp", tol)
     if not holds:
         raise PreconditionError("MPDMP EP criterion does not hold")
     return tuple(residual for _, residual in consequences())
@@ -208,7 +205,9 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     weaker and is the one that matches the direct commutation test.
     """
     rec = _analyse(hs_reconstruct(h), tol).unit
-    return _block_conditions(rec)[2] and rec._of(_core_blocks(rec.hs, rec)[0]).is_ep
+    core_d = _block(rec.hs, rec, "drazin")  # (c) of the block conditions, and (SQ)^D EP
+    core_dsp = core_d @ rec.hs.sigma_mat @ rec.hs.p
+    return rec._compare(core_dsp, np.zeros_like(core_dsp))[0] and rec._of(core_d).is_ep
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

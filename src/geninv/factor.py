@@ -183,9 +183,9 @@ class HSDecomp:
 class HSDerived:
     """Blocks derived from the r x r core SQ and its generalized inverses.
 
-    qhat = Q (SQ)^D, sigma_tilde = qhat ((SQ)^D)^2, qtilde = Q (SQ)^CE,
-    and delta / delta_hat / delta_tilde are the orthogonal projectors
-    qhat qhat^+, sigma_tilde sigma_tilde^+, qtilde qtilde^+.
+    qhat = Q (SQ)^D, sigma_tilde = Q ((SQ)^D)^3, qtilde = Q (SQ)^CE (read
+    by `_block`), and delta / delta_hat / delta_tilde are the orthogonal
+    projectors qhat qhat^+, sigma_tilde sigma_tilde^+, qtilde qtilde^+.
     """
 
     qhat: np.ndarray
@@ -219,20 +219,19 @@ def hs_reconstruct(h: HSDecomp) -> np.ndarray:
         return _named_overflow("Sigma of the factorization", _guarded, _block_form(h, top))[0]
 
 
-def _core_blocks(h: HSDecomp, rec):
-    """((SQ)^D, qhat, sigma_tilde, qtilde) from `rec`, the record of the matrix
-    A that h factors: (SQ)^D = U1* A^D U1 and (SQ)^CE = U1* A^CE U1 (Wang 2016;
-    Ferreyra, Levis & Thome 2018); at index <= 1 both are one (SQ)^-1."""
+def _block(h: HSDecomp, rec, part: str) -> np.ndarray:
+    """The part `part` of `rec`, the record of the A that h factors, in the basis
+    of h: (SQ)^D = U1* A^D U1 (Wang 2016), and qhat, sigma_tilde and qtilde as
+    V1* X U1, X = "cmp", "mpdmp", "cce", U1 the first r columns of U, V1* = [Q P] U*."""
     u1 = h.u[:, : h.r]
+    left = conj_transpose(u1) if part == "drazin" else np.hstack([h.q, h.p]) @ conj_transpose(h.u)
     with np.errstate(over="ignore", invalid="ignore"):
-        core_ce = conj_transpose(u1) @ rec.core_ep @ u1
-        core_d = core_ce if rec.index <= 1 else conj_transpose(u1) @ rec.drazin @ u1
-        return core_d, h.q @ core_d, h.q @ core_d @ core_d @ core_d, h.q @ core_ce
+        return left @ getattr(rec, part) @ u1
 
 
 def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
     """All six derived blocks in the basis of h, read from one record of the
-    matrix h factors; blocks equal in value share a projector."""
+    matrix h factors; blocks equal up to a power of two share a projector."""
     from .drazin import _analyse
 
     return _derived(h, _analyse(hs_reconstruct(h), tol))
@@ -240,10 +239,10 @@ def hs_derived(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> HSDerived:
 
 def _derived(h: HSDecomp, rec) -> HSDerived:
     """`hs_derived`, read from `rec`, the record of the matrix h factors."""
-    blocks = _core_blocks(h, rec)[1:]
-    keys = [(x.shape, (x + 0).tobytes()) for x in blocks]  # x + 0 turns -0 to +0
-    deltas = {}
-    for name, x, key in zip(("qhat", "sigma_tilde", "qtilde"), blocks, keys):
-        if key not in deltas:
-            deltas[key] = x @ _named_overflow(f"the derived block {name}", rec._of, x).pinv
+    blocks, deltas, keys = [_block(h, rec, part) for part in ("cmp", "mpdmp", "cce")], {}, []
+    for name, x in zip(("qhat", "sigma_tilde", "qtilde"), blocks):
+        m = _named_overflow(f"the derived block {name}", rec._of, x)
+        keys.append((x.shape, (m.unit.a + 0).tobytes()))  # x scaled to [0.5, 1), -0 as +0
+        if keys[-1] not in deltas:
+            deltas[keys[-1]] = x @ m.pinv
     return HSDerived(*blocks, *(deltas[key] for key in keys))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drazin import _analyse
-from .factor import _block_form, _core_blocks
+from .factor import _block, _block_form
 from .kernel import DEFAULT_TOL, PreconditionError, Tolerance, _guarded, _ldexp, _named_overflow
 
 __all__ = [
@@ -81,17 +81,17 @@ def cce_inverse(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def mpdmp_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of the MPDMP matrix, cross-checked on B = 2^-e a,
-    where it is 2^(-3e) times that of a, against the block closed form
-    U [[st^+ Q, st^+ P], [0, 0]] U* of B, judged by the record of B."""
+    """Moore-Penrose inverse of the MPDMP matrix, cross-checked on B = 2^-e a, where
+    it is 2^(-3e) times that of a, by the record of B, against the block closed form
+    U [[st^+ Q, st^+ P], [0, 0]] U*, st = Q ((SQ)^D)^3 formed apart from the MPDMP matrix."""
     rec = _analyse(a, tol)
     b, e3 = rec.unit, 3 * rec._exp
+    h, core_d = b.hs, _block(b.hs, b, "drazin")
     with np.errstate(over="ignore", invalid="ignore"):
         m = rec.mpdmp  # named, not warned of, if it overflows
+        st = h.q @ core_d @ core_d @ core_d
     x = _named_overflow("the MPDMP matrix", rec._of, m).pinv
-    h = b.hs
-    st_pinv = b._of(_core_blocks(h, b)[2]).pinv
-    closed = _block_form(h, np.hstack([st_pinv @ h.q, st_pinv @ h.p]))
+    closed = _block_form(h, b._of(st).pinv @ np.hstack([h.q, h.p]))
     if not b._compare(_ldexp(x, -e3), closed)[0]:
         if _guarded(closed)[1] + e3 > 1024:  # x is that of an underflowed MPDMP matrix
             raise PreconditionError("the pseudoinverse of the MPDMP matrix overflows float64")

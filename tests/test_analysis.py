@@ -218,9 +218,11 @@ def _ep_singular():
     return u @ np.diag([2.0, 1 + 1j, 0.5j, 0.0]) @ u.conj().T
 
 
-# `hs` derives qhat, sigma_tilde and qtilde from the record of A; they
-# repeat when SQ is nonsingular (qhat = qtilde, as for every EP matrix) or
-# nilpotent (qhat = sigma_tilde = 0), and each is decomposed once
+# `hs` reads qhat, sigma_tilde and qtilde from the CMP, MPDMP and CCE
+# inverses in the record of A; blocks equal up to a power of two share one
+# decomposition, as all three zero blocks do when SQ is nilpotent, and
+# qhat = qtilde in value, not bit for bit, when SQ is nonsingular (as for
+# every EP matrix): no SVD input repeats
 CLI_CASES = {" ".join(argv): (argv, None) for argv in CLI_RUNS}
 CLI_CASES.update({
     "hs ep": (["hs"], _ep_singular()),

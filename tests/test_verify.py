@@ -19,7 +19,7 @@ from geninv import (
 from geninv.cli import _RESIDUALS
 from geninv.drazin import _analyse
 from geninv.ensembles import KINDS, EnsembleSpec, _records, gen
-from geninv.factor import _core_blocks
+from geninv.factor import _block
 from geninv.kernel import DEFAULT_TOL, _check
 from geninv.verify import (
     SUITE_IDS,
@@ -306,17 +306,22 @@ def test_block_statements_equal_their_dmp_forms():
     # any T of index k, T^CE = T^D P_R(T^k), which is T^D iff T^D is EP.
     # The paper's block forms stay public and read (SQ)^D = U1* A^D U1 and
     # (SQ)^CE = U1* A^CE U1 from the record of A, U1 the first r columns of
-    # U; each must give the same answer
-    subjects, hypothesis_fails = _block_subjects(), 0
+    # U, and qhat, sigma_tilde and qtilde as V1* X U1, X the CMP, MPDMP and
+    # CCE inverse, V1* = [Q P] U*; each must give the same answer as its
+    # product form, Q (SQ)^D, Q ((SQ)^D)^3 and Q (SQ)^CE
+    subjects, hypothesis_fails, block_fails = _block_subjects(), 0, 0
     for rec in subjects:
         h = rec.hs
         assert dmp_pinv_commute_criterion(h) == _dmp_pinv_commutes(rec)[0], rec.a
         u1 = h.u[:, : h.r]
-        core_ce = u1.conj().T @ rec.core_ep @ u1
-        fails = not rec._compare(core_ce, _core_blocks(h, rec)[0])[0]
+        core_ce, core_d = u1.conj().T @ rec.core_ep @ u1, _block(h, rec, "drazin")
+        fails = not rec._compare(core_ce, core_d)[0]
         assert fails == (not rec._of(rec.dmp).is_ep), rec.a
         hypothesis_fails += fails
-    assert (len(subjects), hypothesis_fails) == (2008, 48)
+        products = (h.q @ core_d, h.q @ core_d @ core_d @ core_d, h.q @ core_ce)
+        block_fails += not all(rec._compare(_block(h, rec, part), x)[0]
+                               for part, x in zip(("cmp", "mpdmp", "cce"), products))
+    assert (len(subjects), hypothesis_fails, block_fails) == (2008, 48, 0)
 
 
 def test_verify_system_accepts_complex_fixture():

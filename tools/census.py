@@ -15,6 +15,13 @@ row's source draws pairs) the record and its core part. Per suite it
 prints the verdict count, the float verdicts that differ from the exact
 ones, the exact verdicts that fail and the skip rules that differ.
 
+On every nonzero 3x3 matrix with entries in {-1, 0, 1} (19,682) it then
+judges each block EP criterion, `cmp_ep_criterion`, `mpdmp_ep_criterion`
+and `cce_ep_criterion` (float, on the factors of the float record),
+against the exact test "X is EP", X the CMP, MPDMP or CCE inverse of the
+exact record, and prints per criterion the matrices whose X is EP, the
+differences and the time.
+
 The pair pass then judges every pair of 2x2 matrices with entries in
 {-1, 0, 1} (6,561) and a seeded sample of pairs of the 3x3 set on both
 records: the pair suites, with the exact failures whose left operand is
@@ -48,12 +55,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from geninv import DEFAULT_TOL, OrderKind, leq  # noqa: E402
+from geninv import (DEFAULT_TOL, OrderKind, cce_ep_criterion, cmp_ep_criterion,  # noqa: E402
+                    leq, mpdmp_ep_criterion)
 from geninv.drazin import _analyse  # noqa: E402
 from geninv.exact import RMatrix, _ExactAnalysis  # noqa: E402
 from geninv.verify import _SUITES, _adf_pairs, _kep_pairs  # noqa: E402
 
 SETS = ((3, (-1, 0, 1)), (4, (0, 1)))
+# the block EP criteria, by the inverse X whose EP-ness each tests, on this set
+CRITERIA = {"cmp": cmp_ep_criterion, "mpdmp": mpdmp_ep_criterion, "cce": cce_ep_criterion}
+CRITERION_SET = (3, (-1, 0, 1))
 # the pair pass: the full 2x2 set, and this many pairs of the 3x3 set
 PAIR_SETS = ((2, (-1, 0, 1), None), (3, (-1, 0, 1), 10_000))
 PAIR_SEED = 0
@@ -128,6 +139,36 @@ def census(n: int, entries: tuple) -> None:
     print(f"    all: {sum(c['verdicts'] for c in counts.values()):,} verdicts")
     print(f"  wall time: {time.perf_counter() - start:.1f} s; "
           + ", ".join(f"{key} record {t:.1f} s" for key, t in spent.items()), flush=True)
+
+
+def criterion_verdicts(name: str, h, ex) -> tuple[bool, bool]:
+    """(the block criterion of the inverse `name` on the float factors h,
+    the exact test that this inverse of the exact record ex is EP)."""
+    return CRITERIA[name](h), ex._of(getattr(ex, name)).is_ep
+
+
+def criterion_pass(n: int, entries: tuple) -> None:
+    """Each block EP criterion (float) against the exact test "X is EP" on
+    every nonzero n x n matrix over `entries`; see the module docstring."""
+    start, total = time.perf_counter(), 0
+    counts = {name: Counter() for name in CRITERIA}
+    spent = dict.fromkeys(CRITERIA, 0.0)
+    for flat in itertools.product(entries, repeat=n * n):
+        a = np.array(flat).reshape(n, n)
+        if not a.any():
+            continue
+        total += 1
+        h, ex = RECORDS["float"](a).hs, RECORDS["exact"](a)
+        for name in CRITERIA:
+            f, e = timed(spent, name, criterion_verdicts, name, h, ex)
+            counts[name].update(ep=e, differences=f != e)
+    print(f"{n}x{n} block EP criteria, entries in {{{', '.join(map(str, entries))}}}: "
+          f"{total:,} nonzero matrices")
+    print("  criterion (X): X is EP (exact), differences, time")
+    for name, c in counts.items():
+        print(f"    {CRITERIA[name].__name__} ({name}): {c['ep']:,}, {c['differences']:,}, "
+              f"{spent[name]:.1f} s")
+    print(f"  wall time: {time.perf_counter() - start:.1f} s", flush=True)
 
 
 def axioms(held: set, size: int, zero) -> tuple[int, int, int, int, int]:
@@ -206,5 +247,6 @@ def pair_pass(n: int, entries: tuple, sample: int | None) -> None:
 if __name__ == "__main__":
     for n, entries in SETS:
         census(n, entries)
+    criterion_pass(*CRITERION_SET)
     for n, entries, sample in PAIR_SETS:
         pair_pass(n, entries, sample)

@@ -9,9 +9,12 @@ and prints one sha256 over the op digests per (seed, workload). Two trees
 whose lines agree give bit-identical outputs on every benchmark operation.
 With two, runs each tree in its own interpreter, one after the other,
 prints their lines side by side and exits 1 if any pair differs, 2 if
-either run fails. The work directory is fixed, since `geninv hs` prints
-the paths it writes; a run holds a lock on it for each cycle, so runs
-started at once wait for each other.
+either run fails. Below a pair that differs it names the ops behind it,
+one line each: the op index, and for `cli_mixed` the command and the
+matrix class, read from one more cycle of that workload in each tree.
+The work directory is fixed, since `geninv hs` prints the paths it
+writes; a run holds a lock on it for each cycle, so runs started at once
+wait for each other.
 """
 
 from __future__ import annotations
@@ -35,43 +38,95 @@ WORK = Path(tempfile.gettempdir()) / "geninv-op-digests"
 LOCK = WORK.with_name(WORK.name + ".lock")
 
 
-def cycle_digest(workloads, name: str, seed: int) -> str:
-    """The sha256 over the op digests of one full cycle of workload `name`
-    of the `workloads` module at `seed`, built fresh in the fixed work
-    directory WORK and run without warming, under an exclusive lock on
-    LOCK, so that two runs at once take turns. An operation that raises
-    hashes its exception type and message. `tools/ab.py` checks its trees
-    with this function too, so both tools print the same hash for one
-    (seed, workload)."""
+def op_digests(workloads, name: str, seed: int) -> list[tuple[str, str]]:
+    """(label, digest) per op of one full cycle of workload `name` of the
+    `workloads` module at `seed`, built fresh in the fixed work directory
+    WORK and run without warming, under an exclusive lock on LOCK, so that
+    two runs at once take turns. The label is the op index, and for a CLI
+    op its command and matrix class; an operation that raises digests as
+    its exception type and message."""
     with open(LOCK, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # a second run waits: WORK is shared
         shutil.rmtree(WORK, ignore_errors=True)
-        wl, h = workloads.WORKLOADS[name](seed, WORK), hashlib.sha256()
+        wl, out = workloads.WORKLOADS[name](seed, WORK), []
         try:
             for j in range(wl.cycle):
                 op = wl.op(j)
                 try:
-                    h.update(op.digest(op.run()).encode())
+                    digest = op.digest(op.run())
                 except Exception as exc:  # an operation that raises is an output too
-                    h.update(f"{type(exc).__name__}: {exc}".encode())
+                    digest = f"{type(exc).__name__}: {exc}"
+                req = getattr(op, "req", None)  # a CLI op's request
+                label = f"op {j}" + (f" {req.command} {req.built.kind}" if req else "")
+                out.append((label, digest))
                 op.cleanup()
         finally:
             shutil.rmtree(WORK, ignore_errors=True)
+    return out
+
+
+def cycle_digest(workloads, name: str, seed: int) -> str:
+    """The sha256 over the op digests (`op_digests`) of one full cycle of
+    workload `name` at `seed`. `tools/ab.py` checks its trees with this
+    function too, so both tools print the same hash for one (seed,
+    workload)."""
+    h = hashlib.sha256()
+    for _, digest in op_digests(workloads, name, seed):
+        h.update(digest.encode())
     return h.hexdigest()
 
 
+def _import_tree(tree: str):
+    """The `workloads` module of TREE/bench, with geninv imported from
+    TREE/src; exits if geninv comes from anywhere else."""
+    root = Path(tree).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import geninv
+    import workloads
+
+    if Path(geninv.__file__).resolve().parent != root / "src" / "geninv":
+        sys.exit(f"error: imported geninv from {geninv.__file__}, not {root}")
+    return workloads
+
+
+def print_ops(tree: str, name: str, seed: str) -> None:
+    """Print one tab-separated (label, digest) line per op of one cycle of
+    workload `name` at `seed` of TREE."""
+    for label, digest in op_digests(_import_tree(tree), name, int(seed)):
+        print(f"{label}\t{digest}")
+
+
+def _run(tree: str, *cycle: str) -> list[str] | None:
+    """The stdout lines, from a fresh interpreter, of this script on TREE,
+    or with `cycle` = (workload, seed) of `print_ops`; None, said on
+    stderr, if the run fails."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import op_digests; op_digests.print_ops(*sys.argv[1:])")
+    argv = ["-c", code, tree, *cycle] if cycle else [__file__, tree]
+    run = subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, text=True)
+    if run.returncode:
+        print(f"error: op_digests.py on {tree} {' '.join(cycle)} exited with {run.returncode}",
+              file=sys.stderr)
+        return None
+    return run.stdout.splitlines()
+
+
 def compare(parent: str, change: str) -> int:
-    """Print the lines of both trees side by side: 1 if any pair differs,
-    2 if either run fails."""
-    lines = []
-    for tree in (parent, change):
-        run = subprocess.run([sys.executable, __file__, tree], stdout=subprocess.PIPE, text=True)
-        if run.returncode:
-            print(f"error: op_digests.py {tree} exited with {run.returncode}", file=sys.stderr)
-            return 2
-        lines.append(run.stdout.splitlines())
+    """Print the lines of both trees side by side, and below a pair that
+    differs the ops behind it: 1 if any pair differs, 2 if a run fails."""
+    lines = [_run(tree) for tree in (parent, change)]
+    if None in lines:
+        return 2
     for p, c in itertools.zip_longest(*lines, fillvalue=""):
-        print(f"{p:<97} | {c}" + ("" if p == c else "  DIFFERS"))
+        print(f"{p:<97} | {c}" + ("" if p == c else "  DIFFERS"), flush=True)
+        if p != c and p and c:
+            _, seed, name = p.split()[:3]
+            ops = [_run(tree, name, seed) for tree in (parent, change)]
+            if None in ops:
+                return 2
+            for po, co in zip(*ops):
+                if po != co:
+                    print("    " + po.split("\t")[0], flush=True)
     return int(lines[0] != lines[1])
 
 
@@ -81,13 +136,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: op_digests.py TREE | op_digests.py PARENT CHANGE", file=sys.stderr)
         return 2
-    tree = Path(argv[0]).resolve()
-    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    import geninv
-    import workloads
-
-    if Path(geninv.__file__).resolve().parent != tree / "src" / "geninv":
-        sys.exit(f"error: imported geninv from {geninv.__file__}, not {tree}")
+    workloads = _import_tree(argv[0])
     for seed in SEEDS:
         for name, cls in workloads.WORKLOADS.items():
             digest = cycle_digest(workloads, name, seed)
