@@ -17,7 +17,7 @@ however a is scaled; the part of a is that of b times its power of 2**e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
@@ -204,11 +204,11 @@ class _Derived:
         return self._compare(ak @ self.pinv, self.pinv @ ak)[0]
 
 
-@dataclass(frozen=True)
 class _Analysis(_Derived):
     """What the package derives from one matrix under one tolerance, each
     part computed on first use and kept for the one public call the record
-    lives in. Parts are computed on the record of B = 2^-e A (`unit`) only,
+    lives in: a plain per-call object, equal only to itself and hashed by
+    identity. Parts are computed on the record of B = 2^-e A (`unit`) only,
     which looks each SVD up by its power j and keys it by input (shape and
     bytes) once (`_svd`), so bitwise-equal powers share one; the record of A
     reads every part, svd(A) and A^j scaled from there, and forms no SVD or
@@ -229,16 +229,10 @@ class _Analysis(_Derived):
     them. Any other record reads them from the full SVD that its
     pseudoinverses, `pinv_scaled`'s too, also use."""
 
-    a: np.ndarray
-    tol: Tolerance
-    _exp: int
-    _values_only: bool = False
-    _ref: float = 0.0
-    _svds: dict = field(default_factory=dict, repr=False, compare=False)
-    _by_power: dict = field(default_factory=dict, repr=False, compare=False)
-    _powers: dict = field(default_factory=dict, repr=False, compare=False)
-    _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
-    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, a: np.ndarray, tol: Tolerance, exp: int, values_only: bool = False,
+                 ref: float = 0.0):
+        self.a, self.tol, self._exp, self._values_only, self._ref = a, tol, exp, values_only, ref
+        self._svds, self._by_power, self._powers, self._pinvs, self._ranks = {}, {}, {}, {}, {}
 
     def _svd(self, j: int):
         """svd(A^j), or its singular values alone on a `_values_only` record,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -333,21 +332,19 @@ def exact_inv(a: RMatrix) -> RMatrix:
     return _ExactAnalysis(a)._inv(a)
 
 
-@dataclass(frozen=True)
 class _ExactAnalysis(_Derived):
-    """The exact record: the parts of `drazin._Derived` on A itself (`_exp`
-    = 0), from A^j = A^(j-1) A with A^0 = I, rank(A^j) the pivot count of
-    its RREF, (A^j)^+ its inverse or by MacDuffee, and `_compare` by
-    equality of stored forms; and its own A^D (Cline). No matrix is reduced
-    twice: an idempotent power included, and a nonsingular A, whose inverse
-    replays the reduction that read its rank."""
+    """The exact record, a plain per-call object like the float one, equal
+    only to itself: the parts of `drazin._Derived` on A itself (`_exp` =
+    0), from A^j = A^(j-1) A with A^0 = I, rank(A^j) the pivot count of its
+    RREF, (A^j)^+ its inverse or by MacDuffee, and `_compare` by equality of
+    stored forms; and its own A^D (Cline). No matrix is reduced twice: an
+    idempotent power included, and a nonsingular A, whose inverse replays
+    the reduction that read its rank."""
 
-    a: RMatrix
-    _powers: dict = field(default_factory=dict, repr=False, compare=False)
-    _pinvs: dict = field(default_factory=dict, repr=False, compare=False)
-    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
-    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
     _exp = 0
+
+    def __init__(self, a: RMatrix):
+        self.a, self._powers, self._pinvs, self._ranks, self._reduced = a, {}, {}, {}, {}
 
     def _form_power(self, j: int) -> RMatrix:
         return RMatrix.identity(self.a.shape[0]) if j == 0 else self.power(j - 1) @ self.a

@@ -17,6 +17,7 @@ import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
 from geninv.drazin import _analyse, _Analysis, _Derived
 from geninv.ensembles import KINDS, EnsembleSpec, gen
+from geninv.exact import RMatrix, _ExactAnalysis
 from geninv.factor import _rank_from
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 
@@ -298,6 +299,18 @@ def test_record_of_a_reads_every_part_scaled_from_b(kind, e, a1):
     assert np.array_equal(rec.factors.s, b.factors.s * f)
     assert np.array_equal(rec.hs.sigma, b.hs.sigma * f)
     assert rec._svds == {} and rec._powers == {} and rec._pinvs == {} and rec._ranks == {}
+
+
+@pytest.mark.parametrize("build", (lambda a: _analyse(8 * a, gi.DEFAULT_TOL),
+                                   lambda a: _ExactAnalysis(RMatrix(a.real.astype(int)))),
+                         ids=("float", "exact"))
+def test_record_compares_and_hashes_by_identity(build, a1):
+    # a record is a per-call cache, not a value: two records of one matrix
+    # are two objects, and each is its own key (the float one's unit, of
+    # B = a1 / 4, is a third)
+    rec, other = build(a1), build(a1)
+    assert rec == rec and rec.unit == rec.unit and rec != other
+    assert len({rec, rec.unit, other}) == (2 if rec.unit is rec else 3)
 
 
 def test_no_record_outlives_its_call(a1):

@@ -51,6 +51,17 @@ def test_qc_arithmetic():
         QC(1) / QC(0)
 
 
+def test_entries_repr_negation_and_hash():
+    # public methods the oracle itself never calls
+    m = RMatrix([[F(1, 2), QC(0, -3)], [2, QC(F(1, 3), 1)]])
+    assert all(m[i, j] == m.rows[i][j] for i in range(2) for j in range(2))
+    assert repr(m) == "RMatrix([['1/2', '(0+-3j)'], ['2', '(1/3+1j)']])"
+    q = QC(F(1, 3), -2)
+    assert -q == QC(0) - q == QC(F(-1, 3), 2)
+    assert hash(QC(F(2, 4), 1)) == hash(QC(F(1, 2), F(3, 3)))
+    assert len({QC(1), QC(F(2, 2)), QC(1, 0)}) == 1
+
+
 def test_rank_and_index():
     assert exact_rank(A1) == 2
     assert exact_index(A1) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from geninv import (
     DimensionMismatchError,
+    InternalCheckError,
     PreconditionError,
     UnknownSuiteError,
     UnknownSystemError,
@@ -79,6 +80,14 @@ def test_projector_system_on_core_ep_samples():
         assert rep.breakdown["perturbation_refutation"]["worst_residual"] > 1e-4
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND 29: the A^3 (A^+ A^D A^+) product carries the "
+                   "cond^3 rounding of a matrix with cond 647, 1.23e-8 against 5.57e-9")
+@pytest.mark.parametrize("e", (0, -20))
+def test_projector_system_on_an_ill_conditioned_core_ep_matrix(e):
+    rep = verify_system(2.0 ** e * gen(EnsembleSpec(5, 6, 11, "generic"))[3], "kj43")
+    assert rep.breakdown["a3_x_eq_spectral_projector"]["failures"] == 0
+
+
 def test_unknown_system(a1):
     with pytest.raises(UnknownSystemError):
         verify_system(a1, "nonsense")
@@ -119,6 +128,14 @@ def test_solution_family_members_pass_the_cmp_rows(which, label, a1, a3, rng):
         for _ in range(5):
             x = solution_family(a, random_complex(rng, 3, 3) / fro_norm(a), which)
             assert _check(sides(rec, x), rec._compare)[0]
+
+
+@pytest.mark.xfail(raises=InternalCheckError, strict=True,
+                   reason="FOUND 26: the rounding of f (I - a a^+) a grows with |f| |a|, "
+                   "the threshold only with |x a|")
+@pytest.mark.parametrize("which", ("q1", "q2"))
+def test_solution_family_member_of_a_large_f(a1, which):
+    solution_family(a1, 1e10 * np.ones((3, 3)), which)
 
 
 def test_solution_family_rejects_unknown_kind(a1):
