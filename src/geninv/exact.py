@@ -106,7 +106,8 @@ class QC:
     def __repr__(self):
         if self.im == 0:
             return f"{self.re}"
-        return f"({self.re}+{self.im}j)"
+        sign = "-" if self.im < 0 else "+"
+        return f"({self.re}{sign}{abs(self.im)}j)"
 
 
 class RMatrix:

@@ -172,11 +172,19 @@ def _in_process(argv):
 
 def _fresh_interpreter(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(geninv.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from geninv.cli import main; "
-                               "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "geninv.cli", *argv],
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point(files, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    for path, code in ((files["a1"], 0), (str(bad), 2)):
+        argv = ["compute", "-i", path, "--which", "drazin"]
+        got = _fresh_interpreter(argv)
+        assert got == _in_process(argv)
+        assert got[0] == code and bool(got[1]) == (code == 0)
 
 
 

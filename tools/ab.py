@@ -1,158 +1,142 @@
-"""Time a change against its parent in one paired, interleaved run.
+"""Time a change against its parent with the benchmark itself.
 
-    python tools/ab.py PARENT CHANGE --workload W --rounds N [--seed S]
+    python tools/ab.py PARENT CHANGE [--workload W] [--pairs N] [--seed S]
 
-Starts three worker processes: two for PARENT and one for CHANGE. Each
-imports its tree's `src/geninv` and `bench/workloads.py`, changing
-neither, with BLAS on one thread, and builds workload W at seed S. The
-workers run one at a time, in one work directory. Each first hashes the
-op digests of one whole cycle with `op_digests.cycle_digest`, the function
-whose hash `tools/op_digests.py` prints, so ab prints the hash that
-op_digests prints for (S, W); if PARENT and CHANGE differ, the tool exits
-1 before any timing. Then each round runs one whole cycle on every worker,
-in an order rotated by one each round, and sums the `op.run()` times of
-the cycle. It prints, for CHANGE, the median ratio of its cycle time to
-the mean of the two PARENT workers' in the same round (below 1 is
-faster), the interquartile range of the ratios and the rounds won; and
-the same for the second PARENT worker against the first, the A/A null,
-which shows the noise floor of the run itself, a per-process offset
-included. Judging CHANGE against the mean of two PARENT processes halves
-that offset's weight in its ratio. This adds evidence; `bench/run.py` and
-`BENCHMARK.json` stay the benchmark's contract.
+Copies each tree's `src/`, `bench/` and `BENCHMARK.json` into two sibling
+directories with equal-length names under one temporary directory, since
+the latencies may depend on the checkout's directory. Exits 2 before any
+run unless both `bench/` trees and both `BENCHMARK.json` files are
+byte-identical. Then, for each workload (all of BENCHMARK.json's unless W
+is given) and each seed S to S+N-1, runs the benchmark's command with
+`--trace 0` and its run length on both sides, alternating which side runs
+first. A run that fails, or whose last line is not a result, exits 2.
+
+Per workload and end-to-end metric it prints each side's median and
+quartiles, the pairs the change won (ties count for neither side) and a
+verdict: `gain` when the change won at least nine tenths of the pairs and
+the medians differ by more than the parent's quartile spread; `worse` when
+the change's median is worse than the parent's by more than the metric's
+bound; `unresolved` when the parent's quartile spread is wider than that
+bound, unless every run of the change beat every run of the parent; and
+`no worse` otherwise. The last line is the `bench_pairs` JSON object that
+`BENCH_*.json` files carry. An A/A run, `ab.py TREE TREE`, shows the noise
+floor.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-# BLAS single-threaded, as in the benchmark; set before numpy is imported,
-# and inherited by the workers.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
-
-from op_digests import cycle_digest  # noqa: E402  (beside this file)
+COPIED = ("src", "bench", "BENCHMARK.json")
+IDENTICAL = ("bench", "BENCHMARK.json")
 
 
-def worker(tree: str, workload: str, seed: int, workdir: str) -> None:
-    """Build and warm the workload, answer `ready`, then serve one command
-    per line of stdin: `digest` answers `op_digests.cycle_digest` for the
-    workload and seed, `time` runs a cycle and answers the sum of its
-    `op.run()` times in seconds."""
-    tree_path = Path(tree).resolve()
-    sys.path[:0] = [str(tree_path / "src"), str(tree_path / "bench")]
-    import geninv
-    import workloads
-
-    if Path(geninv.__file__).resolve().parent != tree_path / "src" / "geninv":
-        sys.exit(f"error: imported geninv from {geninv.__file__}, not {tree_path}")
-    wl = workloads.WORKLOADS[workload](seed, Path(workdir))
-    wl.warm()
-    reply = sys.stdout
-    print("ready", file=reply, flush=True)
-    for command in sys.stdin:
-        if command.strip() == "digest":
-            print(cycle_digest(workloads, workload, seed), file=reply, flush=True)
-            continue
-        total = 0.0
-        for j in range(wl.cycle):
-            op = wl.op(j)
-            start = time.perf_counter()
-            try:
-                op.run()
-            except Exception:  # an operation that raises is timed too
-                pass
-            total += time.perf_counter() - start
-            op.cleanup()
-        print(repr(total), file=reply, flush=True)
+def tree_bytes(path: Path) -> dict[str, bytes]:
+    """Every file under `path` (or `path` itself) by relative name."""
+    files = [path] if path.is_file() else sorted(p for p in path.rglob("*") if p.is_file())
+    return {str(p.relative_to(path)): p.read_bytes() for p in files}
 
 
-class Worker:
-    """One worker process and its command pipe, started once the worker
-    before it is ready, since all of them share one work directory."""
-
-    def __init__(self, tree: str, args, workdir: str):
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", tree, args.workload, str(args.seed), workdir],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self.ask(None)
-
-    def ask(self, command: str | None) -> str:
-        """The worker's answer to `command`, or its next line for None."""
-        if command is not None:
-            self.proc.stdin.write(command + "\n")
-            self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"worker exited with {self.proc.wait()}")
-        return line.strip()
-
-    def close(self) -> None:
-        """End of input stops the worker; one that does not stop is killed."""
-        try:
-            self.proc.stdin.close()
-            self.proc.wait(timeout=60)
-        except (BrokenPipeError, subprocess.TimeoutExpired):
-            self.proc.kill()
-            self.proc.wait()
+def median_q1_q3(values: list[float]) -> list[float]:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [round(x, 4) for x in (statistics.median(values), q1, q3)]
 
 
-def summary(label: str, ratios: list[float]) -> str:
-    q1, median, q3 = np.percentile(ratios, (25, 50, 75))
-    wins = sum(r < 1.0 for r in ratios)
-    return (f"{label}: median ratio {median:.4f}, IQR {q3 - q1:.4f} ({q1:.4f}-{q3:.4f}), "
-            f"faster in {wins} of {len(ratios)} rounds")
+def summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One cell of `bench_pairs`: the runs of both sides, as the benchmark
+    printed them, in pair order, with their quartiles, wins and verdict."""
+    sign = 1 if better == "higher" else -1
+    pq, cq = median_q1_q3(parent), median_q1_q3(change)
+    lead, spread = sign * (cq[0] - pq[0]), pq[2] - pq[1]
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if 10 * won >= 9 * len(parent) and lead > spread:
+        verdict = "gain"
+    elif lead < -bound * abs(pq[0]):
+        verdict = "worse"
+    elif spread > bound * abs(pq[0]) and min(sign * c for c in change) <= max(
+            sign * p for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "no worse"
+    return {"parent": parent, "change": change, "parent_median_q1_q3": pq,
+            "change_median_q1_q3": cq, "change_better": won, "verdict": verdict}
 
 
-def main(argv: list[str]) -> int:
-    if argv[:1] == ["--worker"]:
-        worker(argv[1], argv[2], int(argv[3]), argv[4])
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--rounds", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    workdir = tempfile.mkdtemp(prefix="geninv-ab-")
-    names = ("parent", "change", "parent2")
-    workers = {}
+def run(side: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=side, stdout=subprocess.PIPE, text=True)
     try:
-        for name, tree in zip(names, (args.parent, args.change, args.parent)):
-            workers[name] = Worker(tree, args, workdir)
-        digests = {name: w.ask("digest") for name, w in workers.items()}
-        if digests["parent"] != digests["change"]:
-            print(f"error: op digests differ: parent {digests['parent']}, "
-                  f"change {digests['change']}", file=sys.stderr)
-            return 1
-        print(f"{args.workload} seed {args.seed}: op digests agree ({digests['parent']})")
-        times = {name: [] for name in names}
-        start = time.perf_counter()
-        for r in range(args.rounds):
-            for name in names[r % 3:] + names[:r % 3]:
-                times[name].append(float(workers[name].ask("time")))
-        parents = [(p + q) / 2 for p, q in zip(times["parent"], times["parent2"])]
-        print(f"{args.rounds} rounds in {time.perf_counter() - start:.1f} s; "
-              f"median parent cycle {np.median(parents) * 1e3:.1f} ms")
-        print(summary("change/mean(parent, parent2)",
-                      [t / p for t, p in zip(times["change"], parents)]))
-        print(summary("null parent2/parent",
-                      [t / p for t, p in zip(times["parent2"], times["parent"])]))
-    finally:
-        for w in workers.values():
-            w.close()
-        shutil.rmtree(workdir, ignore_errors=True)
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict) or "metrics" not in result:
+        print(f"error: the {side.name} run of {workload} at seed {seed} failed "
+              f"(exit code {proc.returncode})", file=sys.stderr)
+        sys.exit(2)
+    return result
+
+
+def pairs(sides: list[Path], config: dict, workload: str, seeds: range) -> dict:
+    """Alternating runs of both sides at each seed, summarised per metric."""
+    runs = {side.name: [] for side in sides}
+    for i, seed in enumerate(seeds):
+        for side in sides[::-1] if i % 2 else sides:
+            runs[side.name].append(run(side, config["command"], workload, seed,
+                                       config["run_seconds"]))
+    entry = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
+             "failed_ops": {name: sum(r["failed"] for r in rs) for name, rs in runs.items()}}
+    for metric in config["end_to_end"]:
+        name = metric["name"]
+        parent, change = ([round(r["metrics"][name]["value"], 4) for r in runs[s.name]]
+                          for s in sides)
+        cell = entry[name] = summary(parent, change, metric["better"], metric["bound"])
+        print(f"{workload:14s} {name:16s} parent {cell['parent_median_q1_q3']}  "
+              f"change {cell['change_median_q1_q3']}  won {cell['change_better']} of "
+              f"{len(seeds)}  {cell['verdict']}", flush=True)
+    return entry
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, to give quartiles")
+    with tempfile.TemporaryDirectory(prefix="geninv-ab-") as tmp:
+        sides = [Path(tmp) / "parent", Path(tmp) / "change"]
+        for tree, side in zip((args.parent, args.change), sides):
+            side.mkdir()
+            for name in COPIED:
+                if (tree / name).is_dir():
+                    shutil.copytree(tree / name, side / name,
+                                    ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+                else:
+                    shutil.copy2(tree / name, side / name)
+        for name in IDENTICAL:
+            if tree_bytes(sides[0] / name) != tree_bytes(sides[1] / name):
+                print(f"error: {name} differs between {args.parent} and {args.change}",
+                      file=sys.stderr)
+                return 2
+        config = json.loads((sides[0] / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in config["workloads"]]
+        seeds = range(args.seed, args.seed + args.pairs)
+        entries = [pairs(sides, config, w, seeds)
+                   for w in ([args.workload] if args.workload else names)]
+    print(json.dumps({"bench_pairs": entries}))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -67,9 +67,7 @@ def op_digests(workloads, name: str, seed: int) -> list[tuple[str, str]]:
 
 def cycle_digest(workloads, name: str, seed: int) -> str:
     """The sha256 over the op digests (`op_digests`) of one full cycle of
-    workload `name` at `seed`. `tools/ab.py` checks its trees with this
-    function too, so both tools print the same hash for one (seed,
-    workload)."""
+    workload `name` at `seed`."""
     h = hashlib.sha256()
     for _, digest in op_digests(workloads, name, seed):
         h.update(digest.encode())
