@@ -22,8 +22,7 @@ from functools import wraps
 
 import numpy as np
 
-from .factor import (HSDecomp, SVDResult, ZeroMatrixError, _pinv_from, _rank_from,
-                     _singular_values, svd)
+from .factor import HSDecomp, ZeroMatrixError, _singular_values, svd
 from .kernel import (DEFAULT_TOL, DimensionMismatchError, Tolerance, _compare, _guarded,
                      _ldexp, _ldexp_scalar, _named_overflow, conj_transpose, mat_pow)
 
@@ -211,11 +210,12 @@ class _Analysis(_Derived):
     identity. Parts are computed on the record of B = 2^-e A (`unit`) only,
     which looks each SVD up by its power j and keys it by input (shape and
     bytes) once (`_svd`), so bitwise-equal powers share one; the record of A
-    reads every part, svd(A) and A^j scaled from there, and forms no SVD or
-    power of its own. Beside svd(A), the block factorization, A^D and the
-    record of B (`_unit`), it gives `_Derived` B^j, its rank against
-    max(sigma_max(B), ref)**j, its pseudoinverse over the singular values
-    that rank keeps, and judges pairs by `kernel._compare` under `tol`. Its
+    reads every part and A^j scaled from there, and forms no SVD or power of
+    its own. It alone reads its SVDs: beside the block factorization, A^D and
+    the record of B (`_unit`), it gives `_Derived` B^j, rank(B^j) in
+    `_read_rank`, which holds its reference, cutoff and count, and (B^j)^+
+    in `_invert_power`, which holds the values that count keeps; and judges
+    pairs by `kernel._compare` under `tol`. Its
     e (`_exp`) and its reference (`_ref`, A's; 0 unless `rank_scaled` or
     `pinv_scaled` gives it) are fixed at construction: e by the input guard,
     which finds it in the scan that tests finiteness, and as 0 for the
@@ -259,31 +259,29 @@ class _Analysis(_Derived):
         return _Analysis(_ldexp(self.a, -self._exp), self.tol, 0, self._values_only,
                          _ldexp_scalar(self._ref, -self._exp))
 
-    @_once
-    def factors(self) -> SVDResult:
-        """svd(A), read from svd(B): `svd` scales its input by 2^-e first,
-        so the two differ only in s, by 2^e."""
-        if not self._exp:
-            return self._svd(1)
-        res = self.unit.factors
-        return SVDResult(u=res.u, s=np.ldexp(res.s, self._exp), v=res.v)
-
     def _form_power(self, j: int) -> np.ndarray:
         return np.eye(len(self.a), dtype=np.complex128) if j == 0 else mat_pow(self.a, j)
 
     def _read_rank(self, j: int) -> int:
-        """rank(B^j), the one rank decision, against max(sigma_max(B), ref)**j,
-        sigma_max(B) the first of B's singular values; a power beyond the
-        float range reads as inf, which keeps no value."""
+        """rank(B^j), the one rank decision: the count of B^j's singular values
+        s above tol.rank_cutoff(m, n) max(s_1, scale), scale the reference
+        max(sigma_max(B), ref)**j, or inf beyond the float range."""
         try:
             scale = max(float(self._sigma(1)[:1].max(initial=0.0)), self._ref) ** j
         except OverflowError:
             scale = np.inf
-        return _rank_from(self._sigma(j), self.a.shape, scale, self.tol)
+        s = self._sigma(j)
+        cutoff = self.tol.rank_cutoff(*self.a.shape) * max(float(s[0]) if len(s) else 0.0, scale)
+        return sum(x > cutoff for x in s.tolist())
 
     def _invert_power(self, j: int) -> np.ndarray:
-        """(B^j)^+ over the rank(B^j) largest singular values it was read from."""
-        return _pinv_from(self._svd(j), self._rank_of_power(j))
+        """(B^j)^+ = v diag(1/s) u* over the rank(B^j) largest singular values
+        s of the SVD that rank was read from: the values the decision kept."""
+        res, r = self._svd(j), self._rank_of_power(j)
+        m, n = res.u.shape[0], res.v.shape[0]
+        smat = np.zeros((n, m), dtype=np.complex128)  # 1/s goes on its diagonal
+        smat.reshape(-1)[: r * (m + 1) : m + 1] = [1.0 / x for x in res.s[:r].tolist()]
+        return res.v @ smat @ conj_transpose(res.u)
 
     def _compare(self, x: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
         return _compare(x, y, self.tol)
@@ -293,11 +291,15 @@ class _Analysis(_Derived):
 
     @_once
     def hs(self) -> HSDecomp:
-        res, r = self.factors, self.rank
+        """U [[SQ, SP], [0, 0]] U* from svd(B): U, Q and P are B's, and Sigma
+        is 2^e times the r singular values `_invert_power` keeps in B^+, r the
+        count `_read_rank` decides."""
+        res, r = self.unit._svd(1), self.rank
         if r == 0:
             raise ZeroMatrixError("the factorization requires rank >= 1")
         qp = conj_transpose(res.v) @ res.u
-        return HSDecomp(u=res.u, sigma=res.s[:r], q=qp[:r, :r], p=qp[:r, r:], r=r)
+        sigma = np.ldexp(res.s[:r], self._exp) if self._exp else res.s[:r]
+        return HSDecomp(u=res.u, sigma=sigma, q=qp[:r, :r], p=qp[:r, r:], r=r)
 
     @_part(-1)
     def drazin(self) -> np.ndarray:

@@ -7,6 +7,7 @@ spec always reproduces the same sequence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +46,8 @@ class EnsembleSpec:
     """Description of a random ensemble: size, count, seed and class.
 
     rank is required by fixed_rank, index by fixed_index; both must not
-    exceed size.
+    exceed size. Every number is an integer: an int or anything else that
+    `operator.index` takes (a numpy integer), but not a bool.
     """
 
     size: int
@@ -56,6 +58,10 @@ class EnsembleSpec:
     index: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("size", "count", "seed", "rank", "index"):
+            value = getattr(self, name)
+            if value is not None or name in ("size", "count", "seed"):
+                _integer(name, value)
         if not (1 <= self.size <= MAX_SIZE):
             raise InvalidSpecError(f"size must be in [1, {MAX_SIZE}], got {self.size}")
         if self.count < 1:
@@ -70,6 +76,16 @@ class EnsembleSpec:
         if self.kind == "fixed_index":
             if self.index is None or not (0 <= self.index <= self.size):
                 raise InvalidSpecError(f"fixed_index needs 0 <= index <= {self.size}")
+
+
+def _integer(name: str, value) -> None:
+    """Raise InvalidSpecError unless `value` is an integer and not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _rng_for(seed: int, i: int) -> np.random.Generator:

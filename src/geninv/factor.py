@@ -111,21 +111,6 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.ldexp(s, exp) if exp else s
 
 
-def _rank_from(s: np.ndarray, shape: tuple[int, int], scale: float, tol: Tolerance) -> int:
-    """The number of singular values s of an m x n matrix (`shape`) above the
-    cutoff, referenced to max(sigma_max, scale)."""
-    cutoff = tol.rank_cutoff(*shape) * max(float(s[0]) if len(s) else 0.0, scale)
-    return sum(x > cutoff for x in s.tolist())
-
-
-def _pinv_from(res: SVDResult, r: int) -> np.ndarray:
-    """v diag(1/s) u* over the r largest singular values s."""
-    m, n = res.u.shape[0], res.v.shape[0]
-    smat = np.zeros((n, m), dtype=np.complex128)
-    smat.reshape(-1)[: r * (m + 1) : m + 1] = [1.0 / x for x in res.s[:r].tolist()]  # its diagonal
-    return res.v @ smat @ conj_transpose(res.u)
-
-
 def rank_scaled(a: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank with the singular-value cutoff referenced to max(sigma_max, scale):
     the `rank` of the record with reference `scale`, read from the singular

@@ -34,7 +34,7 @@ from .orders import (
     leq,
     mpd_order_characterizations,
 )
-from .ensembles import EnsembleSpec, _records, idempotent_core_samples
+from .ensembles import EnsembleSpec, InvalidSpecError, _records, idempotent_core_samples
 
 __all__ = [
     "UnknownSystemError",
@@ -392,11 +392,14 @@ def run_suite(suite: str, spec: EnsembleSpec | Sequence[EnsembleSpec],
     "ass" adds idempotent-core witnesses derived from the first spec's
     seed; "orders_kep" draws the left operands from the spec with its
     class forced to k_ep and the right operands from the spec as given;
-    "adf" consumes the ensemble pairwise and adds (a, core(a)) pairs.
+    "adf" consumes the ensemble pairwise and adds (a, core(a)) pairs. An
+    empty list of specs raises InvalidSpecError.
     """
     specs = [spec] if isinstance(spec, EnsembleSpec) else list(spec)
     if suite not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}")
+    if not specs:
+        raise InvalidSpecError("run_suite needs at least one ensemble spec")
     row = _SUITES[suite]
     samples, subjects = row.source(specs, tol)
     report = VerificationReport(suite=suite)

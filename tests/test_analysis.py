@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
-from geninv.drazin import _analyse, _Analysis, _Derived
+from geninv.drazin import _analyse, _Analysis, _Derived, _once
 from geninv.ensembles import KINDS, EnsembleSpec, gen
 from geninv.exact import RMatrix, _ExactAnalysis
-from geninv.factor import _rank_from
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 
 from conftest import random_complex
@@ -295,10 +294,19 @@ def test_record_of_a_reads_every_part_scaled_from_b(kind, e, a1):
         assert np.array_equal(getattr(rec, name), getattr(b, name) * f ** degree), name
     for j in (0, 1, 2):
         assert np.array_equal(rec.power(j), b.power(j) * f ** j)
-    assert rec.factors.u is b.factors.u and rec.factors.v is b.factors.v
-    assert np.array_equal(rec.factors.s, b.factors.s * f)
+    assert rec.hs.u is b.hs.u and rec.hs.r == b.hs.r
+    assert np.array_equal(rec.hs.q, b.hs.q) and np.array_equal(rec.hs.p, b.hs.p)
     assert np.array_equal(rec.hs.sigma, b.hs.sigma * f)
     assert rec._svds == {} and rec._powers == {} and rec._pinvs == {} and rec._ranks == {}
+
+
+def test_a_part_read_on_the_class_is_its_descriptor():
+    # help() and other readers of the class find each part with its docstring
+    for cls, name, doc in ((_Derived, "index", "The least k with rank(A^k)"),
+                           (_Analysis, "hs", "U [[SQ, SP], [0, 0]] U*")):
+        part = getattr(cls, name)
+        assert isinstance(part, _once) and part is cls.__dict__[name]
+        assert part.__doc__.startswith(doc)
 
 
 @pytest.mark.parametrize("build", (lambda a: _analyse(8 * a, gi.DEFAULT_TOL),
@@ -402,7 +410,7 @@ def test_rank_only_calls_agree_with_the_full_record(source):
             rec = _analyse(b, tol)
             assert gi.index(b) == rec.index
             assert gi.numerical_rank(b) == rec.rank
-            assert gi.rank_scaled(b, scale) == _rank_from(rec.factors.s, b.shape, scale, tol)
+            assert gi.rank_scaled(b, scale) == _analyse(b, tol, ref=scale).rank
 
 
 @settings(max_examples=40, deadline=None)
@@ -415,17 +423,19 @@ def test_rank_only_calls_exact_under_power_of_two_scaling(e, kind, n, seed):
 
 @pytest.fixture
 def record_calls(monkeypatch):
-    """Calls the analysis record makes, counted by function name."""
+    """Calls the analysis record makes, counted by name: its rank decisions
+    and inversions, and the SVDs and powers the drazin module forms."""
     drazin_module = sys.modules["geninv.drazin"]
-    calls = dict.fromkeys(("_rank_from", "_pinv_from", "svd", "mat_pow"), 0)
+    calls = dict.fromkeys(("_read_rank", "_invert_power", "svd", "mat_pow"), 0)
     for name in calls:
-        real = getattr(drazin_module, name)
+        owner = _Analysis if name.startswith("_") else drazin_module
+        real = getattr(owner, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(drazin_module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -437,7 +447,7 @@ def test_spectral_work_done_once_at_any_scale(a1, e, record_calls):
     # is B itself, and its rank the one the index search starts from
     rep = gi.inverse_report(2.0 ** e * a1 / 4)
     assert rep.index == 2
-    assert record_calls == {"_rank_from": 3, "_pinv_from": 2, "svd": 3, "mat_pow": 3}
+    assert record_calls == {"_read_rank": 3, "_invert_power": 2, "svd": 3, "mat_pow": 3}
 
 
 NONSINGULAR = {
@@ -457,7 +467,7 @@ def test_nonsingular_spectral_work(name, e, record_calls):
     # I by np.eye, so the one power `mat_pow` forms is C^1
     rep = gi.inverse_report(2.0 ** e * NONSINGULAR[name])
     assert (rep.index, rep.rank) == (0, 4)
-    assert record_calls == {"_rank_from": 1, "_pinv_from": 1, "svd": 1, "mat_pow": 1}
+    assert record_calls == {"_read_rank": 1, "_invert_power": 1, "svd": 1, "mat_pow": 1}
 
 
 def test_suites_spectral_work(record_calls):
@@ -470,7 +480,7 @@ def test_suites_spectral_work(record_calls):
     # with I forms it once, as B^0, by np.eye, not by `mat_pow`
     for suite in SUITE_IDS:
         run_suite(suite, EnsembleSpec(6, 10, 0, "fixed_index", index=2))
-    assert record_calls == {"_rank_from": 412, "_pinv_from": 270, "svd": 412, "mat_pow": 382}
+    assert record_calls == {"_read_rank": 412, "_invert_power": 270, "svd": 412, "mat_pow": 382}
 
 
 @pytest.mark.parametrize("suite", ("core_ep_equiv", "core_ep_collapse", "six_part"))

@@ -38,6 +38,16 @@ def test_spec_validation():
         EnsembleSpec(size=3, count=1, kind="fixed_index")
     with pytest.raises(InvalidSpecError):
         EnsembleSpec(size=3, count=1, seed=-1)
+    # every number an integer, a numpy one too, but no float and no bool
+    for size, count, kwargs in ((2.5, 1, {}), (3, 1.5, {}), (3, 2, {"seed": 1.5}),
+                                (3, 2, {"kind": "fixed_rank", "rank": 1.5}),
+                                (3, 2, {"kind": "fixed_index", "index": np.float64(1)}),
+                                (True, 1, {}), (3, True, {}), (3, 2, {"seed": np.True_}),
+                                (None, 1, {})):
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            EnsembleSpec(size, count, **kwargs)
+    spec = EnsembleSpec(np.int64(3), np.int32(2), np.uint8(4), "fixed_rank", rank=np.int16(1))
+    assert len(gen(spec)) == 2
 
 
 def test_reproducible_and_order_independent():

@@ -266,19 +266,27 @@ PINNED_MATRICES = (
     rm([[F(1, 2), QC(1, F(-1, 3)), 0], [0, 0, 2], [0, 0, 0]]),
 )
 
-# sha256 of repr(f(a).rows) over PINNED_MATRICES, recorded with the
-# per-entry Fraction implementation that the integer arrays replaced, and
-# re-recorded when QC's repr began to write a negative imaginary part with
-# a minus sign: under the old repr the same values give the old digests
+
+def _stored(m) -> str:
+    """The stored form of an exact matrix as text: its shape, common
+    denominator and integer real and imaginary parts, which pin its values
+    and no repr."""
+    return repr((m.shape, m._den, m._re.tolist(), m._im.tolist()))
+
+
+# sha256 of _stored(f(a)) over PINNED_MATRICES, recorded from values that
+# give the digests of repr(f(a).rows) pinned before, which had been
+# recorded with the per-entry Fraction implementation the integer arrays
+# replaced
 PINNED_DIGESTS = {
-    "exact_pinv": "a1fdd03819cddc108807e66775341f438bafb45fa6ed818bf2b7306caf871a49",
-    "exact_drazin": "f7cec92caecc5c36fdba3652a695ead9a0b6ebf1b84da5aa7d079a60a075b4e8",
-    "exact_dmp": "bba24455f91fa948777e445e256facae31ef827fcf463c441b3904df2267f144",
-    "exact_mpd": "d653b89ef67daba53222c82ce7449c274677a4e43dd91c062c85b0bb111d74fe",
-    "exact_cmp": "fc975bd9892f1bd97e2190205c4097897e0e2d7b81ee4530b869638a6af9b3e6",
-    "exact_mpdmp": "3e68e8125551d8fb6dbf11ced1b05f9e41887eb4de8ff9303d4b5ba1de1f5c97",
-    "exact_core_ep": "acc36b4547e43b071b8dcf4201d349e88786a447200fca64db12462c348cc7a8",
-    "exact_cce": "f7aaa8df8a5f6e264628885b9770992f38d92e01f7ad089cade794e5831ce6ee",
+    "exact_pinv": "89c6f4beb2bc7f32764a1f8f29e843d79adc4255e29681106acc27812717e656",
+    "exact_drazin": "3576738171ef945fc6e444297b84bce52d3154318b2596042e4f64b69aa0cdaa",
+    "exact_dmp": "b2b2628b16c1eef65f3a8fa9e57d6a25bb2d2a6557cd004989578703fbd39cb8",
+    "exact_mpd": "de35cb4f2c189c72c0d6df5228580b4d6c7018d30858ef003ec1146da35a2b82",
+    "exact_cmp": "9320739fd6f56638455e1e38ebcb459a3bfcd84edaaa20982393eef3154bc0d7",
+    "exact_mpdmp": "9afa9a0f7ac7642513da57b8716d0aa6dfbb9473e9ee117caf0b23df35313990",
+    "exact_core_ep": "df4c0c34c876690cfa8a98c3dc37a60dfdf80db55c8b42a538a86c9d53d40743",
+    "exact_cce": "658a29ef5f0795798c9c5490db2d22584468a3cea8d09a8e1a016fa037dd0387",
 }
 
 
@@ -287,7 +295,7 @@ def test_exact_values_are_pinned(name):
     f = globals()[name]
     h = hashlib.sha256()
     for a in PINNED_MATRICES:
-        h.update(repr(f(a).rows).encode())
+        h.update(_stored(f(a)).encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
 
 
@@ -313,7 +321,7 @@ def test_exact_record_reduces_each_power_once(monkeypatch, a, counts):
     inputs, rref = [], exact._rref
 
     def spy(m):
-        inputs.append(repr((m.shape, m._den, m._re.tolist(), m._im.tolist())))
+        inputs.append(_stored(m))
         return rref(m)
 
     monkeypatch.setattr(exact, "_rref", spy)

@@ -1,8 +1,9 @@
 """tools/ab.py: its summary of recorded runs, and its refusal to compare
-trees whose benchmarks differ."""
+trees whose benchmarks differ; tools/op_digests.py on one tree twice."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +53,12 @@ def test_trees_whose_benchmarks_differ_are_refused_before_any_run(tmp_path, caps
         ab.main([str(parent), str(parent), "--pairs", "2"])
     assert stop.value.code == 2 and marker.exists()
     assert "the parent run of w at seed 1 failed (exit code 0)" in capsys.readouterr().err
+
+
+def test_op_digests_of_a_tree_against_itself_agree():
+    # both runs hash every op of each workload at seeds 0 and 401
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "op_digests.py"), str(ROOT),
+                          str(ROOT)], stdout=subprocess.PIPE, text=True, timeout=300)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 0, run.stdout
+    assert len(lines) == 8 and not any("DIFFERS" in line for line in lines)

@@ -19,7 +19,7 @@ from geninv import (
 )
 from geninv.cli import _RESIDUALS
 from geninv.drazin import _analyse
-from geninv.ensembles import KINDS, EnsembleSpec, _records, gen
+from geninv.ensembles import KINDS, EnsembleSpec, InvalidSpecError, _records, gen
 from geninv.factor import _block
 from geninv.kernel import DEFAULT_TOL, _check
 from geninv.verify import (
@@ -169,6 +169,14 @@ def test_system_report_does_not_depend_on_scale():
 def test_unknown_suite():
     with pytest.raises(UnknownSuiteError):
         run_suite("nonsense", EnsembleSpec(size=3, count=2))
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_no_spec_is_an_invalid_spec(suite):
+    # "ass" seeds its witnesses from the first spec; no suite reports zero
+    # samples as passed
+    with pytest.raises(InvalidSpecError):
+        run_suite(suite, [])
 
 
 SUITE_SPECS = {
