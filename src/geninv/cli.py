@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import core_ep_equiv_report
 from .drazin import IndexTooLargeError, _analyse, drazin, group_inverse
-from .ensembles import EnsembleSpec, InvalidSpecError, KINDS
+from .ensembles import _PARAMETERS, EnsembleSpec, InvalidSpecError, KINDS
 from .factor import SvdConvergenceError, ZeroMatrixError, _derived, hs_reconstruct, pinv
 from .inverses import cce_inverse, cmp_inverse, core_ep_inverse, dmp, mpd, mpdmp
 from .kernel import (
@@ -284,19 +284,20 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
-def _parse_class(text: str):
+def _parse_class(text: str) -> tuple[str, dict]:
+    """The class `text` names, and its parameter as a keyword of EnsembleSpec."""
     name, _, param = text.partition(":")
     if name not in KINDS:
         raise InvalidSpecError(f"unknown class {name!r}")
-    if param and name not in ("fixed_rank", "fixed_index"):
+    field = _PARAMETERS.get(name)
+    if param and field is None:
         raise InvalidSpecError(f"class {name!r} takes no parameter")
     try:
         value = int(param) if param else None
     except ValueError:
         raise InvalidSpecError(
             f"class {name!r} takes an integer parameter, got {param!r}") from None
-    return (name, value if name == "fixed_rank" else None,
-            value if name == "fixed_index" else None)
+    return name, {field: value} if field else {}
 
 
 def cmd_verify(args) -> int:
@@ -308,10 +309,9 @@ def cmd_verify(args) -> int:
             seed = int(text)
         except ValueError:
             raise _ArgumentError(f"GENINV_SEED must be an integer, got {text!r}") from None
-    kind, rank, index_val = _parse_class(args.matrix_class)
+    kind, parameter = _parse_class(args.matrix_class)
     try:
-        spec = EnsembleSpec(size=args.size, count=args.count, seed=seed,
-                            kind=kind, rank=rank, index=index_val)
+        spec = EnsembleSpec(size=args.size, count=args.count, seed=seed, kind=kind, **parameter)
     except InvalidSpecError as exc:
         raise PreconditionError(str(exc)) from exc
     report = run_suite(args.suite, spec, tol)

@@ -8,7 +8,7 @@ spec always reproduces the same sequence.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +23,9 @@ __all__ = [
     "idempotent_core_samples",
 ]
 
-KINDS = (
-    "generic",
-    "fixed_rank",
-    "fixed_index",
-    "core_ep",
-    "ep",
-    "k_ep",
-    "nilpotent",
-    "integer_small",
-)
-
 MAX_SIZE = 16
+# each class that takes a parameter, with the EnsembleSpec field that holds it
+_PARAMETERS = {"fixed_rank": "rank", "fixed_index": "index"}
 
 
 class InvalidSpecError(ValueError):
@@ -45,9 +36,9 @@ class InvalidSpecError(ValueError):
 class EnsembleSpec:
     """Description of a random ensemble: size, count, seed and class.
 
-    rank is required by fixed_rank, index by fixed_index; both must not
-    exceed size. Every number is an integer: an int or anything else that
-    `operator.index` takes (a numpy integer), but not a bool.
+    A class in `_PARAMETERS` requires the field it names there (rank or
+    index), from 0 to size. Every number is an integer: an int or anything
+    else that `operator.index` takes (a numpy integer), but not a bool.
     """
 
     size: int
@@ -70,12 +61,11 @@ class EnsembleSpec:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown class {self.kind!r}")
-        if self.kind == "fixed_rank":
-            if self.rank is None or not (0 <= self.rank <= self.size):
-                raise InvalidSpecError(f"fixed_rank needs 0 <= rank <= {self.size}")
-        if self.kind == "fixed_index":
-            if self.index is None or not (0 <= self.index <= self.size):
-                raise InvalidSpecError(f"fixed_index needs 0 <= index <= {self.size}")
+        field = _PARAMETERS.get(self.kind)
+        if field is not None:
+            value = getattr(self, field)
+            if value is None or not (0 <= value <= self.size):
+                raise InvalidSpecError(f"{self.kind} needs 0 <= {field} <= {self.size}")
 
 
 def _integer(name: str, value) -> None:
@@ -114,53 +104,51 @@ def _strict_upper(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.triu(_cgauss(rng, n, n), k=1)
 
 
-def _block_diag(c: np.ndarray, n_block: np.ndarray) -> np.ndarray:
-    r, m = c.shape[0], n_block.shape[0]
-    out = np.zeros((r + m, r + m), dtype=np.complex128)
-    out[:r, :r] = c
-    out[r:, r:] = n_block
-    return out
+def _zeros(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.zeros((n, n), dtype=np.complex128)
 
 
-def _jordan_nilpotent(k: int) -> np.ndarray:
-    return np.eye(k, k, 1, dtype=np.complex128)
+def _jordan(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.eye(n, n, 1, dtype=np.complex128)
+
+
+def _similar(rng: np.random.Generator, n: int, r: int, core, nil) -> np.ndarray:
+    """U (C ⊕ N) U*: a Haar U, then C = core(rng, r), then N = nil(rng, n - r),
+    drawn in that order. Every class of a core and a nilpotent block."""
+    u = _haar_unitary(rng, n)
+    block = np.zeros((n, n), dtype=np.complex128)
+    block[:r, :r] = core(rng, r)
+    block[r:, r:] = nil(rng, n - r)
+    return u @ block @ u.conj().T
+
+
+def _core_rank(rng: np.random.Generator, n: int) -> int:
+    """The drawn size of the core block, in [1, n - 1] (1 at n = 1)."""
+    return int(rng.integers(1, n)) if n > 1 else 1
+
+
+# one sampler (spec, rng) -> matrix per class; KINDS lists them in this order
+_SAMPLERS = {
+    "generic": lambda spec, rng: _cgauss(rng, spec.size, spec.size),
+    "fixed_rank": lambda spec, rng: (_cgauss(rng, spec.size, spec.rank)
+                                     @ _cgauss(rng, spec.rank, spec.size)),
+    "fixed_index": lambda spec, rng: _similar(rng, spec.size, spec.size - spec.index,
+                                              _well_conditioned, _jordan),
+    "core_ep": lambda spec, rng: _similar(rng, spec.size, _core_rank(rng, spec.size),
+                                          _well_conditioned, _strict_upper),
+    "ep": lambda spec, rng: _similar(rng, spec.size, _core_rank(rng, spec.size),
+                                     _well_conditioned, _zeros),
+    "k_ep": lambda spec, rng: _SAMPLERS["ep" if rng.random() < 0.5 else "nilpotent"](spec, rng),
+    "nilpotent": lambda spec, rng: _similar(rng, spec.size, 0, _zeros, _strict_upper),
+    "integer_small": lambda spec, rng: (rng.integers(-3, 4, (spec.size, spec.size))
+                                        .astype(np.complex128)),
+}
+KINDS = tuple(_SAMPLERS)
 
 
 def _sample(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One sample matrix of the class of `spec`."""
-    n = spec.size
-    if spec.kind == "generic":
-        return _cgauss(rng, n, n)
-    if spec.kind == "fixed_rank":
-        r = spec.rank
-        if r == 0:
-            return np.zeros((n, n), dtype=np.complex128)
-        return _cgauss(rng, n, r) @ _cgauss(rng, r, n)
-    if spec.kind == "fixed_index":
-        k = spec.index
-        u = _haar_unitary(rng, n)
-        block = _block_diag(_well_conditioned(rng, n - k), _jordan_nilpotent(k))
-        return u @ block @ u.conj().T
-    if spec.kind == "core_ep":
-        r = int(rng.integers(1, n)) if n > 1 else 1
-        u = _haar_unitary(rng, n)
-        block = _block_diag(_well_conditioned(rng, r), _strict_upper(rng, n - r))
-        return u @ block @ u.conj().T
-    if spec.kind == "ep":
-        r = int(rng.integers(1, n)) if n > 1 else 1
-        u = _haar_unitary(rng, n)
-        block = _block_diag(_well_conditioned(rng, r),
-                            np.zeros((n - r, n - r), dtype=np.complex128))
-        return u @ block @ u.conj().T
-    if spec.kind == "k_ep":
-        inner = replace(spec, kind="ep" if rng.random() < 0.5 else "nilpotent")
-        return _sample(inner, rng)
-    if spec.kind == "nilpotent":
-        u = _haar_unitary(rng, n)
-        return u @ _strict_upper(rng, n) @ u.conj().T
-    if spec.kind == "integer_small":
-        return rng.integers(-3, 4, (n, n)).astype(np.complex128)
-    raise InvalidSpecError(f"unknown class {spec.kind!r}")
+    return _SAMPLERS[spec.kind](spec, rng)
 
 
 def _records(spec: EnsembleSpec, tol: Tolerance) -> list:
@@ -180,12 +168,7 @@ def gen(spec: EnsembleSpec, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
 
 def idempotent_core_samples(size: int, count: int, seed: int = 0) -> list[np.ndarray]:
     """Samples U (I_r + N) U* whose core part is idempotent (a^(k+1) = a^k)."""
-    out = []
-    for i in range(count):
-        rng = _rng_for(seed, i)
-        r = int(rng.integers(1, size)) if size > 1 else 1
-        u = _haar_unitary(rng, size)
-        block = _block_diag(np.eye(r, dtype=np.complex128),
-                            _strict_upper(rng, size - r))
-        out.append(u @ block @ u.conj().T)
-    return out
+    EnsembleSpec(size, count, seed)  # InvalidSpecError for what gen refuses
+    rngs = (_rng_for(seed, i) for i in range(count))
+    return [_similar(rng, size, _core_rank(rng, size),
+                     lambda rng, r: np.eye(r, dtype=np.complex128), _strict_upper) for rng in rngs]

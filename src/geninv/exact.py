@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .drazin import _Derived, _once
+from .drazin import _Derived, _analyse, _once
 from .kernel import fro_norm
 
 __all__ = [
@@ -409,6 +409,13 @@ class _ExactAnalysis(_Derived):
         return f @ self._inv(g @ self.a @ f) @ g
 
 
+def _square(a: RMatrix) -> _ExactAnalysis:
+    """The record of `a` through the float side's square check: a matrix
+    that is not square raises DimensionMismatchError, as the float index,
+    Drazin inverse and the rest do."""
+    return _analyse(_ExactAnalysis(a), None)
+
+
 def exact_pinv(a: RMatrix) -> RMatrix:
     """Moore-Penrose inverse, exact; a may be rectangular."""
     return _ExactAnalysis(a).pinv
@@ -416,37 +423,37 @@ def exact_pinv(a: RMatrix) -> RMatrix:
 
 def exact_index(a: RMatrix) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1))."""
-    return _ExactAnalysis(a).index
+    return _square(a).index
 
 
 def exact_drazin(a: RMatrix) -> RMatrix:
     """Drazin inverse f (g a f)^-1 g, a^k = f g, with k the exact index."""
-    return _ExactAnalysis(a).drazin
+    return _square(a).drazin
 
 
 def exact_core_part(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).core
+    return _square(a).core
 
 
 def exact_dmp(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).dmp
+    return _square(a).dmp
 
 
 def exact_mpd(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).mpd
+    return _square(a).mpd
 
 
 def exact_cmp(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).cmp
+    return _square(a).cmp
 
 
 def exact_mpdmp(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).mpdmp
+    return _square(a).mpdmp
 
 
 def exact_core_ep(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).core_ep
+    return _square(a).core_ep
 
 
 def exact_cce(a: RMatrix) -> RMatrix:
-    return _ExactAnalysis(a).cce
+    return _square(a).cce

@@ -48,6 +48,12 @@ def test_spec_validation():
             EnsembleSpec(size, count, **kwargs)
     spec = EnsembleSpec(np.int64(3), np.int32(2), np.uint8(4), "fixed_rank", rank=np.int16(1))
     assert len(gen(spec)) == 2
+    # idempotent_core_samples takes the checks of its three numbers from the spec
+    for args, match in (((0, 1), "size"), ((17, 1), "size"), ((5, 0), "count"),
+                        ((5, -2), "count"), ((5, 1, -1), "seed"), ((2.5, 1), "integer"),
+                        ((5, 1.5), "integer"), ((5, True), "integer")):
+        with pytest.raises(InvalidSpecError, match=match):
+            idempotent_core_samples(*args)
 
 
 def test_reproducible_and_order_independent():

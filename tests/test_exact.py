@@ -570,9 +570,85 @@ def test_relations_separate_on_exact_pairs():
                     ("dmp", "mpd", "cmp", "drazin"): 8}
 
 
+def _orbits_3x3():
+    """(representative, orbit size) of each orbit of the 19,683 3 x 3
+    {-1, 0, 1} matrices under A -> G A G^T, G a signed permutation. A matrix
+    is coded by its entries + 1 as base-3 digits, row by row, which is its
+    position in `itertools.product`; an orbit is represented by its least
+    code."""
+    mats = np.array(list(itertools.product((-1, 0, 1), repeat=9))).reshape(-1, 3, 3)
+    digits = 3 ** np.arange(8, -1, -1)
+    codes = [((mats[:, p][:, :, p] * np.outer(s, s)).reshape(-1, 9) + 1) @ digits
+             for p in itertools.permutations(range(3))
+             for s in map(np.array, itertools.product((-1, 1), repeat=3))]
+    reps, sizes = np.unique(np.min(codes, axis=0), return_counts=True)
+    return [(mats[code], int(size)) for code, size in zip(reps, sizes)]
+
+
+# per suite, the 3 x 3 orbit representatives judged on every identity and
+# those each skip note took
+ORBIT_SUBJECTS = {
+    "core_ep_equiv": (927, {}),
+    "core_ep_collapse": (625, {"not_core_ep_skipped": 302}),
+    "six_part": (625, {"not_core_ep_skipped": 302}),
+    "ass": (927, {}),
+    "five_way_mp": (926, {"zero_skipped": 1}),
+    "five_way_core": (927, {}),
+    "commute_lemma": (927, {}),
+    "ew2": (927, {}),
+    "adf": (927, {}),
+    "orders_kep": (927, {}),
+    "cce_conditional": (876, {"zero_skipped": 1, "hypothesis_skipped": 50}),
+}
+
+
+def test_every_suite_holds_exactly_on_every_3x3_orbit():
+    # every inverse X of G A G^T is G X G^T, so each exact verdict, skip
+    # rule and class is an orbit invariant, and judging one matrix of each
+    # orbit judges all 19,683: a single-matrix suite on the record, a pair
+    # suite on (record, core part)
+    orbits = _orbits_3x3()
+    assert len(orbits) == 927 and sum(size for _, size in orbits) == 19_683
+    judged, collapse = Counter(), Counter()
+    for a, size in orbits:
+        rec = exact._ExactAnalysis(rm(a))
+        for name, suite in _SUITES.items():
+            out = suite.judge((rec, rec.core) if suite.source in (_adf_pairs, _kep_pairs)
+                              else rec)
+            if isinstance(out, str):
+                judged[name, out] += 1
+                continue
+            for label, holds, _ in out:
+                assert holds, (name, label, a)
+                judged[name, label] += 1
+        if rec.index >= 2:
+            collapse[rec.is_core_ep, rec.dmp == rec.drazin, rec.mpd == rec.drazin] += size
+    want = Counter()
+    for name, (every, notes) in ORBIT_SUBJECTS.items():
+        want.update({(name, label): every for label, _ in _SUITES[name].identities})
+        want.update({(name, note): count for note, count in notes.items()})
+    assert judged == want
+    # the converse of the collapse, by matrices: of index >= 2, the 576
+    # core-EP ones have DMP = MPD = A^D, and of the 1,440 others none has
+    # both, 240 DMP = A^D alone and 240 MPD = A^D alone
+    assert collapse == {(True, True, True): 576, (False, False, False): 960,
+                        (False, True, False): 240, (False, False, True): 240}
+
+
 def test_exact_record_is_its_own_unit():
     rec = exact._ExactAnalysis(A1)
     assert rec._exp == 0 and rec.unit is rec
+
+
+@pytest.mark.parametrize("fn", [exact_index, exact_drazin, exact_core_part, exact_dmp,
+                                exact_mpd, exact_cmp, exact_mpdmp, exact_core_ep, exact_cce])
+def test_exact_square_functions_reject_a_rectangular_matrix(fn):
+    # as the float side does, through its one square check; the
+    # pseudoinverse takes any shape
+    a = rm([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(gi.DimensionMismatchError, match="square matrix required"):
+        fn(a)
+    assert exact_pinv(a).shape == (3, 2)
 
 
 # the functions of a pair, each as (a, b) -> its verdicts; the core upper
