@@ -160,10 +160,6 @@ def save_matrix(path: str, a: np.ndarray) -> None:
     _write(path, _json(matrix_to_obj(a)))
 
 
-def _dump(obj, pretty: bool) -> None:
-    print(_json(obj, pretty))
-
-
 def _tolerance(args) -> Tolerance:
     """The tolerance of --tol-abs and --tol-rel; a value Tolerance rejects
     (such as -1, nan or inf) exits 2, as a non-number does, with an error
@@ -263,7 +259,7 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     rec = _analyse(load_matrix(args.input), tol)
     rep = core_ep_equiv_report(rec)
-    _dump({"rank": rec.rank, "index": rec.index, **dataclasses.asdict(rep)}, args.pretty)
+    print(_json({"rank": rec.rank, "index": rec.index, **dataclasses.asdict(rep)}, args.pretty))
     return EXIT_OK
 
 
@@ -280,7 +276,7 @@ def cmd_order(args) -> int:
             "left_residual": rep.left_residual,
             "right_residual": rep.right_residual,
         }
-    _dump(out, args.pretty)
+    print(_json(out, args.pretty))
     return EXIT_OK
 
 
@@ -315,7 +311,7 @@ def cmd_verify(args) -> int:
     except InvalidSpecError as exc:
         raise PreconditionError(str(exc)) from exc
     report = run_suite(args.suite, spec, tol)
-    _dump(report.to_dict(), args.pretty)
+    print(_json(report.to_dict(), args.pretty))
     return EXIT_OK if report.passed else 1
 
 
@@ -416,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="default 0, or GENINV_SEED if set")
     p.add_argument("--class", dest="matrix_class", default="generic",
-                   help="sample class; fixed_rank:R and fixed_index:K "
-                        "take a parameter")
+                   help="sample class: " + ", ".join(
+                       f"{kind}:{_PARAMETERS[kind].upper()}" if kind in _PARAMETERS else kind
+                       for kind in KINDS))
     add_common(p)
 
     p = sub.add_parser("hs", help="write the block factorization and "

@@ -37,8 +37,9 @@ class EnsembleSpec:
     """Description of a random ensemble: size, count, seed and class.
 
     A class in `_PARAMETERS` requires the field it names there (rank or
-    index), from 0 to size. Every number is an integer: an int or anything
-    else that `operator.index` takes (a numpy integer), but not a bool.
+    index), from 0 to size; every other class leaves rank and index None.
+    Every number is an integer: an int or anything else that
+    `operator.index` takes (a numpy integer), but not a bool.
     """
 
     size: int
@@ -62,6 +63,9 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown class {self.kind!r}")
         field = _PARAMETERS.get(self.kind)
+        for name in _PARAMETERS.values():
+            if name != field and getattr(self, name) is not None:
+                raise InvalidSpecError(f"{self.kind} takes no {name}")
         if field is not None:
             value = getattr(self, field)
             if value is None or not (0 <= value <= self.size):

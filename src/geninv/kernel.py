@@ -8,6 +8,7 @@ fresh arrays, so everything is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,13 @@ _EPS = float(np.finfo(np.float64).eps)
 class Tolerance:
     """Comparison policy threaded through every residual test.
 
-    eq_abs   - absolute entrywise floor for matrix equality
-    eq_rel   - relative Frobenius factor for matrix equality
-    rank_rel - singular-value cutoff factor; None selects the
-               dimension-dependent default eps * max(m, n) * 64
+    eq_abs   - float: absolute entrywise floor for matrix equality
+    eq_rel   - float: relative Frobenius factor for matrix equality
+    rank_rel - float or None: singular-value cutoff factor; None selects
+               the dimension-dependent default eps * max(m, n) * 64
+
+    Each float is a real number (an int or a numpy number as well, but not
+    a bool), finite and strictly positive; anything else raises ValueError.
     """
 
     eq_abs: float = 1e-10
@@ -59,8 +63,13 @@ class Tolerance:
     rank_rel: float | None = None
 
     def __post_init__(self) -> None:
-        for x in (self.eq_abs, self.eq_rel, self.rank_rel):
-            if x is not None and not (0.0 < x < math.inf):  # False for NaN
+        for name in ("eq_abs", "eq_rel", "rank_rel"):
+            x = getattr(self, name)
+            if x is None and name == "rank_rel":
+                continue
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"tolerance field {name} must be a real number, got {x!r}")
+            if not (0.0 < x < math.inf):  # False for NaN
                 raise ValueError("tolerance fields must be finite and strictly positive")
 
     def rank_cutoff(self, m: int, n: int) -> float:

@@ -240,7 +240,7 @@ def _kep_pairs(specs, tol):
     """Left operands from the specs with the class forced to k_ep, right
     operands from the specs as given."""
     recs, _ = _drawn(specs, tol)
-    keps, _ = _drawn([replace(s, kind="k_ep") for s in specs], tol)
+    keps, _ = _drawn([replace(s, kind="k_ep", rank=None, index=None) for s in specs], tol)
     return recs, list(zip(keps, recs))
 
 

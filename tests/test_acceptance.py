@@ -29,7 +29,6 @@ from geninv import (
     hs_decompose,
     hs_derived,
     index,
-    is_core_ep,
     is_ep,
     leq,
     mat_pow,

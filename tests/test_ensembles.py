@@ -14,6 +14,8 @@ from geninv import (
 )
 from geninv import ensembles
 from geninv.ensembles import (
+    _PARAMETERS,
+    KINDS,
     EnsembleSpec,
     InvalidSpecError,
     gen,
@@ -38,6 +40,14 @@ def test_spec_validation():
         EnsembleSpec(size=3, count=1, kind="fixed_index")
     with pytest.raises(InvalidSpecError):
         EnsembleSpec(size=3, count=1, seed=-1)
+    # a class refuses a parameter it does not take, instead of ignoring it
+    for kind in KINDS:
+        taken = {_PARAMETERS[kind]: 2} if kind in _PARAMETERS else {}
+        for field in {"rank", "index"} - set(taken):
+            with pytest.raises(InvalidSpecError, match=f"{kind} takes no {field}"):
+                EnsembleSpec(size=3, count=2, kind=kind, **taken, **{field: 2})
+    with pytest.raises(InvalidSpecError, match="fixed_rank takes no index"):
+        EnsembleSpec(size=3, count=2, kind="fixed_rank", rank=2, index=7)
     # every number an integer, a numpy one too, but no float and no bool
     for size, count, kwargs in ((2.5, 1, {}), (3, 1.5, {}), (3, 2, {"seed": 1.5}),
                                 (3, 2, {"kind": "fixed_rank", "rank": 1.5}),

@@ -136,10 +136,6 @@ def test_complex_entries_exact():
     assert x == rm([[QC(F(1, 2), F(-1, 2)), 0], [0, QC(0, F(1, 2))]])
 
 
-def _stored(a):
-    return a._re.tolist(), a._im.tolist(), a._den
-
-
 @pytest.mark.parametrize("rows", [
     [[3, -2], [0, 2**70]],
     np.array([[3, -2], [0, 7]]),

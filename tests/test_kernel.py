@@ -291,9 +291,20 @@ def test_check_of_a_pair_checks_the_shapes():
 
 
 @pytest.mark.parametrize("field", ("eq_abs", "eq_rel", "rank_rel"))
-@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, None, True, np.True_, "1e-9", 1j))
 def test_tolerance_rejects_non_finite(field, bad):
-    # Tolerance(eq_abs=nan) would make approx_eq(I, I) False, and
-    # rank_rel=nan would give numerical_rank(I) == 0
+    # Tolerance(eq_abs=nan) would make approx_eq(I, I) False, rank_rel=nan
+    # would give numerical_rank(I) == 0, eq_abs=None would fail at the
+    # first comparison, and rank_rel=True would read as 1.0. Only rank_rel
+    # may be None, which selects the default cutoff.
+    if (field, bad) == ("rank_rel", None):
+        assert Tolerance(rank_rel=None).rank_cutoff(2, 2) == np.finfo(float).eps * 2 * 64
+        return
     with pytest.raises(ValueError):
         Tolerance(**{field: bad})
+
+
+def test_tolerance_accepts_numpy_and_int_fields():
+    tol = Tolerance(eq_abs=np.float32(1e-10), eq_rel=np.float64(1e-9), rank_rel=np.int64(1))
+    assert tol.rank_cutoff(3, 3) == 1
+    assert Tolerance(eq_abs=1, eq_rel=2, rank_rel=1e-3).eq_rel == 2
