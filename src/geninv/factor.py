@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Tolerance, _guarded, _ldexp, _named_overflow, conj_transpose
+from .kernel import (DEFAULT_TOL, PreconditionError, Tolerance, _guarded, _ldexp, _named_overflow,
+                     conj_transpose)
 
 __all__ = [
     "SvdConvergenceError",
@@ -197,8 +198,12 @@ def _block_form(h: HSDecomp, top: np.ndarray) -> np.ndarray:
 
 
 def hs_reconstruct(h: HSDecomp) -> np.ndarray:
-    """Rebuild the matrix from its factors; an entry beyond the float range is
-    named as the overflow of Sigma, which carries all of the matrix's scale."""
+    """Rebuild the matrix from its factors; a non-finite entry of U, Q or P is
+    named as such, and an entry beyond the float range of the product as the
+    overflow of Sigma, which carries all of the matrix's scale."""
+    for name, part in (("U", h.u), ("Q", h.q), ("P", h.p)):
+        if not np.isfinite(part).all():
+            raise PreconditionError(f"{name} of the factorization has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p])
         return _named_overflow("Sigma of the factorization", _guarded, _block_form(h, top))[0]

@@ -2,7 +2,10 @@
 distinct SVD inputs and powers against distinct (base, exponent) pairs, and
 no record left behind for the cyclic garbage collector."""
 
+import dataclasses
 import gc
+import importlib
+import inspect
 import io
 import json
 import sys
@@ -91,6 +94,52 @@ def test_non_matrix_rejected(func, shape):
     want = f"^2-D matrix required, got ndim={len(shape)}$"
     with pytest.raises(DimensionMismatchError, match=want):
         func(np.ones(shape))
+
+
+# every public function of a factorization h, reached through `hs_reconstruct`
+OF_FACTORIZATION = {f.__name__: f for f in (
+    gi.hs_reconstruct, gi.hs_derived, gi.core_ep_block_conditions, gi.cmp_ep_criterion,
+    gi.mpdmp_ep_criterion, gi.cce_ep_criterion, gi.mpdmp_ep_consequences,
+    gi.dmp_pinv_commute_criterion)}
+
+
+@pytest.mark.parametrize("func", OF_FACTORIZATION.values(), ids=OF_FACTORIZATION)
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+@pytest.mark.parametrize("part", ("u", "q", "p"))
+def test_non_finite_factor_named(func, bad, part, a1):
+    # the factorization comes from the caller: its bad entry is not an overflow
+    h = gi.hs_decompose(a1)
+    x = getattr(h, part).copy()
+    x[0, 0] = bad
+    want = f"^{part.upper()} of the factorization has a non-finite entry$"
+    with pytest.raises(PreconditionError, match=want):
+        func(dataclasses.replace(h, **{part: x}))
+
+
+# the library modules whose `__all__` the package re-exports
+LIBRARY = ("kernel", "factor", "drazin", "inverses", "classify", "orders", "ensembles", "verify")
+# public functions the guard tests above do not call on a bad matrix: the
+# kernel's arithmetic helpers take any array, and these take specifications
+ANY_ARRAY = {"approx_eq", "conj_transpose", "diff_norm", "eq_scale", "fro_norm", "mat_pow",
+             "matmul"}
+TAKES_A_SPEC = {"gen", "idempotent_core_samples", "run_suite"}
+
+
+def test_package_reexports_each_library_modules_all():
+    for name in LIBRARY:
+        module = importlib.import_module(f"geninv.{name}")
+        assert all(getattr(gi, x) is getattr(module, x) for x in module.__all__), name
+
+
+def test_every_public_function_meets_a_guard_test():
+    public = {x for name in LIBRARY for x in importlib.import_module(f"geninv.{name}").__all__
+              if inspect.isfunction(getattr(gi, x))}
+    # a lambda of GUARDED tests the function it calls
+    called = set().union(*(f.__code__.co_names for f in GUARDED.values()
+                           if f.__name__ == "<lambda>"))
+    excluded = ANY_ARRAY | TAKES_A_SPEC | set(OF_FACTORIZATION)
+    assert public - set(GUARDED) - called - excluded == set()
+    assert excluded <= public and not excluded & set(GUARDED)
 
 
 def test_empty_matrix_accepted():

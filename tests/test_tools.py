@@ -1,5 +1,6 @@
 """tools/ab.py: its summary of recorded runs, and its refusal to compare
-trees whose benchmarks differ; tools/op_digests.py on one tree twice."""
+trees whose benchmarks differ; tools/op_digests.py on one tree twice;
+tools/census.py's three passes on the 2x2 0-1 set."""
 
 import importlib.util
 import json
@@ -62,3 +63,45 @@ def test_op_digests_of_a_tree_against_itself_agree():
     lines = run.stdout.splitlines()
     assert run.returncode == 0, run.stdout
     assert len(lines) == 8 and not any("DIFFERS" in line for line in lines)
+
+
+@pytest.fixture
+def census(monkeypatch):
+    """tools/census.py, its settings of the BLAS thread counts and of sys.path
+    undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _differences(out: str) -> list[int]:
+    """Every count of float/exact differences that census.py printed: the
+    "float/exact differences" line, and each table column headed
+    "differences" or "skip differences"."""
+    counts, columns, width = [], [], 0
+    for line in out.splitlines():
+        head, _, rest = line.strip().partition(": ")
+        cells = rest.split(", ")
+        if head == "float/exact differences":
+            counts += [int(cell.split()[-1]) for cell in cells]
+        elif not line.startswith("    "):  # a header: its columns
+            columns = [i for i, cell in enumerate(cells) if cell.endswith("differences")]
+            width = len(cells)
+        elif len(cells) == width:  # a row of the table under that header
+            counts += [int(cells[i].split()[0].replace(",", "")) for i in columns]
+    return counts
+
+
+def test_census_passes_find_no_difference_on_the_2x2_0_1_set(census, capsys):
+    # runs each pass through the private names it imports from geninv
+    census.census(2, (0, 1))
+    census.criterion_pass(2, (0, 1))
+    census.pair_pass(2, (0, 1), None)
+    counts = _differences(capsys.readouterr().out)
+    assert len(counts) == (3 + 2 * len(census._SUITES) + len(census.CRITERIA)
+                           + len(census.PAIR_SUITES) + len(census.OrderKind))
+    assert counts == [0] * len(counts)

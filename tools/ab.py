@@ -20,7 +20,9 @@ bound; `unresolved` when the parent's quartile spread is wider than that
 bound, unless every run of the change beat every run of the parent; and
 `no worse` otherwise. The last line is the `bench_pairs` JSON object that
 `BENCH_*.json` files carry. An A/A run, `ab.py TREE TREE`, shows the noise
-floor.
+floor. `setup_s` spreads past its bound between runs of one tree: a `gain`
+on it from one 10-pair batch needs a second batch at other seeds
+(`--seed 11`) before it is believed.
 """
 
 from __future__ import annotations

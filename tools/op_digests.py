@@ -3,8 +3,8 @@
     python tools/op_digests.py TREE
     python tools/op_digests.py PARENT CHANGE
 
-With one tree, imports TREE/src/geninv and TREE/bench/workloads.py,
-changing neither, runs one full cycle of each workload at seeds 0 and 401
+With one tree, imports TREE/src/geninv and TREE/bench/workloads.py as
+TREE/bench/run.py does, changing neither, runs one full cycle of each workload at seeds 0 and 401
 and prints one sha256 over the op digests per (seed, workload). Two trees
 whose lines agree give bit-identical outputs on every benchmark operation.
 With two, runs each tree in its own interpreter, one after the other,
@@ -75,16 +75,13 @@ def cycle_digest(workloads, name: str, seed: int) -> str:
 
 
 def _import_tree(tree: str):
-    """The `workloads` module of TREE/bench, with geninv imported from
-    TREE/src; exits if geninv comes from anywhere else."""
-    root = Path(tree).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import geninv
-    import workloads
+    """The `workloads` module of TREE/bench, imported by TREE/bench/run.py's
+    `import_library`, which imports geninv from TREE/src and exits if it
+    comes from anywhere else."""
+    sys.path.insert(0, str(Path(tree).resolve() / "bench"))
+    import run
 
-    if Path(geninv.__file__).resolve().parent != root / "src" / "geninv":
-        sys.exit(f"error: imported geninv from {geninv.__file__}, not {root}")
-    return workloads
+    return run.import_library()
 
 
 def print_ops(tree: str, name: str, seed: str) -> None:
