@@ -205,9 +205,7 @@ def dmp_pinv_commute_criterion(h: HSDecomp, tol: Tolerance = DEFAULT_TOL) -> boo
     weaker and is the one that matches the direct commutation test.
     """
     rec = _analyse(hs_reconstruct(h), tol).unit
-    core_d = _block(rec.hs, rec, "drazin")  # (c) of the block conditions, and (SQ)^D EP
-    core_dsp = core_d @ rec.hs.sigma_mat @ rec.hs.p
-    return rec._compare(core_dsp, np.zeros_like(core_dsp))[0] and rec._of(core_d).is_ep
+    return _block_conditions(rec)[2] and rec._of(_block(rec.hs, rec, "drazin")).is_ep
 
 
 def wqrt_criterion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

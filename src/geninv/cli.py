@@ -231,7 +231,7 @@ _WHICH_FUNCS = {
 def cmd_compute(args) -> int:
     tol = _tolerance(args)
     a = load_matrix(args.input)
-    rec = _analyse(a, tol, square=args.which != "mp")
+    rec = _analyse(a, tol, square=False)
     x = _WHICH_FUNCS[args.which](rec)
     # the residuals are those of B = 2^-e A and B's own inverse, as in
     # `verify_system`: the same for every power-of-two multiple of A, and
@@ -270,12 +270,7 @@ def cmd_order(args) -> int:
     kinds = list(OrderKind) if args.relation == "all" else [OrderKind(args.relation)]
     out = {}
     for kind in kinds:
-        rep = leq(rec, b, kind)
-        out[kind.value] = {
-            "holds": rep.holds,
-            "left_residual": rep.left_residual,
-            "right_residual": rep.right_residual,
-        }
+        out[kind.value] = {k: v for k, v in vars(leq(rec, b, kind)).items() if k != "kind"}
     print(_json(out, args.pretty))
     return EXIT_OK
 

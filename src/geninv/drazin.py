@@ -18,7 +18,6 @@ however a is scaled; the part of a is that of b times its power of 2**e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
@@ -55,10 +54,12 @@ class _once:
     """A part computed on first read and written to the record's instance
     dict, which later reads find before this (non-data) descriptor. Unlike
     `functools.cached_property` on Python 3.11 it takes no lock: a record
-    lives inside one public call, so no two threads read one record."""
+    lives inside one public call, so no two threads read one record. A part
+    with a `degree` is 2^(degree e) times that of B = 2^-e A: computed on the
+    record of B only, and read from `unit` and scaled on that of A."""
 
-    def __init__(self, compute):
-        self.compute = compute
+    def __init__(self, compute, degree: int | None = None):
+        self.compute, self.degree = compute, degree
         self.__doc__ = compute.__doc__
 
     def __set_name__(self, owner, name):
@@ -67,22 +68,18 @@ class _once:
     def __get__(self, rec, owner=None):
         if rec is None:
             return self
-        value = rec.__dict__[self.name] = self.compute(rec)
+        if self.degree is None or not rec._exp:
+            value = self.compute(rec)
+        else:
+            value = getattr(rec.unit, self.name)
+            if self.degree:
+                value = _ldexp(value, self.degree * rec._exp)
+        rec.__dict__[self.name] = value
         return value
 
 
 def _part(degree: int):
-    """A part that is 2^(degree e) times that of B = 2^-e A: computed on
-    the record of B only, and read from `unit` and scaled on that of A."""
-    def tag(compute):
-        @wraps(compute)
-        def part(self):
-            if not self._exp:
-                return compute(self)
-            value = getattr(self.unit, compute.__name__)
-            return _ldexp(value, degree * self._exp) if degree else value
-        return _once(part)
-    return tag
+    return lambda compute: _once(compute, degree)
 
 
 class _Derived:

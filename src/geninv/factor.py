@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (DEFAULT_TOL, PreconditionError, Tolerance, _guarded, _ldexp, _named_overflow,
-                     conj_transpose)
+from .kernel import (DEFAULT_TOL, DimensionMismatchError, PreconditionError, Tolerance, _guarded,
+                     _ldexp, _named_overflow, conj_transpose)
 
 __all__ = [
     "SvdConvergenceError",
@@ -198,11 +198,20 @@ def _block_form(h: HSDecomp, top: np.ndarray) -> np.ndarray:
 
 
 def hs_reconstruct(h: HSDecomp) -> np.ndarray:
-    """Rebuild the matrix from its factors; a non-finite entry of U, Q or P is
-    named as such, and an entry beyond the float range of the product as the
-    overflow of Sigma, which carries all of the matrix's scale."""
-    for name, part in (("U", h.u), ("Q", h.q), ("P", h.p)):
-        if not np.isfinite(part).all():
+    """Rebuild the matrix from its factors. A factor whose shape disagrees
+    with n (U is n x n) and r raises DimensionMismatchError that names it; a
+    NaN entry of any factor or an infinite one of U, Q or P is named as such,
+    and an entry beyond the float range of the product as the overflow of
+    Sigma, which carries all of the matrix's scale."""
+    n, r = np.shape(h.u)[0] if np.ndim(h.u) else 0, h.r
+    parts = (("U", h.u, (n, n)), ("Sigma", h.sigma, (r,)), ("Q", h.q, (r, r)),
+             ("P", h.p, (r, n - r)))
+    for name, part, shape in parts:
+        if np.shape(part) != shape:
+            raise DimensionMismatchError(
+                f"{name} of the factorization is {np.shape(part)}, not {shape} (n = {n}, r = {r})")
+    for name, part, _ in parts:
+        if np.isnan(part).any() or (name != "Sigma" and np.isinf(part).any()):
             raise PreconditionError(f"{name} of the factorization has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.hstack([h.sigma_mat @ h.q, h.sigma_mat @ h.p])

@@ -11,6 +11,9 @@ each judged by `kernel._check` with the `_compare` of the subject's record.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -162,9 +165,21 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
     random perturbations, each of which must break at least one equation
     by more than min_violation. The system is evaluated on B = 2^-e a (e as
     in `svd`), so the report is the same for every power-of-two multiple of
-    a; the residuals are B's."""
+    a; the residuals are B's. The seed and the number of perturbations are
+    integers (not bools) >= 0, the step a finite real > 0 and min_violation
+    not NaN; anything else raises ValueError."""
     if system not in _SYSTEMS:
         raise UnknownSystemError(f"unknown system {system!r}")
+    for name, value in (("seed", seed), ("perturbations", perturbations)):
+        try:
+            if isinstance(value, bool) or operator.index(value) < 0:
+                raise TypeError
+        except TypeError:
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}") from None
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
+        raise ValueError(f"step must be a finite real > 0, got {step!r}")
+    if math.isnan(min_violation):
+        raise ValueError("min_violation must not be NaN")
     rec = _analyse(a, tol).unit
     solution, eqs = _SYSTEMS[system]
     x = solution(rec)
@@ -186,7 +201,7 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
         )
         entry["samples"] += 1
         entry["worst_residual"] = min(entry["worst_residual"], violation)
-        if violation <= min_violation:
+        if not violation > min_violation:  # a NaN violation refutes nothing
             entry["failures"] += 1
             report.failures += 1
     return report
@@ -254,13 +269,18 @@ class _Suite(NamedTuple):
     skips: tuple = ()
     source: Callable = _drawn
 
+    @property
+    def pairwise(self) -> bool:
+        """Whether the subjects are pairs: the source is `_adf_pairs` or `_kep_pairs`."""
+        return self.source in (_adf_pairs, _kep_pairs)
+
     def judge(self, subject):
         """The note of the first skip rule that applies to the subject, or
         (label, holds, residual) for every identity, judged by its record."""
         for note, applies in self.skips:
             if applies(subject):
                 return note
-        compare = (subject[0] if isinstance(subject, tuple) else subject)._compare
+        compare = (subject[0] if self.pairwise else subject)._compare
         return [(label, *_check(sides(subject), compare)) for label, sides in self.identities]
 
 

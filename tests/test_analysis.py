@@ -103,17 +103,34 @@ OF_FACTORIZATION = {f.__name__: f for f in (
     gi.dmp_pinv_commute_criterion)}
 
 
+FACTOR_NAMES = {"u": "U", "sigma": "Sigma", "q": "Q", "p": "P"}
+
+
 @pytest.mark.parametrize("func", OF_FACTORIZATION.values(), ids=OF_FACTORIZATION)
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
-@pytest.mark.parametrize("part", ("u", "q", "p"))
+@pytest.mark.parametrize("part", ("u", "q", "p", "sigma"))
 def test_non_finite_factor_named(func, bad, part, a1):
-    # the factorization comes from the caller: its bad entry is not an overflow
+    # the factorization comes from the caller: its bad entry is not an
+    # overflow, but for an infinite Sigma, which carries the matrix's scale
     h = gi.hs_decompose(a1)
     x = getattr(h, part).copy()
-    x[0, 0] = bad
-    want = f"^{part.upper()} of the factorization has a non-finite entry$"
+    x.flat[0] = bad
+    want = (f"^{FACTOR_NAMES[part]} of the factorization has a non-finite entry$"
+            if part != "sigma" or np.isnan(bad) else "^Sigma of the factorization overflows")
     with pytest.raises(PreconditionError, match=want):
         func(dataclasses.replace(h, **{part: x}))
+
+
+@pytest.mark.parametrize("func", OF_FACTORIZATION.values(), ids=OF_FACTORIZATION)
+@pytest.mark.parametrize("change, part", (
+    (lambda h: {"r": 1}, "Sigma"), (lambda h: {"sigma": h.sigma[:1]}, "Sigma"),
+    (lambda h: {"u": h.u[:2]}, "U"), (lambda h: {"q": h.q[:1]}, "Q"),
+    (lambda h: {"p": h.p.T}, "P")), ids=("r", "sigma", "u", "q", "p"))
+def test_factor_shape_disagreeing_with_r_named(func, change, part, a1):
+    # U is n x n, Sigma holds r values, Q is r x r and P is r x (n - r)
+    h = gi.hs_decompose(a1)
+    with pytest.raises(DimensionMismatchError, match=f"^{part} of the factorization is "):
+        func(dataclasses.replace(h, **change(h)))
 
 
 # the library modules whose `__all__` the package re-exports
@@ -131,15 +148,79 @@ def test_package_reexports_each_library_modules_all():
         assert all(getattr(gi, x) is getattr(module, x) for x in module.__all__), name
 
 
+def _public_functions() -> set:
+    return {x for name in LIBRARY for x in importlib.import_module(f"geninv.{name}").__all__
+            if inspect.isfunction(getattr(gi, x))}
+
+
 def test_every_public_function_meets_a_guard_test():
-    public = {x for name in LIBRARY for x in importlib.import_module(f"geninv.{name}").__all__
-              if inspect.isfunction(getattr(gi, x))}
+    public = _public_functions()
     # a lambda of GUARDED tests the function it calls
     called = set().union(*(f.__code__.co_names for f in GUARDED.values()
                            if f.__name__ == "<lambda>"))
     excluded = ANY_ARRAY | TAKES_A_SPEC | set(OF_FACTORIZATION)
     assert public - set(GUARDED) - called - excluded == set()
     assert excluded <= public and not excluded & set(GUARDED)
+
+
+# aim 3's scaling law: each public function of one matrix, by the power k
+# of 2^e that its result is multiplied by when the matrix is: every matrix
+# of the result scales by 2^(k e), and a rank, index or verdict is unchanged
+SCALING = {
+    "pinv": -1, "numerical_rank": 0, "index": 0, "drazin": -1, "group_inverse": -1,
+    "dmp": -1, "mpd": -1, "cmp_inverse": -1, "core_ep_inverse": -1, "cce_inverse": -1,
+    "greville_forms": -1, "mpdmp": -3, "mpdmp_pinv": 3, "is_ep": 0, "is_core_ep": 0,
+    "is_k_ep": 0, "spectral_projector": 0, "projectors": 0, "wqrt_criterion": 0,
+    "core_nilpotent": 1, "cmatrix": 1,
+}
+# public functions the scaling table leaves out: those of a matrix and a
+# second operand or reference, and those whose result is a factorization
+# or a report rather than one matrix, rank or verdict
+TWO_OPERANDS = {"leq", "dmp_order_characterizations", "mpd_order_characterizations",
+                "solution_family", "pinv_scaled", "rank_scaled"}
+FACTORS_AND_REPORTS = {"svd", "hs_decompose", "inverse_report", "core_ep_equiv_report",
+                       "core_upper_bound_check", "verify_system"}
+
+
+def _scaled(x, k: int):
+    """x times 2^k as comparable data: each matrix as its shape and the bytes
+    of its parts, each scaled exactly; each part of a tuple or dataclass in
+    turn; a rank, index or verdict as itself."""
+    if isinstance(x, np.ndarray):
+        return x.shape, np.ldexp(np.ascontiguousarray(x).view(np.float64), k).tobytes()
+    if dataclasses.is_dataclass(x):
+        x = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(_scaled(y, k) for y in x)
+    return x
+
+
+def _scaling_outcome(func, a, k: int):
+    """func(a) times 2^k (`_scaled`), or the error it raises."""
+    try:
+        return _scaled(func(a), k)
+    except gi.IndexTooLargeError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", SCALING)
+@pytest.mark.parametrize("e", (40, -40, 300, -300))
+def test_result_scales_by_its_power_of_two(name, e, a1):
+    func, degree = getattr(gi, name), SCALING[name]
+    samples = [a1] + [gen(EnsembleSpec(4, 1, 7, kind, **param))[0] for kind, param in
+                      (("core_ep", {}), ("fixed_index", {"index": 1}),
+                       ("fixed_index", {"index": 2}), ("generic", {}))]
+    for i, a in enumerate(samples):
+        assert (_scaling_outcome(func, 2.0 ** e * a, 0)
+                == _scaling_outcome(func, a, degree * e)), (name, i)
+
+
+def test_every_public_function_of_one_matrix_has_a_scaling_law():
+    public = _public_functions()
+    excluded = (ANY_ARRAY | TAKES_A_SPEC | set(OF_FACTORIZATION) | TWO_OPERANDS
+                | FACTORS_AND_REPORTS)
+    assert public - set(SCALING) - excluded == set()
+    assert excluded <= public and not excluded & set(SCALING)
 
 
 def test_empty_matrix_accepted():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import exact
 from geninv.drazin import _analyse
-from geninv.verify import _SUITES, _adf_pairs, _kep_pairs, solution_family
+from geninv.verify import _SUITES, _kep_pairs, solution_family
 from geninv.exact import (
     QC,
     RMatrix,
@@ -537,8 +537,7 @@ def test_exact_suite_verdicts_equal_the_float_ones():
         tuple(zip(recs[a], recs[b])) for _, a, b in _held_pairs()]
     verdicts = Counter()
     for name, suite in _SUITES.items():
-        pairwise = suite.source in (_adf_pairs, _kep_pairs)
-        subjects = pairs if pairwise else recs.values()
+        subjects = pairs if suite.pairwise else recs.values()
         if suite.source is _kep_pairs:
             subjects = [s for s in pairs if s[1][0].is_k_ep]
         for subject in subjects:
@@ -548,7 +547,7 @@ def test_exact_suite_verdicts_equal_the_float_ones():
             assert fl == ex, (name, subject[1])
             if not isinstance(ex, str):
                 assert all(ex), (name, subject[1])
-                verdicts[pairwise] += len(ex)
+                verdicts[suite.pairwise] += len(ex)
     assert verdicts == {False: 3171, True: 411}
 
 
@@ -609,8 +608,7 @@ def test_every_suite_holds_exactly_on_every_3x3_orbit():
     for a, size in orbits:
         rec = exact._ExactAnalysis(rm(a))
         for name, suite in _SUITES.items():
-            out = suite.judge((rec, rec.core) if suite.source in (_adf_pairs, _kep_pairs)
-                              else rec)
+            out = suite.judge((rec, rec.core) if suite.pairwise else rec)
             if isinstance(out, str):
                 judged[name, out] += 1
                 continue

@@ -68,6 +68,28 @@ def test_perturbation_that_breaks_no_equation_is_a_failure(a1):
     assert entry["worst_residual"] == min(violations) == pytest.approx(4.93e-3, rel=1e-3)
 
 
+def test_perturbation_whose_violation_is_nan_refutes_nothing(a1):
+    # at step 1e160, x A^3 x overflows and its distance from x is NaN: no
+    # equation is shown broken, so each perturbation is a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_system(a1, "a1", seed=17, perturbations=3, step=1e160)
+    assert rep.breakdown["perturbation_refutation"]["failures"] == 3 and not rep.passed
+
+
+@pytest.mark.parametrize("name, value", (
+    ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -1e-2), ("step", True),
+    ("min_violation", np.nan), ("perturbations", -1), ("perturbations", 2.0),
+    ("perturbations", True), ("seed", -1), ("seed", 1.5), ("seed", False)))
+def test_refutation_argument_that_would_pass_vacuously_or_crash_rejected(a1, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        verify_system(a1, "a2", **{name: value})
+
+
+def test_no_perturbations_and_a_numpy_integer_seed_accepted(a1):
+    rep = verify_system(a1, "a2", seed=np.int64(17), perturbations=0)
+    assert rep.passed and "perturbation_refutation" not in rep.breakdown
+
+
 def test_projector_system_requires_core_ep(a1):
     with pytest.raises(PreconditionError):
         verify_system(a1, "kj43")

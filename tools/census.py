@@ -59,7 +59,7 @@ from geninv import (DEFAULT_TOL, OrderKind, cce_ep_criterion, cmp_ep_criterion, 
                     leq, mpdmp_ep_criterion)
 from geninv.drazin import _analyse  # noqa: E402
 from geninv.exact import RMatrix, _ExactAnalysis  # noqa: E402
-from geninv.verify import _SUITES, _adf_pairs, _kep_pairs  # noqa: E402
+from geninv.verify import _SUITES  # noqa: E402
 
 SETS = ((3, (-1, 0, 1)), (4, (0, 1)))
 # the block EP criteria, by the inverse X whose EP-ness each tests, on this set
@@ -70,9 +70,7 @@ PAIR_SETS = ((2, (-1, 0, 1), None), (3, (-1, 0, 1), 10_000))
 PAIR_SEED = 0
 VERDICTS = ("index", "is_ep", "is_core_ep", "is_k_ep")
 SUITE_COUNTS = ("verdicts", "differences", "exact failures", "skip differences")
-# a pair suite is one whose row's source draws pairs
-PAIR_SOURCES = (_adf_pairs, _kep_pairs)
-PAIR_SUITES = {name: s for name, s in _SUITES.items() if s.source in PAIR_SOURCES}
+PAIR_SUITES = {name: s for name, s in _SUITES.items() if s.pairwise}
 # each record of an integer matrix, by the name its time is summed under
 RECORDS = {"float": lambda a: _analyse(a.astype(complex), DEFAULT_TOL),
            "exact": lambda a: _ExactAnalysis(RMatrix(a))}
@@ -95,7 +93,7 @@ def read(make, a):
 def judge(suite, rec):
     """The suite's verdicts on the subject it takes of one matrix: the
     record, or for a pair suite the record and its core part."""
-    return suite.judge((rec, rec.core) if suite.source in PAIR_SOURCES else rec)
+    return suite.judge((rec, rec.core) if suite.pairwise else rec)
 
 
 def tally(count: dict, fl, ex) -> None:
