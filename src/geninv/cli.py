@@ -1,9 +1,8 @@
 """Command-line front end: matrix I/O, inverse computation, classification,
 relation testing, and suite running, with JSON reports on stdout.
 
-Exit codes: 0 ok, 2 malformed input, 3 precondition failure or a result
-beyond the float range, 4 shape mismatch, 5 unknown identifier, 6 internal
-failure (a self-check or the SVD).
+Exit codes: 0 ok, 1 a suite with a failing identity, and 2-6 for the
+failures of `_FAILURES`.
 """
 
 from __future__ import annotations
@@ -41,14 +40,6 @@ from .verify import _AX_EQ_CORE_MP, _SYSTEMS, _XA_EQ_MP_CORE, UnknownSuiteError,
 __all__ = ["MatrixFileError", "matrix_to_obj", "matrix_from_obj",
            "load_matrix", "save_matrix", "main"]
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_SHAPE = 4
-EXIT_UNKNOWN_ID = 5
-EXIT_INTERNAL = 6
-
-
 class MatrixFileError(ValueError):
     """The matrix file is malformed."""
 
@@ -59,12 +50,10 @@ class _ArgumentError(ValueError):
 
 def matrix_to_obj(a: np.ndarray) -> dict:
     """MatrixFile object: explicit [re, im] pairs, row-major."""
-    a = np.asarray(a, dtype=np.complex128)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": np.stack([a.real, a.imag], -1).tolist(),
-    }
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    m, n = a.shape
+    # complex128's own buffer, read as [re, im] float pairs
+    return {"rows": m, "cols": n, "data": a.view(np.float64).reshape(m, n, 2).tolist()}
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -228,8 +217,7 @@ _WHICH_FUNCS = {
 }
 
 
-def cmd_compute(args) -> int:
-    tol = _tolerance(args)
+def cmd_compute(args, tol: Tolerance) -> int:
     a = load_matrix(args.input)
     rec = _analyse(a, tol, square=False)
     x = _WHICH_FUNCS[args.which](rec)
@@ -252,19 +240,17 @@ def cmd_compute(args) -> int:
     else:
         report = _json({"matrix": matrix_to_obj(x), **sidecar}, args.pretty)
     print(report)
-    return EXIT_OK
+    return 0
 
 
-def cmd_classify(args) -> int:
-    tol = _tolerance(args)
+def cmd_classify(args, tol: Tolerance) -> int:
     rec = _analyse(load_matrix(args.input), tol)
     rep = core_ep_equiv_report(rec)
     print(_json({"rank": rec.rank, "index": rec.index, **dataclasses.asdict(rep)}, args.pretty))
-    return EXIT_OK
+    return 0
 
 
-def cmd_order(args) -> int:
-    tol = _tolerance(args)
+def cmd_order(args, tol: Tolerance) -> int:
     rec = _analyse(load_matrix(args.a), tol)
     b = load_matrix(args.b)
     kinds = list(OrderKind) if args.relation == "all" else [OrderKind(args.relation)]
@@ -272,7 +258,7 @@ def cmd_order(args) -> int:
     for kind in kinds:
         out[kind.value] = {k: v for k, v in vars(leq(rec, b, kind)).items() if k != "kind"}
     print(_json(out, args.pretty))
-    return EXIT_OK
+    return 0
 
 
 def _parse_class(text: str) -> tuple[str, dict]:
@@ -291,8 +277,7 @@ def _parse_class(text: str) -> tuple[str, dict]:
     return name, {field: value} if field else {}
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerance(args)
+def cmd_verify(args, tol: Tolerance) -> int:
     seed = args.seed
     if seed is None:
         text = os.environ.get("GENINV_SEED", "0")
@@ -307,11 +292,10 @@ def cmd_verify(args) -> int:
         raise PreconditionError(str(exc)) from exc
     report = run_suite(args.suite, spec, tol)
     print(_json(report.to_dict(), args.pretty))
-    return EXIT_OK if report.passed else 1
+    return 0 if report.passed else 1
 
 
-def cmd_hs(args) -> int:
-    tol = _tolerance(args)
+def cmd_hs(args, tol: Tolerance) -> int:
     rec = _analyse(load_matrix(args.input), tol)
     h = rec.hs
     rebuilt = hs_reconstruct(h)  # names Sigma if it overflows
@@ -350,8 +334,20 @@ def cmd_hs(args) -> int:
     for path, text in texts.items():
         _write(path, text)
     print(report)
-    return EXIT_OK
+    return 0
 
+
+# each failure `main` reports, by the types that raise it: its exit code
+# and the prefix of its line on stderr (argparse exits 2 on its own errors)
+_FAILURES = {
+    (MatrixFileError, _ArgumentError): (2, "error: "),  # malformed input
+    # a precondition fails, or a result is beyond the float range
+    (PreconditionError, IndexTooLargeError, ZeroMatrixError): (3, "error: "),
+    (DimensionMismatchError,): (4, "error: "),  # a shape mismatch
+    (UnknownSuiteError, InvalidSpecError): (5, "error: "),  # an unknown suite or class
+    # a self-check that must always pass failed, or the SVD did not converge
+    (InternalCheckError, SvdConvergenceError): (6, "internal error: "),
+}
 
 _COMMANDS = {
     "compute": cmd_compute,
@@ -424,22 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (MatrixFileError, _ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, IndexTooLargeError, ZeroMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except (UnknownSuiteError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_ID
-    except (InternalCheckError, SvdConvergenceError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _COMMANDS[args.command](args, _tolerance(args))
+    except tuple(chain.from_iterable(_FAILURES)) as exc:
+        code, prefix = next(row for types, row in _FAILURES.items() if isinstance(exc, types))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -194,13 +194,16 @@ def verify_system(a: np.ndarray, system: str, tol: Tolerance = DEFAULT_TOL,
         e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         e /= np.linalg.norm(e)
         xp = x + step * e
-        violation = max(diff_norm(*sides(rec, xp)) for _, sides in eqs)
+        # a large step may overflow the sides: their violation is then NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            violation = max(diff_norm(*sides(rec, xp)) for _, sides in eqs)
         entry = report.breakdown.setdefault(
             "perturbation_refutation",
             {"samples": 0, "failures": 0, "worst_residual": np.inf},
         )
         entry["samples"] += 1
-        entry["worst_residual"] = min(entry["worst_residual"], violation)
+        worst = entry["worst_residual"]  # the least violation, or NaN once one is
+        entry["worst_residual"] = worst if math.isnan(worst) or violation >= worst else violation
         if not violation > min_violation:  # a NaN violation refutes nothing
             entry["failures"] += 1
             report.failures += 1

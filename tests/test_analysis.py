@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -20,7 +21,7 @@ import geninv as gi
 from geninv import DimensionMismatchError, PreconditionError, cli
 from geninv.drazin import _analyse, _Analysis, _Derived, _once
 from geninv.ensembles import KINDS, EnsembleSpec, gen
-from geninv.exact import RMatrix, _ExactAnalysis
+from geninv.exact import RMatrix, _ExactAnalysis, exact_inv
 from geninv.verify import SUITE_IDS, run_suite, solution_family, verify_system
 
 from conftest import random_complex
@@ -221,6 +222,78 @@ def test_every_public_function_of_one_matrix_has_a_scaling_law():
                 | FACTORS_AND_REPORTS)
     assert public - set(SCALING) - excluded == set()
     assert excluded <= public and not excluded & set(SCALING)
+
+
+# two more laws, by part of the record: under a unitary similarity
+# A -> Q A Q* each matrix part X becomes Q X Q* and a rank, index or
+# verdict is unchanged; under the adjoint, X(A*) = X'(A)* for the dual X'
+# named here (a rank, index or verdict is unchanged). The core-EP and CCE
+# inverses of A* are no part of A's record (the dual core-EP inverse is
+# not computed): their dual is None, a named exclusion of the adjoint law.
+LAWS = {"rank": "rank", "index": "index", "core": "core", "mpdmp": "mpdmp", "pinv": "pinv",
+        "drazin": "drazin", "dmp": "mpd", "mpd": "dmp", "cmp": "cmp", "core_ep": None,
+        "cce": None, "is_ep": "is_ep", "is_core_ep": "is_core_ep", "is_k_ep": "is_k_ep"}
+
+
+def _cayley(rng, n: int) -> RMatrix:
+    """The unitary Q = (I - S)(I + S)^-1 of a skew-Hermitian S = M - M*, M
+    with Gaussian-integer entries of parts in [-1, 1]."""
+    m = rng.integers(-1, 2, (n, n)) + 1j * rng.integers(-1, 2, (n, n))
+    s, eye = RMatrix(m - m.conj().T), RMatrix.identity(n)
+    return (eye - s) @ exact_inv(eye + s)
+
+
+def _law_inputs(n: int) -> tuple:
+    """A fixed Cayley unitary and 15 matrices at size n: five integer ones
+    in [-3, 3], five singular ones (a product through size n - 1 or n - 2)
+    and five core-EP ones Q' ((C + 4I) ⊕ T J_k T^-1) Q'*, each with its own
+    Cayley Q', C integer in [-3, 3], J_k the k x k nilpotent Jordan block
+    and T unit upper triangular, so of index k in [1, n - 1]."""
+    rng = np.random.default_rng(240 + n)
+    out = [RMatrix(rng.integers(-3, 4, (n, n))) for _ in range(5)]
+    for r in (n - 1, n - 2, n - 1, n - 2, n - 1):
+        out.append(RMatrix(rng.integers(-2, 3, (n, r)) @ rng.integers(-2, 3, (r, n))))
+    for k in (1 + j % (n - 1) for j in range(5)):
+        block = np.zeros((n, n), dtype=int)
+        block[:n - k, :n - k] = rng.integers(-3, 4, (n - k, n - k)) + 4 * np.eye(n - k, dtype=int)
+        t = np.eye(k, dtype=int) + np.triu(rng.integers(-2, 3, (k, k)), 1)
+        block[n - k:, n - k:] = t @ np.eye(k, k=1, dtype=int) @ np.round(np.linalg.inv(t))
+        q = _cayley(rng, n)
+        out.append(q @ RMatrix(block) @ q.conj_t())
+    return _cayley(rng, n), out
+
+
+def _similar(q: RMatrix, x):
+    return q @ x @ q.conj_t() if isinstance(x, RMatrix) else x
+
+
+def _adjoint(x):
+    return x.conj_t() if isinstance(x, RMatrix) else x
+
+
+# the inputs of `_law_inputs` by index, per size
+LAW_INDICES = {3: {0: 4, 1: 9, 2: 2}, 4: {0: 4, 1: 8, 2: 2, 3: 1},
+               5: {0: 5, 1: 7, 2: 1, 3: 1, 4: 1}, 6: {0: 5, 1: 6, 2: 1, 3: 1, 4: 1, 5: 1}}
+
+
+@pytest.mark.parametrize("n", LAW_INDICES)
+def test_exact_record_meets_the_similarity_and_adjoint_laws(n):
+    # each law as equality of stored forms, with no tolerance: every other
+    # exact test trusts this record
+    q, inputs = _law_inputs(n)
+    indices = Counter()
+    for a in inputs:
+        rec, similar, adjoint = (_ExactAnalysis(m) for m in (a, q @ a @ q.conj_t(), a.conj_t()))
+        for name, dual in LAWS.items():
+            assert getattr(similar, name) == _similar(q, getattr(rec, name)), name
+            if dual is not None:
+                assert getattr(adjoint, name) == _adjoint(getattr(rec, dual)), name
+        indices[rec.index] += 1
+    assert indices == LAW_INDICES[n]
+
+
+def test_every_part_of_the_record_has_its_laws():
+    assert set(LAWS) == set(PART_DEGREES) and set(LAWS.values()) - {None} <= set(LAWS)
 
 
 def test_empty_matrix_accepted():

@@ -14,6 +14,7 @@ import pytest
 import geninv
 from geninv.classify import ClassReport
 from geninv.cli import (
+    _FAILURES,
     MatrixFileError,
     build_parser,
     load_matrix,
@@ -286,9 +287,9 @@ ERROR_TEXT = {
 }
 
 
-@pytest.mark.parametrize("name", BAD_INPUT)
-def test_bad_input_exits_with_an_error_line(name, files, tmp_path, monkeypatch):
-    argv, env_seed, code = BAD_INPUT[name]
+def _run_bad_input(name, files, tmp_path, monkeypatch):
+    """(exit code, stdout, stderr) of the BAD_INPUT row `name`, run in process."""
+    argv, env_seed, _ = BAD_INPUT[name]
     bool_dims, not_json, eye2 = (tmp_path / f"{stem}.json"
                                  for stem in ("bool_dims", "not_json", "eye2"))
     bool_dims.write_text('{"rows": true, "cols": true, "data": [[[1, 2]]]}')
@@ -297,9 +298,15 @@ def test_bad_input_exits_with_an_error_line(name, files, tmp_path, monkeypatch):
     monkeypatch.delenv("GENINV_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("GENINV_SEED", env_seed)
-    got, out, err = _in_process([arg.format(**files, bool_dims=bool_dims, not_json=not_json,
-                                            eye2=eye2, missing=tmp_path / "missing")
-                                 for arg in argv])
+    return _in_process([arg.format(**files, bool_dims=bool_dims, not_json=not_json,
+                                   eye2=eye2, missing=tmp_path / "missing")
+                        for arg in argv])
+
+
+@pytest.mark.parametrize("name", BAD_INPUT)
+def test_bad_input_exits_with_an_error_line(name, files, tmp_path, monkeypatch):
+    code = BAD_INPUT[name][2]
+    got, out, err = _run_bad_input(name, files, tmp_path, monkeypatch)
     assert got == code
     assert out == ""
     assert any(line.startswith(("error:", "internal error:", "geninv verify: error:",
@@ -307,6 +314,16 @@ def test_bad_input_exits_with_an_error_line(name, files, tmp_path, monkeypatch):
                for line in err.splitlines())
     assert "Traceback" not in err
     assert ERROR_TEXT.get(name, "") in err
+
+
+@pytest.mark.parametrize("types", _FAILURES, ids=lambda types: types[0].__name__)
+def test_each_failure_is_met_by_a_bad_input_row(types, files, tmp_path, monkeypatch):
+    # a row of the CLI's failure table that no BAD_INPUT row exits by and
+    # prints the error line of is a failure no test makes
+    code, prefix = _FAILURES[types]
+    runs = [_run_bad_input(name, files, tmp_path, monkeypatch)
+            for name, (_, _, want) in BAD_INPUT.items() if want == code]
+    assert any(got == code and err.startswith(prefix) for got, _, err in runs)
 
 
 TOL_ERROR = "error: tolerance fields must be finite and strictly positive: "

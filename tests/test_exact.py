@@ -565,19 +565,56 @@ def test_relations_separate_on_exact_pairs():
                     ("dmp", "mpd", "cmp", "drazin"): 8}
 
 
-def _orbits_3x3():
-    """(representative, orbit size) of each orbit of the 19,683 3 x 3
-    {-1, 0, 1} matrices under A -> G A G^T, G a signed permutation. A matrix
-    is coded by its entries + 1 as base-3 digits, row by row, which is its
-    position in `itertools.product`; an orbit is represented by its least
-    code."""
-    mats = np.array(list(itertools.product((-1, 0, 1), repeat=9))).reshape(-1, 3, 3)
-    digits = 3 ** np.arange(8, -1, -1)
-    codes = [((mats[:, p][:, :, p] * np.outer(s, s)).reshape(-1, 9) + 1) @ digits
-             for p in itertools.permutations(range(3))
-             for s in map(np.array, itertools.product((-1, 1), repeat=3))]
+def _monomials(n: int, phases) -> list:
+    """Every n x n monomial matrix G = diag(d) P whose nonzero entries are in
+    `phases`, as (p, d), P the permutation with (P A P*)[i, j] = A[p_i, p_j]."""
+    return [(list(p), d) for p in itertools.permutations(range(n))
+            for d in itertools.product(phases, repeat=n)]
+
+
+def _orbits(n: int, entries, group) -> list:
+    """(representative, orbit size) of each orbit of the n x n matrices over
+    `entries` under A -> G A G*, (G A G*)[i, j] = d_i conj(d_j) A[p_i, p_j]
+    for each (p, d) of `group` (`_monomials`), which maps the set to itself.
+    A matrix is coded by the places of its entries in `entries` as digits,
+    row by row, which is its position in `itertools.product`; an orbit is
+    represented by its least code."""
+    ent = list(entries)
+    digits = np.array(list(itertools.product(range(len(ent)), repeat=n * n))).reshape(-1, n, n)
+    place = len(ent) ** np.arange(n * n - 1, -1, -1)
+    rows, cols = np.indices((n, n))
+    codes = []
+    for p, d in group:
+        # the digit of d_i conj(d_j) x, by (i, j) and the digit of x
+        times = np.array([[[ent.index(di * dj.conjugate() * x) for x in ent] for dj in d]
+                          for di in d])
+        codes.append(times[rows, cols, digits[:, p][:, :, p]].reshape(-1, n * n) @ place)
     reps, sizes = np.unique(np.min(codes, axis=0), return_counts=True)
-    return [(mats[code], int(size)) for code, size in zip(reps, sizes)]
+    values = np.array(entries)
+    return [(values[digits[code]], int(size)) for code, size in zip(reps, sizes)]
+
+
+def _judged(rec, judged: Counter) -> None:
+    """Count in `judged` each (suite, identity or skip note) every suite
+    gives the exact record `rec`, each identity asserted to hold: a
+    single-matrix suite judges the record, a pair suite (record, core part)."""
+    for name, suite in _SUITES.items():
+        out = suite.judge((rec, rec.core) if suite.pairwise else rec)
+        if isinstance(out, str):
+            judged[name, out] += 1
+            continue
+        for label, holds, _ in out:
+            assert holds, (name, label, rec.a)
+            judged[name, label] += 1
+
+
+def _subjects(table: dict) -> Counter:
+    """The counts of `_judged` that a table like ORBIT_SUBJECTS pins."""
+    want = Counter()
+    for name, (every, notes) in table.items():
+        want.update({(name, label): every for label, _ in _SUITES[name].identities})
+        want.update({(name, note): count for note, count in notes.items()})
+    return want
 
 
 # per suite, the 3 x 3 orbit representatives judged on every identity and
@@ -600,33 +637,60 @@ ORBIT_SUBJECTS = {
 def test_every_suite_holds_exactly_on_every_3x3_orbit():
     # every inverse X of G A G^T is G X G^T, so each exact verdict, skip
     # rule and class is an orbit invariant, and judging one matrix of each
-    # orbit judges all 19,683: a single-matrix suite on the record, a pair
-    # suite on (record, core part)
-    orbits = _orbits_3x3()
+    # orbit judges all 19,683
+    orbits = _orbits(3, (-1, 0, 1), _monomials(3, (-1, 1)))
     assert len(orbits) == 927 and sum(size for _, size in orbits) == 19_683
     judged, collapse = Counter(), Counter()
     for a, size in orbits:
         rec = exact._ExactAnalysis(rm(a))
-        for name, suite in _SUITES.items():
-            out = suite.judge((rec, rec.core) if suite.pairwise else rec)
-            if isinstance(out, str):
-                judged[name, out] += 1
-                continue
-            for label, holds, _ in out:
-                assert holds, (name, label, a)
-                judged[name, label] += 1
+        _judged(rec, judged)
         if rec.index >= 2:
             collapse[rec.is_core_ep, rec.dmp == rec.drazin, rec.mpd == rec.drazin] += size
-    want = Counter()
-    for name, (every, notes) in ORBIT_SUBJECTS.items():
-        want.update({(name, label): every for label, _ in _SUITES[name].identities})
-        want.update({(name, note): count for note, count in notes.items()})
-    assert judged == want
+    assert judged == _subjects(ORBIT_SUBJECTS)
     # the converse of the collapse, by matrices: of index >= 2, the 576
     # core-EP ones have DMP = MPD = A^D, and of the 1,440 others none has
     # both, 240 DMP = A^D alone and 240 MPD = A^D alone
     assert collapse == {(True, True, True): 576, (False, False, False): 960,
                         (False, True, False): 240, (False, False, True): 240}
+
+
+# ORBIT_SUBJECTS for the 100 orbits of 2 x 2 matrices over {0, ±1, ±i}
+GAUSSIAN_ORBIT_SUBJECTS = {
+    "core_ep_equiv": (100, {}),
+    "core_ep_collapse": (88, {"not_core_ep_skipped": 12}),
+    "six_part": (88, {"not_core_ep_skipped": 12}),
+    "ass": (100, {}),
+    "five_way_mp": (99, {"zero_skipped": 1}),
+    "five_way_core": (100, {}),
+    "commute_lemma": (100, {}),
+    "ew2": (100, {}),
+    "adf": (100, {}),
+    "orders_kep": (100, {}),
+    "cce_conditional": (99, {"zero_skipped": 1}),
+}
+# (rank, index, EP, core-EP, k-EP) classes of the 625 matrices, by matrices
+GAUSSIAN_CLASSES = {(2, 0, True, True, True): 480, (1, 1, True, True, True): 24,
+                    (1, 1, False, False, False): 96, (1, 2, False, True, True): 24,
+                    (0, 1, True, True, True): 1}
+
+
+def test_every_suite_holds_exactly_on_every_gaussian_2x2_orbit():
+    # the same on the 2 x 2 matrices over {0, ±1, ±i} under A -> G A G*, G a
+    # monomial unitary with entries in {±1, ±i}: on a real set A* = A^T, so
+    # only a complex one shows a transpose where a conjugate transpose
+    # belongs; float reads the rank and class of each as the exact record does
+    phases = (1, -1, 1j, -1j)
+    orbits = _orbits(2, (0, *phases), _monomials(2, phases))
+    assert len(orbits) == 100 and sum(size for _, size in orbits) == 625
+    judged, classes = Counter(), Counter()
+    for a, size in orbits:
+        rec, fl = exact._ExactAnalysis(rm(a)), _analyse(a, gi.DEFAULT_TOL)
+        _judged(rec, judged)
+        got = tuple(getattr(rec, v) for v in ("rank", *VERDICTS))
+        assert got == tuple(getattr(fl, v) for v in ("rank", *VERDICTS)), a
+        classes[got] += size
+    assert judged == _subjects(GAUSSIAN_ORBIT_SUBJECTS)
+    assert classes == GAUSSIAN_CLASSES
 
 
 def test_exact_record_is_its_own_unit():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ def test_perturbation_whose_violation_is_nan_refutes_nothing(a1):
     with np.errstate(over="ignore", invalid="ignore"):
         rep = verify_system(a1, "a1", seed=17, perturbations=3, step=1e160)
     assert rep.breakdown["perturbation_refutation"]["failures"] == 3 and not rep.passed
+
+
+def test_overflowing_perturbation_warns_nothing_and_reports_nan(a1):
+    # the same overflow leaks no numpy warning, and the NaN violations make
+    # the worst residual NaN rather than the inf it starts from
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_system(a1, "a1", seed=17, perturbations=3, step=1e160)
+    entry = rep.breakdown["perturbation_refutation"]
+    assert entry["failures"] == 3 and np.isnan(entry["worst_residual"])
 
 
 @pytest.mark.parametrize("name, value", (
